@@ -155,21 +155,10 @@ class ScenarioConfig:
     output_format: str | None = None
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
-        cfg = ScenarioConfig(
-            name=self.name,
-            rho=self.rho,
-            povm=self.povm,
-            g_a=self.g_a,
-            g_b=self.g_b,
-            params=replace(self.params, seed=seed),
-            mode=self.mode,
-            trials=self.trials,
-            equivalence=self.equivalence,
-            sweep=self.sweep,
-            output_path=self.output_path,
-            output_format=self.output_format,
-        )
-        return cfg
+        try:
+            return replace(self, params=replace(self.params, seed=seed))
+        except ValueError as exc:
+            raise ConfigError(f"{self.name}: invalid seed {seed!r}: {exc}") from exc
 
 
 _PROTOCOL_KEYS = {

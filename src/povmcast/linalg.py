@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     NotHermitian,
     NotNormalized,
@@ -38,9 +39,12 @@ def dimension_cap() -> int:
     raw = os.environ.get(DIM_CAP_ENV)
     if raw is None:
         return DEFAULT_DIM_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
     if cap < 1:
-        raise ValueError(f"{DIM_CAP_ENV} must be a positive integer, got {raw!r}")
+        raise ConfigError(f"{DIM_CAP_ENV} must be a positive integer, got {raw!r}")
     return cap
 
 

@@ -277,11 +277,10 @@ def build_omega_and_cutoff(
     xi_bar = hermitian_part(np.asarray(xi_bar))
     dim = xi_bar.shape[0]
     if trivial:
-        eye = np.eye(dim)
         return CutoffResult(
-            projector=eye,
+            projector=np.eye(dim),
             omega=xi_bar,
-            xi={k: np.array(v) for k, v in xi_prime_map.items()},
+            xi=dict(xi_prime_map),
             threshold=float("-inf"),
             empty=False,
         )
@@ -312,25 +311,18 @@ class ConditioningBlock:
     """Deterministic per-conditioning-sequence geometry.
 
     Shared by every trial: the block state along the conditioning, its
-    square root and pseudo-inverse square root, the conditional typical
-    set of output sequences with its pruned law, and the compressed
-    states through the eigenvalue cutoff.
+    pseudo-inverse square root, the conditional typical set of output
+    sequences with its pruned law, and the compressed states through the
+    eigenvalue cutoff (cutoff.xi, one per typical member).
     """
 
     cond_seq: tuple
     rho_cond_n: np.ndarray
-    sqrt_rho_cond: np.ndarray
     pinv_sqrt_rho_cond: np.ndarray
     typical: TypicalSet
     pruned: PrunedDistribution
     s_cond: float
-    xi_prime: dict
-    xi_bar: np.ndarray
     cutoff: CutoffResult
-
-    @property
-    def member_set(self) -> frozenset:
-        return frozenset(self.typical.members)
 
 
 def _build_conditioning_block(
@@ -352,7 +344,6 @@ def _build_conditioning_block(
 
     mats = [base_states[sym] for sym in cond_seq]
     rho_cond_n = kron_all(mats)
-    sqrt_rho_cond = sqrt_psd(rho_cond_n)
     norm = np.linalg.norm(rho_cond_n, 2)
     cut = SUPPORT_CUTOFF_REL * max(norm, 1.0)
     pinv_sqrt_rho_cond = pinv_sqrt_on_support(rho_cond_n, cutoff=cut)
@@ -402,13 +393,10 @@ def _build_conditioning_block(
     return ConditioningBlock(
         cond_seq=cond_seq,
         rho_cond_n=rho_cond_n,
-        sqrt_rho_cond=sqrt_rho_cond,
         pinv_sqrt_rho_cond=pinv_sqrt_rho_cond,
         typical=typical,
         pruned=pruned,
         s_cond=float(typical.total_prob),
-        xi_prime=xi_prime,
-        xi_bar=xi_bar,
         cutoff=cutoff,
     )
 
@@ -1099,14 +1087,6 @@ class FaithfulnessReport:
     ec_rate: float
     e0_ok: bool
     e0_violation: float
-
-    @property
-    def term_breakdown(self) -> dict:
-        return {
-            "atypical": self.atypical,
-            "codebook": self.d2,
-            "alice_substitution": self.d3,
-        }
 
 
 @dataclass(frozen=True)

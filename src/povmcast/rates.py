@@ -75,23 +75,6 @@ def holevo_mutual_information(cq: CqState) -> float:
     return von_neumann_entropy(avg) - cond
 
 
-def reference_entropy(cq: CqState) -> float:
-    """Entropy of the average reference state."""
-    idxs = _active(cq)
-    if not idxs:
-        return 0.0
-    return von_neumann_entropy(sum(cq.weighted_state(i) for i in idxs))
-
-
-def conditional_reference_entropy(joint: CqState) -> float:
-    """sum_a p(a) S(rho_a) for a pair-labeled model, averaging over x_b first."""
-    marg = cq_marginal(joint, 0)
-    idxs = _active(marg)
-    return float(
-        sum(float(marg.probs[i]) * von_neumann_entropy(marg.ref_states[i]) for i in idxs)
-    )
-
-
 @dataclass(frozen=True)
 class RateQuantities:
     """The seven entropic quantities the rate region is built from."""
@@ -123,29 +106,6 @@ def _block_diag_entropy(blocks) -> float:
         if w.size:
             total += float(-(w * np.log2(w)).sum())
     return total
-
-
-def joint_hybrid_operator(joint: CqState) -> np.ndarray:
-    """Explicit block-diagonal density operator on X_B (x) X_A (x) R.
-
-    Classical registers sit in the computational basis; block (b, a)
-    carries p(a, b) rho_{a,b}. Guarded by the dimension cap.
-    """
-    a_vals, b_vals, _, _, _ = _pair_marginals(joint)
-    d = joint.dim_ref
-    total_dim = len(a_vals) * len(b_vals) * d
-    if total_dim > dimension_cap():
-        raise SizeLimitExceeded(
-            f"hybrid operator dimension {total_dim} exceeds cap {dimension_cap()}"
-        )
-    out = np.zeros((total_dim, total_dim), dtype=np.complex128)
-    for i, lab in enumerate(joint.outcome_labels):
-        if joint.probs[i] <= TAU_PROB:
-            continue
-        a, b = lab
-        k = (b_vals.index(b) * len(a_vals) + a_vals.index(a)) * d
-        out[k : k + d, k : k + d] = joint.weighted_state(i)
-    return out
 
 
 def conditional_rate_quantities(joint: CqState) -> RateQuantities:

@@ -7,7 +7,7 @@ and quantum projectors are assembled symbol-wise from eigenbranch products.
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 
@@ -42,7 +42,9 @@ class TypicalSet:
     total_prob: float
 
     def __contains__(self, seq) -> bool:
-        return tuple(seq) in set(self.members)
+        seq = tuple(seq)
+        i = bisect_left(self.members, seq)
+        return i < len(self.members) and self.members[i] == seq
 
     @property
     def member_index(self) -> dict:
@@ -94,59 +96,62 @@ def _guard_enumeration(alphabet: int, n: int):
         )
 
 
-def _sequence_grid(per_position_logs) -> np.ndarray:
-    """Sum of per-position log2 values over all sequences, in product order."""
-    return reduce(np.add.outer, per_position_logs).ravel()
-
-
 def _entropy_bits(p: np.ndarray) -> float:
     q = p[p > 0.0]
     return float(-(q * np.log2(q)).sum())
 
 
+def _typical_mask(per_position_laws, delta: float):
+    """Log2-probability of every sequence, in product order, and the mask
+    of those whose sample entropy lies within delta of the
+    empirical-average entropy of the per-position laws."""
+    n = len(per_position_laws)
+    h_bar = float(np.mean([_entropy_bits(p) for p in per_position_laws]))
+    with np.errstate(divide="ignore"):
+        logs = [np.log2(p) for p in per_position_laws]
+    total = reduce(np.add.outer, logs).ravel()
+    dev = np.abs(-total / n - h_bar)
+    return total, np.isfinite(total) & (dev <= delta + MEMBERSHIP_SLACK)
+
+
+def _typical_set(per_position_laws, delta: float) -> TypicalSet:
+    total, mask = _typical_mask(per_position_laws, delta)
+    flat = np.flatnonzero(mask)
+    shape = [p.size for p in per_position_laws]
+    members = tuple(zip(*(c.tolist() for c in np.unravel_index(flat, shape))))
+    total_prob = 0.0
+    for i in flat:
+        total_prob += float(np.exp2(total[i]))
+    return TypicalSet(
+        n=len(per_position_laws),
+        delta=float(delta),
+        alphabet_size=shape[0],
+        members=members,
+        total_prob=total_prob,
+    )
+
+
 def build_typical_set(p, n: int, delta: float) -> TypicalSet:
-    """All length-n sequences with sample entropy within delta of H(p)."""
+    """All length-n sequences with sample entropy within delta of H(p).
+
+    The conditional set along a single symbol whose law is p; it may be
+    empty.
+    """
     if n < 1:
         raise SizeMismatch(f"blocklength must be >= 1, got {n}")
     if delta < 0:
         raise ValueError("delta must be >= 0")
     p = _check_distribution(p)
-    k = p.size
-    _guard_enumeration(k, n)
-    h = _entropy_bits(p)
-    with np.errstate(divide="ignore"):
-        logs = np.log2(p)
-    total = _sequence_grid([logs] * n)
-    dev = np.abs(-total / n - h)
-    mask = np.isfinite(total) & (dev <= delta + MEMBERSHIP_SLACK)
-    members = []
-    total_prob = 0.0
-    for flat, seq in enumerate(itertools.product(range(k), repeat=n)):
-        if mask[flat]:
-            members.append(seq)
-            total_prob += float(np.exp2(total[flat]))
-    return TypicalSet(
-        n=n,
-        delta=float(delta),
-        alphabet_size=k,
-        members=tuple(members),
-        total_prob=total_prob,
-    )
+    _guard_enumeration(p.size, n)
+    return _typical_set([p] * n, delta)
 
 
 def prune(p, ts: TypicalSet) -> PrunedDistribution:
     """Restrict the product law to the typical set and renormalize."""
-    if not ts.members:
-        raise EmptySupport("typical set has no members to prune onto")
     p = _check_distribution(p)
     if p.size != ts.alphabet_size:
         raise SizeMismatch("distribution alphabet does not match the typical set")
-    raw = np.array([float(np.prod(p[list(m)])) for m in ts.members])
-    s = float(raw.sum())
-    if s <= 0.0:
-        raise EmptySupport("typical set carries zero probability mass")
-    probs = {m: float(v / s) for m, v in zip(ts.members, raw)}
-    return PrunedDistribution(base=ts, probs=probs)
+    return prune_conditional(p.reshape(1, -1), (0,) * ts.n, ts)
 
 
 def _check_conditional(p_cond, used_rows) -> np.ndarray:
@@ -173,31 +178,13 @@ def conditional_typical_set(p_cond, x_a_seq, n: int, delta: float) -> TypicalSet
     if delta < 0:
         raise ValueError("delta must be >= 0")
     p_cond = _check_conditional(p_cond, set(x_a_seq))
-    k_b = p_cond.shape[1]
-    _guard_enumeration(k_b, n)
-    h_bar = float(np.mean([_entropy_bits(p_cond[a]) for a in x_a_seq]))
-    with np.errstate(divide="ignore"):
-        logs = [np.log2(p_cond[a]) for a in x_a_seq]
-    total = _sequence_grid(logs)
-    dev = np.abs(-total / n - h_bar)
-    mask = np.isfinite(total) & (dev <= delta + MEMBERSHIP_SLACK)
-    members = []
-    total_prob = 0.0
-    for flat, seq in enumerate(itertools.product(range(k_b), repeat=n)):
-        if mask[flat]:
-            members.append(seq)
-            total_prob += float(np.exp2(total[flat]))
-    if not members:
+    _guard_enumeration(p_cond.shape[1], n)
+    ts = _typical_set([p_cond[a] for a in x_a_seq], delta)
+    if not ts.members:
         raise EmptySupport(
             f"conditional typical set for {x_a_seq} is empty at delta={delta}"
         )
-    return TypicalSet(
-        n=n,
-        delta=float(delta),
-        alphabet_size=k_b,
-        members=tuple(members),
-        total_prob=total_prob,
-    )
+    return ts
 
 
 def prune_conditional(p_cond, x_a_seq, ts: TypicalSet) -> PrunedDistribution:
@@ -211,7 +198,7 @@ def prune_conditional(p_cond, x_a_seq, ts: TypicalSet) -> PrunedDistribution:
     )
     s = float(raw.sum())
     if s <= 0.0:
-        raise EmptySupport("conditional typical set carries zero mass")
+        raise EmptySupport("typical set carries zero probability mass")
     probs = {m: float(v / s) for m, v in zip(ts.members, raw)}
     return PrunedDistribution(base=ts, probs=probs)
 
@@ -247,12 +234,7 @@ def conditional_quantum_typical_projector(
         raise SizeLimitExceeded(
             f"projector dimension {total_dim} exceeds cap {dimension_cap()}"
         )
-    h_bar = float(np.mean([_entropy_bits(decs[sym][0]) for sym in cond_seq]))
-    with np.errstate(divide="ignore"):
-        logs = [np.log2(decs[sym][0]) for sym in cond_seq]
-    total = _sequence_grid(logs)
-    dev = np.abs(-total / n - h_bar)
-    mask = np.isfinite(total) & (dev <= delta + MEMBERSHIP_SLACK)
+    _, mask = _typical_mask([decs[sym][0] for sym in cond_seq], delta)
     v_total = kron_all([decs[sym][1] for sym in cond_seq])
     cols = v_total[:, mask]
     projector = cols @ cols.conj().T
@@ -275,11 +257,7 @@ def quantum_typical_projector(rho, n: int, delta: float) -> TypicalProjector:
 
 def sample_sequence(pd: PrunedDistribution, rng: np.random.Generator) -> tuple:
     """One exact draw by cumulative inversion over the sorted member list."""
-    cum = np.cumsum(pd.prob_vector())
-    u = rng.random()
-    idx = int(np.searchsorted(cum, u, side="right"))
-    idx = min(idx, len(pd.base.members) - 1)
-    return pd.base.members[idx]
+    return sample_sequences(pd, rng, 1)[0]
 
 
 def sample_sequences(

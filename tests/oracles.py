@@ -148,6 +148,18 @@ def enumerate_conditional_typical(p_cond, cond_seq, delta):
     return members
 
 
+def conditional_mass(p_cond, cond_seq, members):
+    """Total probability of the given output sequences by direct products."""
+    p_cond = np.asarray(p_cond, dtype=float)
+    total = 0.0
+    for seq in members:
+        prob = 1.0
+        for a, b in zip(cond_seq, seq):
+            prob *= p_cond[a, b]
+        total += prob
+    return total
+
+
 def jt_statistic_oracle(groups):
     """Jonckheere-Terpstra statistic as a sum of pairwise U statistics."""
     from scipy.stats import mannwhitneyu

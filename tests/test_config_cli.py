@@ -386,6 +386,48 @@ def test_cli_simulate_seed_override_and_determinism(capsys, tmp_path):
     assert json.loads(out_a)["params"]["seed"] == 13
 
 
+# Per-trial (d, d_alice, atypical, d2, d3) of `simulate --seed 3`, recorded
+# before the block geometry was pruned; any change to the answers shows here.
+PINNED_SEED3_TRIALS = {
+    "three-outcome-split": [
+        (0.6630989297686314, 0.671380471380471, 0.08999999999999996, 0.3516426883641056, 0.5044167340792622),
+        (0.5290779671837307, 0.30094276094276085, 0.08999999999999996, 0.30257982511701575, 0.20460736657903522),
+        (0.7937283665987143, 0.7136700336700331, 0.08999999999999996, 0.26111469561118117, 0.5077716323232273),
+        (0.5805562539882483, 0.3094949494949496, 0.08999999999999996, 0.2993212236540429, 0.2279546953421713),
+        (0.7356941822616596, 0.5197979797979796, 0.08999999999999996, 0.47595755445714344, 0.2894307786361588),
+        (0.4861502842068348, 0.30949494949494966, 0.08999999999999996, 0.4056435690362358, 0.19318968734315697),
+        (0.4884618333564017, 0.16639730639730657, 0.08999999999999996, 0.33148836298925644, 0.10933216165967966),
+        (0.43450825319020137, 0.25063973063973055, 0.08999999999999996, 0.3116127267419452, 0.15632960426139178),
+        (0.6453846040760177, 0.6799999999999997, 0.08999999999999996, 0.2662871681622292, 0.533624402499999),
+        (0.6556473829201097, 0.45259259259259277, 0.08999999999999996, 0.50210791718781, 0.23746556473829217),
+    ],
+    "bell-computational": [
+        (1.0, 1.0, 0.0, 0.09090909090909094, 0.9090909090909091),
+        (0.586776859504132, 0.5454545454545452, 0.0, 0.09090909090909094, 0.4958677685950411),
+        (0.41322314049586784, 0.4545454545454547, 0.0, 0.09090909090909094, 0.41322314049586784),
+        (0.6198347107438019, 0.6818181818181821, 0.0, 0.09090909090909094, 0.6198347107438019),
+        (0.5, 0.49999999999999994, 0.0, 0.09090909090909094, 0.45454545454545453),
+        (0.586776859504132, 0.5454545454545452, 0.0, 0.09090909090909094, 0.4958677685950411),
+        (0.29338842975206597, 0.2727272727272726, 0.0, 0.09090909090909094, 0.2479338842975205),
+        (0.586776859504132, 0.5454545454545452, 0.0, 0.09090909090909094, 0.49586776859504106),
+        (0.586776859504132, 0.5454545454545452, 0.0, 0.09090909090909094, 0.4958677685950411),
+        (0.41322314049586784, 0.4545454545454547, 0.0, 0.09090909090909094, 0.41322314049586784),
+    ],
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PINNED_SEED3_TRIALS))
+def test_cli_simulate_fixed_seed_answers(capsys, preset):
+    code = main(["simulate", "--config", f"preset:{preset}", "--seed", "3"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    got = [
+        tuple(t[k] for k in ("d", "d_alice", "atypical", "d2", "d3"))
+        for t in doc["trials"]
+    ]
+    np.testing.assert_allclose(got, PINNED_SEED3_TRIALS[preset], rtol=0, atol=1e-12)
+
+
 def test_cli_sweep_csv_and_trend(capsys, tmp_path):
     out = tmp_path / "sweep.csv"
     code = main([
@@ -443,6 +485,15 @@ def test_cli_validation_exit_codes(capsys, tmp_path):
     assert main(["simulate", "--config", str(big)]) == 3
     err = capsys.readouterr().err
     assert "exceeds cap" in err
+    assert main(["simulate", "--config", "preset:pure-state", "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_cli_malformed_dim_cap_exits_2(capsys, monkeypatch, raw):
+    monkeypatch.setenv("POVMCAST_DIM_CAP", raw)
+    assert main(["rates", "--config", "preset:pure-state"]) == 2
+    assert "POVMCAST_DIM_CAP" in capsys.readouterr().err
 
 
 def test_module_entrypoint_runs():

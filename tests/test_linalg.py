@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from povmcast import (
+    ConfigError,
     DensityOperator,
     DimensionMismatch,
     NotHermitian,
@@ -167,9 +168,10 @@ def test_dimension_cap_env_override(monkeypatch):
     with pytest.raises(SizeLimitExceeded):
         tensor_power(np.eye(2), 4)
     tensor_power(np.eye(2), 3)  # exactly at the cap
-    monkeypatch.setenv("POVMCAST_DIM_CAP", "0")
-    with pytest.raises(ValueError):
-        dimension_cap()
+    for bad in ("0", "abc"):
+        monkeypatch.setenv("POVMCAST_DIM_CAP", bad)
+        with pytest.raises(ConfigError, match=f"POVMCAST_DIM_CAP.*{bad!r}"):
+            dimension_cap()
     monkeypatch.delenv("POVMCAST_DIM_CAP")
     assert dimension_cap() == 4096
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from povmcast import (
     EmptySupport,
@@ -24,18 +26,38 @@ from povmcast.typicality import (
 import oracles
 
 
-def test_typical_set_matches_enumeration_oracle():
-    rng = np.random.default_rng(53)
-    for _ in range(15):
-        k = int(rng.integers(2, 5))
-        p = rng.dirichlet(np.ones(k))
-        n = int(rng.integers(1, 4))
-        delta = float(rng.uniform(0.0, 1.2))
-        ts = build_typical_set(p, n, delta)
-        expected = tuple(oracles.enumerate_typical(p, n, delta))
-        assert ts.members == expected
-        ref_mass = sum(float(np.prod(p[list(m)])) for m in expected)
-        assert np.isclose(ts.total_prob, ref_mass, atol=1e-12)
+def laws(k):
+    """Probability vectors of length k from small integer weights, so
+    zeros, ties and deterministic laws all come up."""
+    weights = st.lists(st.integers(0, 9), min_size=k, max_size=k)
+    return weights.filter(any).map(lambda w: np.array(w, dtype=float) / sum(w))
+
+
+@st.composite
+def marginal_cases(draw):
+    k = draw(st.integers(1, 3))
+    return draw(laws(k)), draw(st.integers(1, 5)), draw(st.floats(0.0, 1.5))
+
+
+@st.composite
+def conditional_cases(draw):
+    k_a = draw(st.integers(1, 3))
+    k_b = draw(st.integers(1, 3))
+    p_cond = np.stack([draw(laws(k_b)) for _ in range(k_a)])
+    n = draw(st.integers(1, 5))
+    cond_seq = tuple(draw(st.lists(st.integers(0, k_a - 1), min_size=n, max_size=n)))
+    return p_cond, cond_seq, draw(st.floats(0.0, 1.5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(marginal_cases())
+def test_typical_set_matches_enumeration_oracle(case):
+    p, n, delta = case
+    ts = build_typical_set(p, n, delta)
+    expected = tuple(oracles.enumerate_typical(p, n, delta))
+    assert ts.members == expected
+    ref_mass = sum(float(np.prod(p[list(m)])) for m in expected)
+    assert np.isclose(ts.total_prob, ref_mass, atol=1e-12)
 
 
 def test_typical_set_frozen_binary_case():
@@ -84,22 +106,28 @@ def test_prune_renormalizes():
         prune([0.2, 0.3, 0.5], ts)
 
 
-def test_conditional_typical_set_matches_oracle():
-    rng = np.random.default_rng(59)
-    for _ in range(12):
-        k_a = int(rng.integers(2, 4))
-        k_b = int(rng.integers(2, 4))
-        p_cond = np.stack([rng.dirichlet(np.ones(k_b)) for _ in range(k_a)])
-        n = int(rng.integers(1, 4))
-        cond_seq = tuple(int(a) for a in rng.integers(0, k_a, size=n))
-        delta = float(rng.uniform(0.3, 1.5))
-        expected = tuple(oracles.enumerate_conditional_typical(p_cond, cond_seq, delta))
-        if expected:
-            ts = conditional_typical_set(p_cond, cond_seq, n, delta)
-            assert ts.members == expected
-        else:
-            with pytest.raises(EmptySupport):
-                conditional_typical_set(p_cond, cond_seq, n, delta)
+@settings(max_examples=150, deadline=None)
+@given(conditional_cases())
+def test_conditional_typical_set_matches_oracle(case):
+    p_cond, cond_seq, delta = case
+    n = len(cond_seq)
+    expected = tuple(oracles.enumerate_conditional_typical(p_cond, cond_seq, delta))
+    if expected:
+        ts = conditional_typical_set(p_cond, cond_seq, n, delta)
+        assert ts.members == expected
+        ref_mass = oracles.conditional_mass(p_cond, cond_seq, expected)
+        assert np.isclose(ts.total_prob, ref_mass, atol=1e-12)
+    else:
+        with pytest.raises(EmptySupport):
+            conditional_typical_set(p_cond, cond_seq, n, delta)
+    # diagonal states: the quantum projector is the classical indicator
+    states = {a: np.diag(row) for a, row in enumerate(p_cond)}
+    tp = conditional_quantum_typical_projector(states, cond_seq, delta)
+    indicator = np.zeros(p_cond.shape[1] ** n)
+    for seq in expected:
+        indicator[np.ravel_multi_index(seq, (p_cond.shape[1],) * n)] = 1.0
+    assert np.allclose(tp.projector, np.diag(indicator), atol=1e-12)
+    assert tp.rank == len(expected)
 
 
 def test_conditional_typical_set_uses_empirical_average_entropy():
