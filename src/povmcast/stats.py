@@ -7,6 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Values closer than this count as a tie. The swept deviations lie in
+# [0, 2], so equal-in-exact-arithmetic values that differ only in their
+# last bits would otherwise score 0, 1/2 or 1 depending on roundoff.
+TIE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class TrendResult:
@@ -25,9 +30,10 @@ def jonckheere_terpstra(groups) -> TrendResult:
 
     Large statistic means later groups tend to exceed earlier ones.
     p_increasing is the one-sided p-value against an increasing trend,
-    p_decreasing against a decreasing one. Ties count one half; the
-    normal approximation carries no tie correction, which is adequate for
-    effectively continuous data and conservative for heavily tied data.
+    p_decreasing against a decreasing one. Pairs within TIE_TOL of each
+    other are ties and count one half; the normal approximation carries
+    no tie correction, which is adequate for effectively continuous data
+    and conservative for heavily tied data.
     """
     arrs = [np.asarray(g, dtype=np.float64).ravel() for g in groups]
     arrs = [a for a in arrs if a.size]
@@ -36,9 +42,9 @@ def jonckheere_terpstra(groups) -> TrendResult:
     jt = 0.0
     for i in range(len(arrs)):
         for j in range(i + 1, len(arrs)):
-            a = arrs[i][:, None]
-            b = arrs[j][None, :]
-            jt += float((b > a).sum()) + 0.5 * float((b == a).sum())
+            diff = arrs[j][None, :] - arrs[i][:, None]
+            jt += float((diff > TIE_TOL).sum())
+            jt += 0.5 * float((np.abs(diff) <= TIE_TOL).sum())
     ns = np.array([a.size for a in arrs], dtype=np.float64)
     n_total = float(ns.sum())
     mean = (n_total**2 - float((ns**2).sum())) / 4.0

@@ -27,6 +27,16 @@ def test_statistic_with_ties_matches_scipy():
     assert np.isclose(res.statistic, oracles.jt_statistic_oracle(groups))
 
 
+def test_roundoff_neighbours_tie():
+    x = 0.7310585786300049
+    res = jonckheere_terpstra([[x], [x * (1.0 + 1e-15)]])
+    assert res.statistic == 0.5
+    res = jonckheere_terpstra([[x * (1.0 + 1e-15)], [x]])
+    assert res.statistic == 0.5
+    # a gap well above the tolerance still orders the pair
+    assert jonckheere_terpstra([[x], [x + 1e-9]]).statistic == 1.0
+
+
 def test_null_moments():
     # equal group sizes m, k groups: mean = (k^2 - k) m^2 / 4
     groups = [np.arange(5, dtype=float) + 10 * i for i in range(3)]
