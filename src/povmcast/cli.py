@@ -531,5 +531,20 @@ def main(argv=None) -> int:
         return 2
 
 
+# 128 + SIGPIPE: the shell's status for a writer whose reader went away.
+# Exit 1 already means "judged different".
+EXIT_BROKEN_PIPE = 141
+
+
 def entrypoint():
-    sys.exit(main())
+    try:
+        code = main()
+        # flush inside the try, so a closed pipe surfaces here
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at interpreter exit does
+        # not fail again (the recipe in the Python signal docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(EXIT_BROKEN_PIPE)
+    sys.exit(code)

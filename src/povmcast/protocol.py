@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -37,10 +38,12 @@ from .linalg import (
     TAU_PROB,
     TAU_PSD,
     DensityOperator,
+    _psd_eigenvalues,
     dimension_cap,
     hermitian_part,
     kron_all,
-    pinv_sqrt_on_support,
+    # unused here, but perfbench/tracing.py wraps this module attribute
+    pinv_sqrt_on_support,  # noqa: F401
     spectral_decompose,
     sqrt_psd,
     tensor_power,
@@ -58,6 +61,8 @@ from .measurement import (
 from .typicality import (
     PrunedDistribution,
     TypicalSet,
+    _typical_mask,
+    branch_eigensystem,
     build_typical_set,
     conditional_quantum_typical_projector,
     conditional_typical_set,
@@ -239,13 +244,39 @@ def prepare_scenario(rho, povm, g_a, g_b) -> SingleLetterScenario:
     )
 
 
-def build_xi_prime(rho_hat_n, proj_c, proj_hat) -> np.ndarray:
-    """Compress a block post-measurement state between typical projectors.
+def build_xi_prime(pair_eigs, proj_c, delta) -> np.ndarray:
+    """Factor F of a compressed block post-measurement state, xi' = F F^dag.
 
-    Returns P_C P_hat rho_hat P_hat P_C, hermitized to soak up roundoff.
+    pair_eigs holds the branch eigensystem of the hat state at each
+    position. P_hat and rho_hat^n share their Kronecker eigenbasis, so
+    P_hat rho_hat^n P_hat = V_M diag(lambda_M) V_M^dag, where M masks the
+    typical branches and lambda is the product of the per-position
+    eigenvalues; only the masked columns of V are formed. Returns
+    P_C V_M diag(sqrt(lambda_M)). With proj_c None (trivial projectors)
+    P_C and P_hat are the identity and every branch with lambda > 0 is
+    kept, so F F^dag is rho_hat^n itself.
     """
-    out = proj_c @ (proj_hat @ rho_hat_n @ proj_hat) @ proj_c
-    return hermitian_part(out)
+    values = [w for w, _ in pair_eigs]
+    shape = [w.size for w in values]
+    if proj_c is None:
+        keep = reduce(np.multiply.outer, values).ravel() > 0.0
+    else:
+        _, keep = _typical_mask(values, delta)
+    idx = np.unravel_index(np.flatnonzero(keep), shape)
+    lam = np.ones(idx[0].size)
+    cols = np.ones((1, idx[0].size), dtype=np.complex128)
+    for (w, v), k in zip(pair_eigs, idx):
+        lam = lam * w[k]
+        rows = cols.shape[0] * v.shape[0]
+        cols = (cols[:, None, :] * v[:, k][None, :, :]).reshape(rows, k.size)
+    factor = cols * np.sqrt(lam)
+    return factor if proj_c is None else proj_c @ factor
+
+
+# Eigenvalues of the averaged compressed state at or below this fraction
+# of the largest are zero. With eps = 0 the cutoff keeps the positive
+# spectrum, which without a floor would admit roundoff directions.
+CUTOFF_FLOOR_REL = 1e-13
 
 
 @dataclass(eq=False)
@@ -253,8 +284,9 @@ class CutoffResult:
     """Eigenvalue cutoff of the averaged compressed state.
 
     projector keeps the eigenspaces of xi_bar above threshold; omega is
-    the cut average, xi the cut per-sequence states. empty flags a cutoff
-    that removed everything.
+    the cut average, xi maps each member to the factor P F of its cut
+    compressed state P xi' P. empty flags a cutoff that removed
+    everything.
     """
 
     projector: np.ndarray
@@ -265,42 +297,45 @@ class CutoffResult:
 
 
 def build_omega_and_cutoff(
-    xi_bar, n, eps, h_ref_given_cond, delta, xi_prime_map, *, trivial=False
+    xi_prime_map, probs, n, eps, h_ref_given_cond, delta, *, trivial=False
 ) -> CutoffResult:
     """Cut eigenvalues of xi_bar below eps * 2^{-n (H + delta)}.
 
+    xi_prime_map maps members to compressed-state factors F_x and probs
+    to their weights, so xi_bar = G G^dag with G = [sqrt(p_x) F_x]. The
+    eigenproblem is solved on the smaller side: the R x R Gram matrix
+    G^dag G when G has fewer columns R than rows, else G G^dag.
     H is the relevant conditional reference entropy. With trivial=True the
     cutoff projector is the identity and nothing is cut (used for exact
-    small-case checks and when eps == 0 keeps every nonzero eigenvalue
-    meaningful; threshold 0 then keeps the strictly positive spectrum).
+    small-case checks); threshold 0 keeps the positive spectrum.
     """
-    xi_bar = hermitian_part(np.asarray(xi_bar))
-    dim = xi_bar.shape[0]
+    dim = next(iter(xi_prime_map.values())).shape[0]
+    g = np.hstack(
+        [math.sqrt(probs[m]) * f for m, f in xi_prime_map.items()]
+    )
     if trivial:
         return CutoffResult(
             projector=np.eye(dim),
-            omega=xi_bar,
+            omega=hermitian_part(g @ g.conj().T),
             xi=dict(xi_prime_map),
             threshold=float("-inf"),
             empty=False,
         )
     threshold = eps * 2.0 ** (-n * (h_ref_given_cond + delta))
-    dec = spectral_decompose(xi_bar)
-    keep = dec.eigenvalues > max(threshold, 0.0)
-    if threshold <= 0.0:
-        keep = dec.eigenvalues > 0.0
-    vecs = dec.eigenvectors[:, keep]
-    projector = vecs @ vecs.conj().T
-    projector = hermitian_part(projector)
-    omega = hermitian_part(projector @ xi_bar @ projector)
-    xi = {
-        seq: hermitian_part(projector @ mat @ projector)
-        for seq, mat in xi_prime_map.items()
-    }
+    gram = g.shape[1] < dim
+    dec = spectral_decompose(g.conj().T @ g if gram else g @ g.conj().T)
+    mu = dec.eigenvalues
+    floor = CUTOFF_FLOOR_REL * float(mu[0]) if mu.size else 0.0
+    keep = mu > max(threshold, floor, 0.0)
+    if gram:
+        vecs = (g @ dec.eigenvectors[:, keep]) / np.sqrt(mu[keep])
+    else:
+        vecs = dec.eigenvectors[:, keep]
+    scaled = vecs * np.sqrt(mu[keep])
     return CutoffResult(
-        projector=projector,
-        omega=omega,
-        xi=xi,
+        projector=hermitian_part(vecs @ vecs.conj().T),
+        omega=hermitian_part(scaled @ scaled.conj().T),
+        xi={m: vecs @ (vecs.conj().T @ f) for m, f in xi_prime_map.items()},
         threshold=float(threshold),
         empty=not bool(keep.any()),
     )
@@ -310,26 +345,43 @@ def build_omega_and_cutoff(
 class ConditioningBlock:
     """Deterministic per-conditioning-sequence geometry.
 
-    Shared by every trial: the block state along the conditioning, its
-    pseudo-inverse square root, the conditional typical set of output
-    sequences with its pruned law, and the compressed states through the
-    eigenvalue cutoff (cutoff.xi, one per typical member).
+    Shared by every trial: the block state along the conditioning, the
+    conditional typical set of output sequences with its pruned law, the
+    compressed states through the eigenvalue cutoff (cutoff.xi, one
+    factor per typical member), and per member the factor w_x with
+    rho_cond^{-1/2} xi_x rho_cond^{-1/2} = w_x w_x^dag.
     """
 
     cond_seq: tuple
     rho_cond_n: np.ndarray
-    pinv_sqrt_rho_cond: np.ndarray
+    gamma_factors: dict
     typical: TypicalSet
     pruned: PrunedDistribution
     s_cond: float
     cutoff: CutoffResult
 
 
+def _pinv_sqrt_product(states, cond_seq):
+    """rho_cond^{-1/2} on its support as (basis, diagonal) from the
+    single-letter eigensystems; the support cutoff applies to the
+    products of the single-letter eigenvalues."""
+    decs = {sym: _psd_eigenvalues(states[sym]) for sym in set(cond_seq)}
+    values = reduce(
+        np.multiply.outer, [decs[sym].eigenvalues for sym in cond_seq]
+    ).ravel()
+    cut = SUPPORT_CUTOFF_REL * max(float(values.max()), 1.0)
+    inv = np.where(
+        values > cut, 1.0 / np.sqrt(np.where(values > cut, values, 1.0)), 0.0
+    )
+    basis = kron_all([decs[sym].eigenvectors for sym in cond_seq])
+    return basis, inv
+
+
 def _build_conditioning_block(
     cond_seq,
     base_states,
     p_cond_rows,
-    hat_states,
+    hat_eigs,
     h_ref_given_cond,
     n,
     delta,
@@ -337,20 +389,16 @@ def _build_conditioning_block(
     *,
     trivial_projectors=False,
 ):
-    """Assemble one ConditioningBlock. Raises EmptySupport when the
-    conditional typical set along cond_seq is empty."""
+    """Assemble one ConditioningBlock. hat_eigs maps each (conditioning,
+    output) pair to the branch eigensystem of its hat state. Raises
+    EmptySupport when the conditional typical set along cond_seq is
+    empty."""
     typical = conditional_typical_set(p_cond_rows, cond_seq, n, delta)
     pruned = prune_conditional(p_cond_rows, cond_seq, typical)
 
-    mats = [base_states[sym] for sym in cond_seq]
-    rho_cond_n = kron_all(mats)
-    norm = np.linalg.norm(rho_cond_n, 2)
-    cut = SUPPORT_CUTOFF_REL * max(norm, 1.0)
-    pinv_sqrt_rho_cond = pinv_sqrt_on_support(rho_cond_n, cutoff=cut)
-
-    dim = rho_cond_n.shape[0]
+    rho_cond_n = kron_all([base_states[sym] for sym in cond_seq])
     if trivial_projectors:
-        proj_c = np.eye(dim)
+        proj_c = None
     else:
         proj_c = conditional_quantum_typical_projector(
             {sym: base_states[sym] for sym in set(cond_seq)}, cond_seq, delta
@@ -360,40 +408,33 @@ def _build_conditioning_block(
     for member in typical.members:
         pair_seq = tuple(zip(cond_seq, member))
         for pair in pair_seq:
-            if pair not in hat_states:
+            if pair not in hat_eigs:
                 raise NegligibleProbability(
                     f"typical sequence {member} uses pair {pair} whose "
                     "probability is below tolerance"
                 )
-        hat_n = kron_all([hat_states[pair] for pair in pair_seq])
-        if trivial_projectors:
-            proj_hat = np.eye(dim)
-        else:
-            proj_hat = conditional_quantum_typical_projector(
-                {pair: hat_states[pair] for pair in set(pair_seq)},
-                pair_seq,
-                delta,
-            ).projector
-        xi_prime[member] = build_xi_prime(hat_n, proj_c, proj_hat)
-
-    xi_bar = np.zeros((dim, dim), dtype=np.complex128)
-    for member, mat in xi_prime.items():
-        xi_bar = xi_bar + pruned.prob(member) * mat
-    xi_bar = hermitian_part(xi_bar)
+        xi_prime[member] = build_xi_prime(
+            [hat_eigs[pair] for pair in pair_seq], proj_c, delta
+        )
 
     cutoff = build_omega_and_cutoff(
-        xi_bar,
+        xi_prime,
+        pruned.probs,
         n,
         eps,
         h_ref_given_cond,
         delta,
-        xi_prime,
         trivial=trivial_projectors,
     )
+    basis, inv = _pinv_sqrt_product(base_states, cond_seq)
+    gamma_factors = {
+        member: basis @ (inv[:, None] * (basis.conj().T @ f))
+        for member, f in cutoff.xi.items()
+    }
     return ConditioningBlock(
         cond_seq=cond_seq,
         rho_cond_n=rho_cond_n,
-        pinv_sqrt_rho_cond=pinv_sqrt_rho_cond,
+        gamma_factors=gamma_factors,
         typical=typical,
         pruned=pruned,
         s_cond=float(typical.total_prob),
@@ -460,15 +501,15 @@ def build_block_scenario(
             f"outcome sequence count exceeds cap {dimension_cap()}"
         )
 
+    sqrt_rho = sqrt_psd(single.rho.mat)
     rho_n = tensor_power(single.rho.mat, n)
-    sqrt_rho_n = sqrt_psd(rho_n)
+    sqrt_rho_n = tensor_power(sqrt_rho, n)
 
     # Alice: the unconditioned pipeline is the conditional one along a
     # single free symbol whose conditional law is the x_A marginal.
     alice_rows = single.p_a.reshape(1, k_a)
     alice_states = {_FREE: single.rho.mat}
     alice_hat = {}
-    sqrt_rho = sqrt_psd(single.rho.mat)
     for a in range(k_a):
         if single.p_a[a] <= TAU_PROB:
             continue
@@ -478,7 +519,7 @@ def build_block_scenario(
             @ sqrt_rho
             / single.p_a[a]
         )
-        alice_hat[(_FREE, a)] = hermitian_part(hat)
+        alice_hat[(_FREE, a)] = branch_eigensystem(hat)
     alice_block = _build_conditioning_block(
         (_FREE,) * n,
         alice_states,
@@ -492,7 +533,9 @@ def build_block_scenario(
     )
 
     bob_states = {a: st.mat for a, st in single.post_states.items()}
-    bob_hat = single.hat_states
+    bob_hat = {
+        pair: branch_eigensystem(m) for pair, m in single.hat_states.items()
+    }
     bob_blocks = {}
     dropped = []
     for cond_seq in alice_block.typical.members:
@@ -521,8 +564,9 @@ def build_block_scenario(
     for seq in _enumerate_sequences(k_a, n):
         mat = kron_all([single.alice_povm.elements[a] for a in seq])
         lambda_a_n[seq] = mat
+    sqrt_alice = [sqrt_psd(e) for e in single.alice_povm.elements]
     for seq in alice_block.typical.members:
-        sqrt_lambda_a_n[seq] = sqrt_psd(lambda_a_n[seq])
+        sqrt_lambda_a_n[seq] = kron_all([sqrt_alice[a] for a in seq])
 
     lambda_ref_b = {}
     for seq in _enumerate_sequences(k_b, n):
@@ -706,7 +750,6 @@ def build_gamma(
     support when the codebook is large enough.
     """
     factor = block.s_cond / ((1.0 + eps) * size * m_count)
-    pinv = block.pinv_sqrt_rho_cond
     gamma = {}
     bin_sums = {}
     dim = block.rho_cond_n.shape[0]
@@ -714,14 +757,13 @@ def build_gamma(
         words = codebook.codewords(block.cond_seq, m)
         total = np.zeros((dim, dim), dtype=np.complex128)
         for j, seq in enumerate(words):
-            xi_seq = block.cutoff.xi.get(seq)
-            if xi_seq is None:
+            w = block.gamma_factors.get(seq)
+            if w is None:
                 raise SizeMismatch(
                     f"codeword {seq} is outside the conditional typical set "
                     f"of {block.cond_seq}"
                 )
-            op = factor * (pinv @ xi_seq @ pinv)
-            op = hermitian_part(op)
+            op = hermitian_part(factor * (w @ w.conj().T))
             gamma[(j, m)] = op
             total = total + op
         bin_sums[m] = hermitian_part(total)

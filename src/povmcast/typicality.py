@@ -46,10 +46,6 @@ class TypicalSet:
         i = bisect_left(self.members, seq)
         return i < len(self.members) and self.members[i] == seq
 
-    @property
-    def member_index(self) -> dict:
-        return {m: i for i, m in enumerate(self.members)}
-
 
 @dataclass(frozen=True, eq=False)
 class PrunedDistribution:
@@ -203,6 +199,14 @@ def prune_conditional(p_cond, x_a_seq, ts: TypicalSet) -> PrunedDistribution:
     return PrunedDistribution(base=ts, probs=probs)
 
 
+def branch_eigensystem(state):
+    """Eigenvalues, clipped at zero, and eigenvectors of one letter's state:
+    the branches whose products the quantum typical projectors select."""
+    m = state.mat if isinstance(state, DensityOperator) else as_matrix(state)
+    w, v = np.linalg.eigh(hermitian_part(m))
+    return np.clip(w, 0.0, None), v
+
+
 def conditional_quantum_typical_projector(
     states, cond_seq, delta: float
 ) -> TypicalProjector:
@@ -224,10 +228,7 @@ def conditional_quantum_typical_projector(
     for sym in set(cond_seq):
         if sym not in states:
             raise SizeMismatch(f"no state supplied for conditioning symbol {sym!r}")
-        m = states[sym]
-        m = m.mat if isinstance(m, DensityOperator) else as_matrix(m)
-        w, v = np.linalg.eigh(hermitian_part(m))
-        decs[sym] = (np.clip(w, 0.0, None), v)
+        decs[sym] = branch_eigensystem(states[sym])
     dims = [decs[sym][0].size for sym in cond_seq]
     total_dim = int(np.prod(dims))
     if total_dim > dimension_cap():

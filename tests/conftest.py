@@ -13,12 +13,18 @@ def random_density(rng, dim):
     return m / np.trace(m).real
 
 
-def random_povm(rng, dim, outcomes):
-    """Random POVM: positive raw pieces whitened so they sum to identity."""
+def random_povm(rng, dim, outcomes, rank=None):
+    """Random POVM: positive raw pieces whitened so they sum to identity.
+
+    Elements are full rank by default; with rank set, each has exactly
+    that rank (the pieces must still span the space).
+    """
     raw = []
     for _ in range(outcomes):
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        raw.append(g @ g.conj().T + 1e-6 * np.eye(dim))
+        cols = dim if rank is None else rank
+        g = rng.normal(size=(dim, cols)) + 1j * rng.normal(size=(dim, cols))
+        ridge = 1e-6 * np.eye(dim) if rank is None else 0.0
+        raw.append(g @ g.conj().T + ridge)
     total = np.zeros((dim, dim), dtype=complex)
     for p in raw:
         total = total + p

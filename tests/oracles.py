@@ -174,3 +174,84 @@ def jt_statistic_oracle(groups):
             )
             total += float(res.statistic)
     return total
+
+
+def dense_conditioning_block(
+    cond_seq, base_states, p_cond_rows, hat_states, h_ref_given_cond, n, delta,
+    eps, *, trivial=False,
+):
+    """One conditioning block of the geometry, built with dense D x D operators.
+
+    Per typical member: the Kronecker product of its hat states, its own
+    quantum typical projector, and the four-matmul sandwich between that
+    projector and the block projector P_C. The cutoff is a D x D eigh of
+    the averaged state, and rho_cond^{-1/2} is pinv_sqrt_on_support of
+    the Kronecker block state. Eigenvalues of the average at or below
+    CUTOFF_FLOOR_REL times the largest count as zero, so at eps = 0 the
+    kept spectrum does not depend on roundoff.
+
+    Returns a dict with projector, omega, threshold, empty, pinv (the
+    pseudo-inverse square root), xi (member -> cut compressed state) and
+    whitened (member -> pinv xi pinv).
+    """
+    from povmcast.linalg import hermitian_part, kron_all, pinv_sqrt_on_support
+    from povmcast.measurement import SUPPORT_CUTOFF_REL
+    from povmcast.protocol import CUTOFF_FLOOR_REL
+    from povmcast.typicality import (
+        conditional_quantum_typical_projector,
+        conditional_typical_set,
+        prune_conditional,
+    )
+
+    typical = conditional_typical_set(p_cond_rows, cond_seq, n, delta)
+    pruned = prune_conditional(p_cond_rows, cond_seq, typical)
+    rho_cond_n = kron_all([base_states[sym] for sym in cond_seq])
+    cut = SUPPORT_CUTOFF_REL * max(np.linalg.norm(rho_cond_n, 2), 1.0)
+    pinv = pinv_sqrt_on_support(rho_cond_n, cutoff=cut)
+    dim = rho_cond_n.shape[0]
+    eye = np.eye(dim)
+    if trivial:
+        proj_c = eye
+    else:
+        proj_c = conditional_quantum_typical_projector(
+            {sym: base_states[sym] for sym in set(cond_seq)}, cond_seq, delta
+        ).projector
+
+    xi_prime = {}
+    for member in typical.members:
+        pairs = tuple(zip(cond_seq, member))
+        hat_n = kron_all([hat_states[pair] for pair in pairs])
+        if trivial:
+            proj_hat = eye
+        else:
+            proj_hat = conditional_quantum_typical_projector(
+                {pair: hat_states[pair] for pair in set(pairs)}, pairs, delta
+            ).projector
+        out = proj_c @ (proj_hat @ hat_n @ proj_hat) @ proj_c
+        xi_prime[member] = hermitian_part(out)
+    xi_bar = np.zeros((dim, dim), dtype=complex)
+    for member, mat in xi_prime.items():
+        xi_bar = xi_bar + pruned.prob(member) * mat
+    xi_bar = hermitian_part(xi_bar)
+
+    if trivial:
+        projector, omega, xi = eye, xi_bar, xi_prime
+        threshold, empty = float("-inf"), False
+    else:
+        threshold = eps * 2.0 ** (-n * (h_ref_given_cond + delta))
+        w, v = np.linalg.eigh(xi_bar)
+        keep = w > max(threshold, CUTOFF_FLOOR_REL * float(w.max()), 0.0)
+        vecs = v[:, keep]
+        projector = vecs @ vecs.conj().T
+        omega = projector @ xi_bar @ projector
+        xi = {m: projector @ mat @ projector for m, mat in xi_prime.items()}
+        empty = not bool(keep.any())
+    return {
+        "projector": projector,
+        "omega": omega,
+        "threshold": float(threshold),
+        "empty": empty,
+        "pinv": pinv,
+        "xi": xi,
+        "whitened": {m: pinv @ mat @ pinv for m, mat in xi.items()},
+    }

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import sys
 
 import jsonschema
 import numpy as np
@@ -29,6 +30,7 @@ from povmcast.cli import (
     RATE_CSV_COLUMNS,
     SWEEP_CSV_COLUMNS,
     TRIAL_CSV_COLUMNS,
+    entrypoint,
     load_schema,
     main,
 )
@@ -507,3 +509,25 @@ def test_module_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "scenario: pure-state" in proc.stdout
+
+
+def test_cli_closed_pipe_exits_141(monkeypatch, tmp_path):
+    with open(tmp_path / "stdout", "w") as fh:
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return fh.fileno()
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        monkeypatch.setattr(
+            sys, "argv", ["povmcast", "rates", "--config", "preset:bell-computational"]
+        )
+        with pytest.raises(SystemExit) as exc:
+            entrypoint()
+    assert exc.value.code == 141

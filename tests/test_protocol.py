@@ -1,7 +1,11 @@
 """Protocol construction tests: scenario prep, codebooks, operators, trials."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from povmcast import (
     Codebook,
@@ -18,6 +22,9 @@ from povmcast import (
     run_protocol_trial,
     simulate_trials,
 )
+from povmcast.config import config_from_dict
+from povmcast.errors import EmptySupport, NegligibleProbability
+from povmcast.presets import preset_document, preset_names
 from povmcast.protocol import (
     BobOperatorSet,
     ProtocolParams,
@@ -27,7 +34,17 @@ from povmcast.protocol import (
     build_xi_prime,
     validate_subpovm,
 )
-from povmcast.typicality import build_typical_set, prune
+from povmcast.linalg import TAU_PROB, hermitian_part, sqrt_psd
+from povmcast.measurement import SUPPORT_CUTOFF_REL
+from povmcast.typicality import (
+    branch_eigensystem,
+    build_typical_set,
+    conditional_quantum_typical_projector,
+    prune,
+)
+
+import oracles
+from conftest import random_density, random_povm, random_surjection
 
 
 def bell_single():
@@ -110,36 +127,190 @@ def test_build_xi_prime_is_projected_hermitian():
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     state = g @ g.conj().T
     proj = np.diag([1.0, 1.0, 0.0, 0.0])
-    out = build_xi_prime(state, proj, np.eye(4))
+    # a wide delta keeps every branch, so P_hat is the identity
+    f = build_xi_prime([branch_eigensystem(state)], proj, 100.0)
+    out = f @ f.conj().T
     assert np.allclose(out, out.conj().T)
     assert np.allclose(out, proj @ state @ proj, atol=1e-12)
 
+    # two positions with a typical-branch mask: the factor rebuilds the
+    # dense sandwich P_C P_hat (a (x) b) P_hat P_C
+    a = np.diag([0.7, 0.3])
+    h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    b = h @ h.conj().T
+    b = b / np.trace(b).real
+    pair_seq = ((0, 0), (0, 1))
+    hats = {(0, 0): a, (0, 1): b}
+    eigs = [branch_eigensystem(a), branch_eigensystem(b)]
+    proj_hat = conditional_quantum_typical_projector(hats, pair_seq, 0.5).projector
+    proj_c = np.diag([1.0, 1.0, 1.0, 0.0])
+    f = build_xi_prime(eigs, proj_c, 0.5)
+    dense = proj_c @ proj_hat @ np.kron(a, b) @ proj_hat @ proj_c
+    assert np.allclose(f @ f.conj().T, dense, atol=1e-12)
+    assert f.shape == (4, 2)
+    # no typical branch: an empty factor, a zero compressed state
+    assert build_xi_prime(eigs, proj_c, 0.2).shape == (4, 0)
+
+    # trivial projectors: the whole product state
+    f = build_xi_prime(eigs, None, None)
+    assert np.allclose(f @ f.conj().T, np.kron(a, b), atol=1e-12)
+
+
+def _diag_factor(values):
+    return np.diag(np.sqrt(np.asarray(values, dtype=float)))
+
 
 def test_omega_cutoff_keeps_eigenvalues_above_threshold():
-    xi_bar = np.diag([0.5, 0.02, 0.005])
-    xi_map = {(0,): np.diag([0.3, 0.01, 0.002])}
+    # xi_bar = 0.5 * diag(0.3, 0.01, 0.002) + 0.5 * diag(0.7, 0.03, 0.008)
+    #        = diag(0.5, 0.02, 0.005)
+    xi_map = {(0,): _diag_factor([0.3, 0.01, 0.002]), (1,): _diag_factor([0.7, 0.03, 0.008])}
+    probs = {(0,): 0.5, (1,): 0.5}
     # threshold = 0.1 * 2^{-log2(10)} = 0.01
-    res = build_omega_and_cutoff(xi_bar, 1, 0.1, 0.0, np.log2(10), xi_map)
+    res = build_omega_and_cutoff(xi_map, probs, 1, 0.1, 0.0, np.log2(10))
     assert np.isclose(res.threshold, 0.01)
     assert np.allclose(res.projector, np.diag([1.0, 1.0, 0.0]))
     assert np.allclose(res.omega, np.diag([0.5, 0.02, 0.0]))
-    assert np.allclose(res.xi[(0,)], np.diag([0.3, 0.01, 0.0]))
+    cut = res.xi[(0,)]
+    assert np.allclose(cut @ cut.conj().T, np.diag([0.3, 0.01, 0.0]))
     assert not res.empty
 
     # everything below threshold: empty cutoff
-    res = build_omega_and_cutoff(np.diag([1e-6, 1e-7]), 1, 0.5, 0.0, 0.0, {})
+    res = build_omega_and_cutoff(
+        {(0,): _diag_factor([1e-6, 1e-7])}, {(0,): 1.0}, 1, 0.5, 0.0, 0.0
+    )
     assert res.empty
     assert np.allclose(res.projector, np.zeros((2, 2)))
 
     # eps = 0 keeps exactly the positive spectrum
-    res = build_omega_and_cutoff(np.diag([0.4, 0.0]), 1, 0.0, 1.0, 0.5, {})
+    res = build_omega_and_cutoff(
+        {(0,): _diag_factor([0.4, 0.0])}, {(0,): 1.0}, 1, 0.0, 1.0, 0.5
+    )
     assert np.allclose(res.projector, np.diag([1.0, 0.0]))
 
+    # fewer factor columns than rows: the cutoff runs on the Gram matrix
+    u = np.array([[1.0], [1.0], [0.0]]) / np.sqrt(2.0)
+    v = np.array([[0.0], [0.0], [1.0]])
+    res = build_omega_and_cutoff(
+        {(0,): np.sqrt(0.6) * u, (1,): np.sqrt(0.004) * v},
+        {(0,): 0.5, (1,): 0.5}, 1, 0.1, 0.0, np.log2(10),
+    )
+    assert np.allclose(res.projector, u @ u.T)
+    assert np.allclose(res.omega, 0.3 * u @ u.T)
+    assert np.allclose(res.xi[(1,)], 0.0)
+
     # trivial mode: identity projector, untouched operators
-    res = build_omega_and_cutoff(xi_bar, 1, 0.1, 0.0, np.log2(10), xi_map, trivial=True)
+    res = build_omega_and_cutoff(
+        xi_map, probs, 1, 0.1, 0.0, np.log2(10), trivial=True
+    )
     assert np.allclose(res.projector, np.eye(3))
-    assert np.allclose(res.omega, xi_bar)
-    assert np.allclose(res.xi[(0,)], xi_map[(0,)])
+    assert np.allclose(res.omega, np.diag([0.5, 0.02, 0.005]))
+    assert res.xi[(0,)] is xi_map[(0,)]
+
+
+def _oracle_cases(single, block):
+    """(block, base states, conditional rows, hat states, entropy) for
+    Alice's block and every Bob conditioning, as the dense oracle takes
+    them."""
+    sqrt_rho = sqrt_psd(single.rho.mat)
+    alice_hat = {
+        (0, a): hermitian_part(sqrt_rho @ e @ sqrt_rho / single.p_a[a])
+        for a, e in enumerate(single.alice_povm.elements)
+        if single.p_a[a] > TAU_PROB
+    }
+    yield (
+        block.alice_block.cond_seq, block.alice_block, {0: single.rho.mat},
+        single.p_a.reshape(1, -1), alice_hat, single.h_r,
+    )
+    bob_states = {a: st.mat for a, st in single.post_states.items()}
+    for cond_seq in block.alice_block.typical.members:
+        yield (
+            cond_seq, block.bob_blocks.get(cond_seq), bob_states,
+            single.p_cond, single.hat_states, single.h_r_given_xa,
+        )
+
+
+def _assert_matches_dense_oracle(single, params, trivial=False, sqrt_tol=1e-10):
+    block = build_block_scenario(single, params, trivial_projectors=trivial)
+
+    def close(got, want, tol=1e-10):
+        assert np.abs(got - want).max() <= tol
+
+    for cond_seq, blk, states, rows, hats, h in _oracle_cases(single, block):
+        args = (cond_seq, states, rows, hats, h, params.n, params.delta, params.eps)
+        if blk is None:
+            assert cond_seq in block.dropped_cond
+            with pytest.raises(EmptySupport):
+                oracles.dense_conditioning_block(*args, trivial=trivial)
+            continue
+        ref = oracles.dense_conditioning_block(*args, trivial=trivial)
+        close(blk.cutoff.projector, ref["projector"])
+        close(blk.cutoff.omega, ref["omega"])
+        assert blk.cutoff.empty == ref["empty"]
+        assert blk.cutoff.threshold == ref["threshold"]
+        # The dense oracle's whitened operators carry a forward error of
+        # about machine epsilon times the condition number of rho_cond
+        # on its support, so that bound joins the tolerance when it is
+        # the larger one.
+        spec = np.linalg.eigvalsh(blk.rho_cond_n)
+        support = spec[spec > SUPPORT_CUTOFF_REL * max(spec[-1], 1.0)]
+        tol = max(1e-10, 1e-15 * spec[-1] / support[0])
+        assert set(blk.gamma_factors) == set(ref["whitened"])
+        for member, w in blk.gamma_factors.items():
+            close(w @ w.conj().T, ref["whitened"][member], tol)
+    close(block.sqrt_rho_n, sqrt_psd(block.rho_n))
+    assert set(block.sqrt_lambda_a_n) == set(block.alice_block.typical.members)
+    for seq, mat in block.sqrt_lambda_a_n.items():
+        close(mat, sqrt_psd(block.lambda_a_n[seq]), sqrt_tol)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", preset_names())
+def test_factored_block_matches_dense_oracle_on_presets(name, n):
+    cfg = config_from_dict(preset_document(name), name=name)
+    single = prepare_scenario(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b)
+    _assert_matches_dense_oracle(single, replace(cfg.params, n=n))
+
+
+@st.composite
+def rank_two_scenarios(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    outcomes = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rho = DensityOperator(random_density(rng, dim))
+    elems = tuple(random_povm(rng, dim, outcomes, rank=2))
+    povm = Povm(elements=elems, labels=tuple(range(outcomes)))
+    image_a = draw(st.integers(1, outcomes))
+    image_b = draw(st.integers(1, outcomes))
+    g_a = OutcomeFunction(
+        domain_size=outcomes, image_size=image_a,
+        table=tuple(random_surjection(rng, outcomes, image_a)),
+    )
+    g_b = OutcomeFunction(
+        domain_size=outcomes, image_size=image_b,
+        table=tuple(random_surjection(rng, outcomes, image_b)),
+    )
+    params = ProtocolParams(
+        n=draw(st.integers(1, 3 if dim == 2 else 2)),
+        delta=draw(st.floats(0.3, 1.5)),
+        delta2=0.25,
+        eps=draw(st.sampled_from([0.0, 0.05, 0.3])),
+        s_b=1,
+        m_b=1,
+    )
+    return prepare_scenario(rho, povm, g_a, g_b), params, draw(st.booleans())
+
+
+@settings(max_examples=40, deadline=None)
+@given(rank_two_scenarios())
+def test_factored_block_matches_dense_oracle_on_rank_two_scenarios(case):
+    single, params, trivial = case
+    # Rank-2 elements of a qutrit are singular, and the principal square
+    # root of a singular matrix is only accurate to about the square root
+    # of machine epsilon, by the dense route and the Kronecker one alike.
+    try:
+        _assert_matches_dense_oracle(single, params, trivial, sqrt_tol=1e-7)
+    except (EmptySupport, NegligibleProbability):
+        assume(False)
 
 
 def test_codebook_case2_semantics():
@@ -219,12 +390,12 @@ def test_build_gamma_scaling():
         blk, cb, size=BELL_PARAMS.s_b, m_count=BELL_PARAMS.m_b, eps=BELL_PARAMS.eps
     )
     factor = blk.s_cond / ((1.0 + BELL_PARAMS.eps) * BELL_PARAMS.s_b * BELL_PARAMS.m_b)
-    pinv = blk.pinv_sqrt_rho_cond
     for m in range(BELL_PARAMS.m_b):
         words = cb.codewords(cond_seq, m)
         total = np.zeros_like(blk.rho_cond_n)
         for j, seq in enumerate(words):
-            expect = factor * (pinv @ blk.cutoff.xi[seq] @ pinv)
+            w = blk.gamma_factors[seq]
+            expect = factor * (w @ w.conj().T)
             expect = 0.5 * (expect + expect.conj().T)
             assert np.allclose(opset.gamma[(j, m)], expect, atol=1e-14)
             total = total + expect

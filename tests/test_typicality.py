@@ -90,7 +90,7 @@ def test_membership_boundary_is_inclusive():
     ts = build_typical_set([0.5, 0.5], 3, 0.0)
     assert len(ts.members) == 8
     assert (1, 0, 1) in ts
-    assert ts.member_index[(0, 0, 1)] == 1
+    assert ts.members.index((0, 0, 1)) == 1
 
 
 def test_prune_renormalizes():
