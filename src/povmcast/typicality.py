@@ -202,8 +202,7 @@ def prune_conditional(p_cond, x_a_seq, ts: TypicalSet) -> PrunedDistribution:
 def branch_eigensystem(state):
     """Eigenvalues, clipped at zero, and eigenvectors of one letter's state:
     the branches whose products the quantum typical projectors select."""
-    m = state.mat if isinstance(state, DensityOperator) else as_matrix(state)
-    w, v = np.linalg.eigh(hermitian_part(m))
+    w, v = np.linalg.eigh(hermitian_part(as_matrix(state)))
     return np.clip(w, 0.0, None), v
 
 

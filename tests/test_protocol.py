@@ -163,7 +163,10 @@ def _diag_factor(values):
 def test_omega_cutoff_keeps_eigenvalues_above_threshold():
     # xi_bar = 0.5 * diag(0.3, 0.01, 0.002) + 0.5 * diag(0.7, 0.03, 0.008)
     #        = diag(0.5, 0.02, 0.005)
-    xi_map = {(0,): _diag_factor([0.3, 0.01, 0.002]), (1,): _diag_factor([0.7, 0.03, 0.008])}
+    xi_map = {
+        (0,): _diag_factor([0.3, 0.01, 0.002]),
+        (1,): _diag_factor([0.7, 0.03, 0.008]),
+    }
     probs = {(0,): 0.5, (1,): 0.5}
     # threshold = 0.1 * 2^{-log2(10)} = 0.01
     res = build_omega_and_cutoff(xi_map, probs, 1, 0.1, 0.0, np.log2(10))
@@ -208,9 +211,10 @@ def test_omega_cutoff_keeps_eigenvalues_above_threshold():
 
 
 def _oracle_cases(single, block):
-    """(block, base states, conditional rows, hat states, entropy) for
-    Alice's block and every Bob conditioning, as the dense oracle takes
-    them."""
+    """(conditioning, block, base states, conditional rows, hat states,
+    entropy) for Alice's block and every typical Alice sequence, in the
+    form the dense oracle takes. The block is None for a dropped
+    conditioning."""
     sqrt_rho = sqrt_psd(single.rho.mat)
     alice_hat = {
         (0, a): hermitian_part(sqrt_rho @ e @ sqrt_rho / single.p_a[a])
