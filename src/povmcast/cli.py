@@ -319,6 +319,12 @@ def cmd_equivalence(args) -> int:
     return 0 if res.equivalent else 1
 
 
+def _warn_if_saturated(records, where: str):
+    if all(rec.report.saturated for rec in records):
+        msg = "every trial is saturated (no simulated Bob operator survived)"
+        print(f"warning: {where}: {msg}, so d = 1", file=sys.stderr)
+
+
 def cmd_simulate(args) -> int:
     """Run seeded protocol trials and emit per-trial and aggregate data."""
     cfg = _load(args)
@@ -332,6 +338,7 @@ def cmd_simulate(args) -> int:
         block=block,
         workers=args.workers,
     )
+    _warn_if_saturated(records, cfg.name)
     doc = {
         "schema": "povmcast/simulate-v1",
         "name": cfg.name,
@@ -402,7 +409,7 @@ def cmd_sweep(args) -> int:
         params = params_with_axis(cfg.params, axis, value)
         try:
             block = base_block
-            if block is None or axis in ("n", "delta"):
+            if block is None:
                 block = build_block_scenario(single, params)
             records = simulate_trials(
                 single,
@@ -416,6 +423,7 @@ def cmd_sweep(args) -> int:
             error = exc
             failed_value = value
             break
+        _warn_if_saturated(records, f"{cfg.name} {axis}={value!r}")
         aggregate = aggregate_records(records)
         points.append(
             {

@@ -345,15 +345,14 @@ def build_omega_and_cutoff(
 class ConditioningBlock:
     """Deterministic per-conditioning-sequence geometry.
 
-    Shared by every trial: the block state along the conditioning, the
-    conditional typical set of output sequences with its pruned law, the
+    Shared by every trial: the conditional typical set of output
+    sequences along the conditioning with its pruned law, the
     compressed states through the eigenvalue cutoff (cutoff.xi, one
     factor per typical member), and per member the factor w_x with
     rho_cond^{-1/2} xi_x rho_cond^{-1/2} = w_x w_x^dag.
     """
 
     cond_seq: tuple
-    rho_cond_n: np.ndarray
     gamma_factors: dict
     typical: TypicalSet
     pruned: PrunedDistribution
@@ -396,7 +395,6 @@ def _build_conditioning_block(
     typical = conditional_typical_set(p_cond_rows, cond_seq, n, delta)
     pruned = prune_conditional(p_cond_rows, cond_seq, typical)
 
-    rho_cond_n = kron_all([base_states[sym] for sym in cond_seq])
     if trivial_projectors:
         proj_c = None
     else:
@@ -433,7 +431,6 @@ def _build_conditioning_block(
     }
     return ConditioningBlock(
         cond_seq=cond_seq,
-        rho_cond_n=rho_cond_n,
         gamma_factors=gamma_factors,
         typical=typical,
         pruned=pruned,
@@ -449,9 +446,9 @@ class BlockScenario:
     Holds the trial-independent geometry: block states, typical sets,
     compressed states and cutoffs for Alice (one free conditioning) and
     for Bob (one block per typical Alice sequence), plus the reference
-    measurement operators the faithfulness score compares against.
-    Conditioning sequences whose conditional typical set is empty are
-    listed in dropped_cond and excluded from the construction.
+    measurement operators for the sequences a codebook can draw (typical
+    members). Conditioning sequences whose conditional typical set is
+    empty are listed in dropped_cond and excluded from the construction.
     """
 
     single: SingleLetterScenario
@@ -473,10 +470,6 @@ class BlockScenario:
     @property
     def alice_sequences(self) -> tuple:
         return self.alice_block.typical.members
-
-
-def _enumerate_sequences(alphabet_size, n):
-    return itertools.product(range(alphabet_size), repeat=n)
 
 
 def build_block_scenario(
@@ -561,18 +554,19 @@ def build_block_scenario(
 
     lambda_a_n = {}
     sqrt_lambda_a_n = {}
-    for seq in _enumerate_sequences(k_a, n):
-        mat = kron_all([single.alice_povm.elements[a] for a in seq])
-        lambda_a_n[seq] = mat
-    sqrt_alice = [sqrt_psd(e) for e in single.alice_povm.elements]
+    alice_elems = single.alice_povm.elements
+    sqrt_alice = [sqrt_psd(e) for e in alice_elems]
     for seq in alice_block.typical.members:
+        lambda_a_n[seq] = kron_all([alice_elems[a] for a in seq])
         sqrt_lambda_a_n[seq] = kron_all([sqrt_alice[a] for a in seq])
 
     lambda_ref_b = {}
-    for seq in _enumerate_sequences(k_b, n):
-        lambda_ref_b[seq] = kron_all(
-            [single.bob_reference.elements[b] for b in seq]
-        )
+    for blk in bob_blocks.values():
+        for seq in blk.typical.members:
+            if seq not in lambda_ref_b:
+                lambda_ref_b[seq] = kron_all(
+                    [single.bob_reference.elements[b] for b in seq]
+                )
 
     return BlockScenario(
         single=single,
@@ -752,7 +746,7 @@ def build_gamma(
     factor = block.s_cond / ((1.0 + eps) * size * m_count)
     gamma = {}
     bin_sums = {}
-    dim = block.rho_cond_n.shape[0]
+    dim = block.cutoff.projector.shape[0]
     for m in range(m_count):
         words = codebook.codewords(block.cond_seq, m)
         total = np.zeros((dim, dim), dtype=np.complex128)
@@ -805,18 +799,17 @@ def validate_subpovm(
 class AliceMeasurement:
     """Alice's randomized block measurement for one trial.
 
-    upsilon maps (j, m) to the operator answering codeword j of bin m;
-    lambda_tilde collects them per produced sequence across non-fallback
-    bins. With a single Alice outcome letter the construction collapses
-    and upsilon is exactly I / m_count per bin (trivial=True).
+    opset.gamma maps (j, m) to the operator answering codeword j of bin
+    m; lambda_tilde collects them per produced sequence across
+    non-fallback bins. With a single Alice outcome letter the
+    construction collapses and every operator is exactly
+    I / (m_count * size) (trivial=True).
     """
 
     opset: BobOperatorSet
     codebook: Codebook
-    upsilon: dict
     lambda_tilde: dict
     sqrt_lambda_tilde: dict
-    p_hat: dict
     trivial: bool
 
     @property
@@ -851,30 +844,22 @@ def build_alice_measurement(
     if trivial:
         dim = block.rho_n.shape[0]
         eye = np.eye(dim)
+        shared = eye / (params.m_a * params.s_a)
         opset = BobOperatorSet(
             block=ab,
-            gamma={},
+            gamma=dict.fromkeys(
+                itertools.product(range(params.s_a), range(params.m_a)), shared
+            ),
             bin_sums={},
-            is_valid_subpovm={},
-            fallback_applied={},
+            is_valid_subpovm=dict.fromkeys(range(params.m_a), True),
+            fallback_applied=dict.fromkeys(range(params.m_a), False),
         )
-        upsilon = {}
         only_seq = (0,) * n
-        for m in range(params.m_a):
-            for j in range(params.s_a):
-                upsilon[(j, m)] = eye / (params.m_a * params.s_a)
-            opset.is_valid_subpovm[m] = True
-            opset.fallback_applied[m] = False
-        lambda_tilde = {only_seq: eye}
-        sqrt_lambda_tilde = {only_seq: eye}
-        p_hat = {only_seq: float(np.trace(block.rho_n).real)}
         return AliceMeasurement(
             opset=opset,
             codebook=codebook,
-            upsilon=upsilon,
-            lambda_tilde=lambda_tilde,
-            sqrt_lambda_tilde=sqrt_lambda_tilde,
-            p_hat=p_hat,
+            lambda_tilde={only_seq: eye},
+            sqrt_lambda_tilde={only_seq: eye},
             trivial=True,
         )
 
@@ -883,16 +868,13 @@ def build_alice_measurement(
     )
     validate_subpovm(opset, codebook)
 
-    upsilon = {}
     lambda_tilde = {}
-    dim = block.rho_n.shape[0]
     for m in range(params.m_a):
         if opset.fallback_applied[m]:
             continue
         words = codebook.codewords(cond_key, m)
         for j, seq in enumerate(words):
             op = opset.gamma[(j, m)]
-            upsilon[(j, m)] = op
             if seq in lambda_tilde:
                 lambda_tilde[seq] = lambda_tilde[seq] + op
             else:
@@ -900,17 +882,11 @@ def build_alice_measurement(
     sqrt_lambda_tilde = {
         seq: sqrt_psd(hermitian_part(mat)) for seq, mat in lambda_tilde.items()
     }
-    p_hat = {
-        seq: float(np.trace(mat @ block.rho_n).real)
-        for seq, mat in lambda_tilde.items()
-    }
     return AliceMeasurement(
         opset=opset,
         codebook=codebook,
-        upsilon=upsilon,
         lambda_tilde=lambda_tilde,
         sqrt_lambda_tilde=sqrt_lambda_tilde,
-        p_hat=p_hat,
         trivial=trivial,
     )
 
@@ -927,14 +903,15 @@ def assemble_bob_povm(
     sandwiched by the square roots of Alice's realized operators, and the
     intermediate variant sandwiched by the true sqrt(Lambda_{x_A^n}) over
     every typical conditioning, which isolates the Bob-codebook error.
-    Fallback bins contribute nothing to either. Keys run over all x_B^n.
+    Fallback bins contribute nothing to either. Keys are the x_B^n that
+    received an operator; a missing key means the zero operator.
     """
-    n = block.n
-    k_b = block.single.n_bob
-    dim = block.rho_n.shape[0]
-    zeros = lambda: np.zeros((dim, dim), dtype=np.complex128)
-    lambda_tilde_b = {seq: zeros() for seq in _enumerate_sequences(k_b, n)}
-    lambda_prime_b = {seq: zeros() for seq in _enumerate_sequences(k_b, n)}
+    lambda_tilde_b = {}
+    lambda_prime_b = {}
+
+    def accumulate(ops, seq, sqrt_op, mat):
+        term = hermitian_part(sqrt_op @ mat @ sqrt_op)
+        ops[seq] = ops[seq] + term if seq in ops else term
 
     for cond_seq, opset in bob_sets.items():
         # Operators for equal codewords are equal, so each class sum is
@@ -958,13 +935,9 @@ def assemble_bob_povm(
         sqrt_alice = alice.sqrt_lambda_tilde.get(cond_seq)
         for seq, count in counts.items():
             mat = count * rep[seq] if count > 1 else rep[seq]
-            lambda_prime_b[seq] = lambda_prime_b[seq] + hermitian_part(
-                sqrt_true @ mat @ sqrt_true
-            )
+            accumulate(lambda_prime_b, seq, sqrt_true, mat)
             if sqrt_alice is not None:
-                lambda_tilde_b[seq] = lambda_tilde_b[seq] + hermitian_part(
-                    sqrt_alice @ mat @ sqrt_alice
-                )
+                accumulate(lambda_tilde_b, seq, sqrt_alice, mat)
     return lambda_tilde_b, lambda_prime_b
 
 
@@ -1088,31 +1061,20 @@ def faithfulness_distance(reference, approx, rho_n, *, sqrt_rho=None):
     return total
 
 
-def _split_faithfulness(block: BlockScenario, instance: ProtocolInstance):
-    """Break the Bob deviation into atypical mass, codebook error on
-    typical sequences, and the Alice-operator substitution error."""
-    sqrt_rho = block.sqrt_rho_n
-    typical = block.bob_marg_typical
-    members = set(typical.members)
-
-    ref_typ = {k: v for k, v in block.lambda_ref_b.items() if k in members}
-    ref_atyp = {
-        k: v for k, v in block.lambda_ref_b.items() if k not in members
-    }
-    prime_typ = {
-        k: v for k, v in instance.lambda_prime_b.items() if k in members
-    }
-    tilde_typ = {
-        k: v for k, v in instance.lambda_tilde_b.items() if k in members
-    }
-    tilde_atyp = {
-        k: v for k, v in instance.lambda_tilde_b.items() if k not in members
-    }
-
-    atypical = faithfulness_distance(ref_atyp, tilde_atyp, None, sqrt_rho=sqrt_rho)
-    d2 = faithfulness_distance(ref_typ, prime_typ, None, sqrt_rho=sqrt_rho)
-    d3 = faithfulness_distance(prime_typ, tilde_typ, None, sqrt_rho=sqrt_rho)
-    return atypical, d2, d3
+def _reference_distance(reference, probs, approx, keys, sqrt_rho):
+    """faithfulness_distance over keys. A key approx lacks scores
+    tr(rho^n Lambda_x) = prod_i probs[x_i], as Lambda_x is a PSD product."""
+    used = [key for key in keys if key in approx]
+    unused = sum(
+        math.prod(probs[x] for x in key) for key in keys if key not in approx
+    )
+    drawn = faithfulness_distance(
+        {key: reference[key] for key in used},
+        {key: approx[key] for key in used},
+        None,
+        sqrt_rho=sqrt_rho,
+    )
+    return unused + drawn
 
 
 @dataclass(frozen=True)
@@ -1129,6 +1091,7 @@ class FaithfulnessReport:
     ec_rate: float
     e0_ok: bool
     e0_violation: float
+    saturated: bool  # no simulated Bob operator survived, so d_bob = 1
 
 
 @dataclass(frozen=True)
@@ -1184,21 +1147,41 @@ def empirical_e0_check(
 
 
 def instance_report(instance: ProtocolInstance) -> FaithfulnessReport:
-    """Score a realized protocol against the reference measurements."""
+    """Score a realized protocol against the reference measurements.
+
+    d_bob is the atypical part plus the typical part over the x_B^n
+    marginal typical set; d2 and d3 split the typical part."""
     block = instance.block
-    d_bob = faithfulness_distance(
-        block.lambda_ref_b,
-        instance.lambda_tilde_b,
+    single = block.single
+    sqrt_rho = block.sqrt_rho_n
+    tilde = instance.lambda_tilde_b
+    prime = instance.lambda_prime_b
+    members = set(block.bob_marg_typical.members)
+    typ, atyp = [], []
+    for seq in itertools.product(range(single.n_bob), repeat=block.n):
+        (typ if seq in members else atyp).append(seq)
+
+    def bob(approx, keys):
+        return _reference_distance(
+            block.lambda_ref_b, single.p_b, approx, keys, sqrt_rho
+        )
+
+    atypical = bob(tilde, atyp)
+    d_bob = atypical + bob(tilde, typ)
+    d2 = bob(prime, typ)
+    d3 = faithfulness_distance(
+        {seq: op for seq, op in prime.items() if seq in members},
+        {seq: op for seq, op in tilde.items() if seq in members},
         None,
-        sqrt_rho=block.sqrt_rho_n,
+        sqrt_rho=sqrt_rho,
     )
-    d_alice = faithfulness_distance(
+    d_alice = _reference_distance(
         block.lambda_a_n,
+        single.p_a,
         instance.alice.lambda_tilde,
-        None,
-        sqrt_rho=block.sqrt_rho_n,
+        list(itertools.product(range(single.n_alice), repeat=block.n)),
+        sqrt_rho,
     )
-    atypical, d2, d3 = _split_faithfulness(block, instance)
     conditionals = {
         cond_seq: blk.pruned for cond_seq, blk in block.bob_blocks.items()
     }
@@ -1216,6 +1199,7 @@ def instance_report(instance: ProtocolInstance) -> FaithfulnessReport:
         ec_rate=instance.ec_rate,
         e0_ok=e0.ok,
         e0_violation=float(e0.violation),
+        saturated=not tilde,
     )
 
 
@@ -1297,7 +1281,7 @@ def run_protocol_trial(instance: ProtocolInstance, rng) -> SimulationTranscript:
     # server measures the m_count-fold rescaling, whose bin sum is near
     # identity.
     words_a = alice.codebook.codewords(block.alice_block.cond_seq, m_a)
-    ops = [alice.upsilon[(j, m_a)] for j in range(len(words_a))]
+    ops = [alice.opset.gamma[(j, m_a)] for j in range(len(words_a))]
     weights = [
         params.m_a * float(np.trace(op @ block.rho_n).real) for op in ops
     ]
@@ -1395,5 +1379,4 @@ def simulate_trials(
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        records = list(pool.map(one, range(trials)))
-    return sorted(records, key=lambda r: r.index)
+        return list(pool.map(one, range(trials)))

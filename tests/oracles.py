@@ -255,3 +255,60 @@ def dense_conditioning_block(
         "xi": xi,
         "whitened": {m: pinv @ mat @ pinv for m, mat in xi.items()},
     }
+
+
+def conditioning_state(block, blk):
+    """rho_cond^n of one conditioning block as a dense Kronecker product:
+    rho^n for Alice's block, the post-measurement states along cond_seq
+    for a Bob block."""
+    from povmcast.linalg import kron_all
+
+    single = block.single
+    if blk is block.alice_block:
+        return kron_all([single.rho.mat] * block.n)
+    return kron_all([single.post_states[a].mat for a in blk.cond_seq])
+
+
+def dense_instance_scores(block, instance):
+    """d_bob, d_alice, atypical, d2 and d3 of an instance by the literal sum.
+
+    Every outcome sequence gets a dense Kronecker reference operator, the
+    simulated operators are zero-filled over all sequences, and the five
+    scores are five faithfulness_distance calls over explicit dicts.
+    """
+    from povmcast.linalg import kron_all
+    from povmcast.protocol import faithfulness_distance
+
+    single = block.single
+    n = block.n
+    dim = block.rho_n.shape[0]
+
+    def table(elements):
+        return {
+            seq: kron_all([elements[x] for x in seq])
+            for seq in itertools.product(range(len(elements)), repeat=n)
+        }
+
+    def filled(ops, keys):
+        zero = np.zeros((dim, dim), dtype=complex)
+        return {seq: ops.get(seq, zero) for seq in keys}
+
+    ref_b = table(single.bob_reference.elements)
+    ref_a = table(single.alice_povm.elements)
+    tilde = filled(instance.lambda_tilde_b, ref_b)
+    prime = filled(instance.lambda_prime_b, ref_b)
+    members = set(block.bob_marg_typical.members)
+
+    def part(ops, typical):
+        return {k: v for k, v in ops.items() if (k in members) == typical}
+
+    def dist(ref, app):
+        return faithfulness_distance(ref, app, None, sqrt_rho=block.sqrt_rho_n)
+
+    return {
+        "d_bob": dist(ref_b, tilde),
+        "d_alice": dist(ref_a, filled(instance.alice.lambda_tilde, ref_a)),
+        "atypical": dist(part(ref_b, False), part(tilde, False)),
+        "d2": dist(part(ref_b, True), part(prime, True)),
+        "d3": dist(part(prime, True), part(tilde, True)),
+    }

@@ -46,7 +46,7 @@ from povmcast.typicality import (
 )
 
 from conftest import random_scenario
-from oracles import joint_information_oracle
+from oracles import conditioning_state, joint_information_oracle
 
 QUBIT_PRESETS = ("bell-computational", "three-outcome-split", "pure-state")
 ALL_PRESETS = QUBIT_PRESETS + ("independent-product",)
@@ -167,7 +167,8 @@ def test_criterion_5_scaled_average_dominated():
             assert block.bob_blocks, (name, n)
             blocks = list(block.bob_blocks.values()) + [block.alice_block]
             for blk in blocks:
-                gap = blk.rho_cond_n - blk.s_cond * blk.cutoff.omega
+                rho_cond = conditioning_state(block, blk)
+                gap = rho_cond - blk.s_cond * blk.cutoff.omega
                 low = float(np.linalg.eigvalsh(0.5 * (gap + gap.conj().T)).min())
                 assert low >= -1e-9, (name, n, blk.cond_seq, low)
 
@@ -299,6 +300,7 @@ def test_criterion_10_degenerate_cases():
     assert report.d_bob <= 1e-9, report.d_bob
     assert report.d_alice <= 1e-9, report.d_alice
 
-    # comparing a measurement against itself is exactly zero
+    # comparing a measurement against itself is exactly zero (the table
+    # holds only the sequences a Bob codebook can draw)
     d_self = faithfulness_distance(block.lambda_ref_b, block.lambda_ref_b, block.rho_n)
     assert d_self == 0.0

@@ -450,6 +450,50 @@ def test_cli_sweep_csv_and_trend(capsys, tmp_path):
     assert len(trial_lines) == 1 + 4 * 10
 
 
+def _preset_at(tmp_path, name, n, **overrides):
+    doc = preset_document(name)
+    doc["protocol"]["n"] = n
+    doc.update(overrides)
+    path = tmp_path / f"{name}-n{n}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _warnings(err):
+    return [line for line in err.splitlines() if line.startswith("warning:")]
+
+
+def test_cli_simulate_warns_when_saturated(capsys, tmp_path):
+    # beyond its design n every trial of this preset loses all of Bob's
+    # simulated operators, so d = 1 by construction
+    path = _preset_at(tmp_path, "three-outcome-split", 5)
+    code = main(["simulate", "--config", path])
+    captured = capsys.readouterr()
+    assert code == 0
+    doc = json.loads(captured.out)
+    assert all(abs(t["d"] - 1.0) <= 1e-12 for t in doc["trials"])
+    assert "saturated" not in json.dumps(doc)
+    (warning,) = _warnings(captured.err)
+    assert "saturated" in warning
+
+    code = main(["simulate", "--config", "preset:three-outcome-split"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert _warnings(captured.err) == []
+
+
+def test_cli_sweep_warns_per_saturated_point(capsys, tmp_path):
+    path = _preset_at(
+        tmp_path, "three-outcome-split", 2, sweep={"axis": "n", "values": [2, 5]}
+    )
+    code = main(["sweep", "--config", path])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out)["values"] == [2, 5]
+    (warning,) = _warnings(captured.err)
+    assert "n=5" in warning
+
+
 def test_cli_sweep_without_section_fails(capsys):
     code = main(["sweep", "--config", "preset:pure-state"])
     captured = capsys.readouterr()

@@ -34,7 +34,7 @@ from povmcast.protocol import (
     build_xi_prime,
     validate_subpovm,
 )
-from povmcast.linalg import TAU_PROB, hermitian_part, sqrt_psd
+from povmcast.linalg import TAU_PROB, hermitian_part, kron_all, sqrt_psd
 from povmcast.measurement import SUPPORT_CUTOFF_REL
 from povmcast.typicality import (
     branch_eigensystem,
@@ -255,16 +255,26 @@ def _assert_matches_dense_oracle(single, params, trivial=False, sqrt_tol=1e-10):
         # about machine epsilon times the condition number of rho_cond
         # on its support, so that bound joins the tolerance when it is
         # the larger one.
-        spec = np.linalg.eigvalsh(blk.rho_cond_n)
+        spec = np.linalg.eigvalsh(oracles.conditioning_state(block, blk))
         support = spec[spec > SUPPORT_CUTOFF_REL * max(spec[-1], 1.0)]
         tol = max(1e-10, 1e-15 * spec[-1] / support[0])
         assert set(blk.gamma_factors) == set(ref["whitened"])
         for member, w in blk.gamma_factors.items():
             close(w @ w.conj().T, ref["whitened"][member], tol)
     close(block.sqrt_rho_n, sqrt_psd(block.rho_n))
-    assert set(block.sqrt_lambda_a_n) == set(block.alice_block.typical.members)
-    for seq, mat in block.sqrt_lambda_a_n.items():
-        close(mat, sqrt_psd(block.lambda_a_n[seq]), sqrt_tol)
+    # references exist exactly for the sequences a codebook can draw
+    alice_members = set(block.alice_block.typical.members)
+    assert set(block.sqrt_lambda_a_n) == alice_members
+    assert set(block.lambda_a_n) == alice_members
+    bob_members = set()
+    for blk in block.bob_blocks.values():
+        bob_members.update(blk.typical.members)
+    assert set(block.lambda_ref_b) == bob_members
+    for seq, mat in block.lambda_a_n.items():
+        close(mat, kron_all([single.alice_povm.elements[a] for a in seq]), 0.0)
+        close(block.sqrt_lambda_a_n[seq], sqrt_psd(mat), sqrt_tol)
+    for seq, mat in block.lambda_ref_b.items():
+        close(mat, kron_all([single.bob_reference.elements[b] for b in seq]), 0.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -396,7 +406,7 @@ def test_build_gamma_scaling():
     factor = blk.s_cond / ((1.0 + BELL_PARAMS.eps) * BELL_PARAMS.s_b * BELL_PARAMS.m_b)
     for m in range(BELL_PARAMS.m_b):
         words = cb.codewords(cond_seq, m)
-        total = np.zeros_like(blk.rho_cond_n)
+        total = np.zeros_like(opset.bin_sums[m])
         for j, seq in enumerate(words):
             w = blk.gamma_factors[seq]
             expect = factor * (w @ w.conj().T)
@@ -446,12 +456,10 @@ def test_scaled_average_stays_below_block_state():
     # post-measurement state
     for single, params in ((bell_single(), BELL_PARAMS), (trine_single(), TRINE_PARAMS)):
         block = build_block_scenario(single, params, trivial_projectors=True)
-        for cond_seq, blk in block.bob_blocks.items():
-            gap = blk.rho_cond_n - blk.s_cond * blk.cutoff.omega
+        for blk in list(block.bob_blocks.values()) + [block.alice_block]:
+            rho_cond = oracles.conditioning_state(block, blk)
+            gap = rho_cond - blk.s_cond * blk.cutoff.omega
             assert float(np.linalg.eigvalsh(0.5 * (gap + gap.conj().T)).min()) >= -1e-9
-        ab = block.alice_block
-        gap = ab.rho_cond_n - ab.s_cond * ab.cutoff.omega
-        assert float(np.linalg.eigvalsh(0.5 * (gap + gap.conj().T)).min()) >= -1e-9
 
 
 def test_alice_trivial_when_single_letter():
@@ -468,8 +476,8 @@ def test_alice_trivial_when_single_letter():
     assert alice.trivial
     only = (0, 0)
     assert np.allclose(alice.lambda_tilde[only], np.eye(4))
-    assert np.allclose(alice.upsilon[(0, 0)], np.eye(4) / 6)
-    assert np.isclose(alice.p_hat[only], 1.0)
+    assert np.allclose(alice.opset.gamma[(0, 0)], np.eye(4) / 6)
+    assert len(alice.opset.gamma) == params.s_a * params.m_a
     assert alice.fallback_rate == 0.0
 
 
@@ -477,8 +485,7 @@ def test_assemble_matches_naive_accumulation():
     single = trine_single()
     block = build_block_scenario(single, TRINE_PARAMS)
     instance = build_protocol_instance(block, TRINE_PARAMS, mode="with_alice_randomness")
-    dim = block.rho_n.shape[0]
-    naive = {seq: np.zeros((dim, dim), dtype=complex) for seq in block.lambda_ref_b}
+    naive = {}
     for cond_seq, opset in instance.bob_sets.items():
         sqrt_true = block.sqrt_lambda_a_n[cond_seq]
         for m in range(instance.bob_codebook.m_count):
@@ -486,9 +493,51 @@ def test_assemble_matches_naive_accumulation():
                 continue
             for j, seq in enumerate(instance.bob_codebook.codewords(cond_seq, m)):
                 term = sqrt_true @ opset.gamma[(j, m)] @ sqrt_true
-                naive[seq] = naive[seq] + 0.5 * (term + term.conj().T)
+                naive[seq] = naive.get(seq, 0.0) + 0.5 * (term + term.conj().T)
+    # keys are exactly the sequences with a contribution; a missing key
+    # is the zero operator
+    assert naive
+    assert set(instance.lambda_prime_b) == set(naive)
     for seq, mat in naive.items():
         assert np.allclose(instance.lambda_prime_b[seq], mat, atol=1e-12)
+    assert set(instance.lambda_tilde_b) <= set(naive)
+
+
+SCORE_KEYS = ("d_bob", "d_alice", "atypical", "d2", "d3")
+
+
+def _assert_scores_match_dense_oracle(block, params, mode, seed):
+    instance = build_protocol_instance(
+        block, params, mode=mode, seed_seq=np.random.SeedSequence(seed)
+    )
+    report = instance_report(instance)
+    want = oracles.dense_instance_scores(block, instance)
+    for key in SCORE_KEYS:
+        assert abs(getattr(report, key) - want[key]) <= 1e-10, (key, seed)
+    assert report.saturated == (not instance.lambda_tilde_b)
+    return report
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", preset_names())
+def test_instance_scores_match_dense_oracle_on_presets(name, n):
+    cfg = config_from_dict(preset_document(name), name=name)
+    single = prepare_scenario(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b)
+    params = replace(cfg.params, n=n)
+    block = build_block_scenario(single, params)
+    for seed in (0, 1, 2):
+        _assert_scores_match_dense_oracle(block, params, cfg.mode, seed)
+
+
+def test_saturated_instance_scores_match_dense_oracle():
+    # three-outcome-split beyond its design n: every Bob bin falls back
+    cfg = config_from_dict(preset_document("three-outcome-split"))
+    single = prepare_scenario(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b)
+    params = replace(cfg.params, n=5)
+    block = build_block_scenario(single, params)
+    report = _assert_scores_match_dense_oracle(block, params, cfg.mode, 0)
+    assert report.saturated
+    assert abs(report.d_bob - 1.0) <= 1e-12
 
 
 def test_instance_modes_and_seeding():
