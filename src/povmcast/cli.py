@@ -206,6 +206,10 @@ def aggregate_records(records) -> dict:
 
 
 def _load(args):
+    # only simulate and sweep take --workers; reject it before any work
+    workers = getattr(args, "workers", 1)
+    if workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {workers}")
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = cfg.with_seed(args.seed)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
@@ -439,6 +439,16 @@ def _build_conditioning_block(
     )
 
 
+def _psd_factor(a) -> np.ndarray:
+    """Factor F of a PSD operator, a = F F^dag, one column per eigenvalue
+    above max(shape) * machine eps * the largest (roundoff counts as
+    zero)."""
+    dec = _psd_eigenvalues(a)
+    w = dec.eigenvalues
+    keep = w > max(w.shape) * np.finfo(float).eps * w.max(initial=0.0)
+    return dec.eigenvectors[:, keep] * np.sqrt(w[keep])
+
+
 @dataclass(eq=False)
 class BlockScenario:
     """Everything deterministic about a scenario at block length n.
@@ -447,8 +457,10 @@ class BlockScenario:
     compressed states and cutoffs for Alice (one free conditioning) and
     for Bob (one block per typical Alice sequence), plus the reference
     measurement operators for the sequences a codebook can draw (typical
-    members). Conditioning sequences whose conditional typical set is
-    empty are listed in dropped_cond and excluded from the construction.
+    members). A reference Lambda_x is held as its factor, the Kronecker
+    product of single-letter factors (D x prod_i r_i); sqrt_lambda_a_n is
+    dense. Conditioning sequences whose conditional typical set is empty
+    are listed in dropped_cond and excluded from the construction.
     """
 
     single: SingleLetterScenario
@@ -555,18 +567,18 @@ def build_block_scenario(
     lambda_a_n = {}
     sqrt_lambda_a_n = {}
     alice_elems = single.alice_povm.elements
+    alice_factors = [_psd_factor(e) for e in alice_elems]
     sqrt_alice = [sqrt_psd(e) for e in alice_elems]
     for seq in alice_block.typical.members:
-        lambda_a_n[seq] = kron_all([alice_elems[a] for a in seq])
+        lambda_a_n[seq] = reduce(np.kron, [alice_factors[a] for a in seq])
         sqrt_lambda_a_n[seq] = kron_all([sqrt_alice[a] for a in seq])
 
+    bob_factors = [_psd_factor(e) for e in single.bob_reference.elements]
     lambda_ref_b = {}
     for blk in bob_blocks.values():
         for seq in blk.typical.members:
             if seq not in lambda_ref_b:
-                lambda_ref_b[seq] = kron_all(
-                    [single.bob_reference.elements[b] for b in seq]
-                )
+                lambda_ref_b[seq] = reduce(np.kron, [bob_factors[b] for b in seq])
 
     return BlockScenario(
         single=single,
@@ -705,15 +717,18 @@ def generate_codebook(
 class BobOperatorSet:
     """Realized measurement operators for one conditioning sequence.
 
-    gamma maps (j, m) to the rescaled compressed state of the codeword
-    at position j of bin m. Bins whose operator sum leaks above the
-    identity, or whose case-1 selection failed, fall back to the trivial
-    single-outcome measurement and are flagged here.
+    The operator of a codeword x is scale * w_x w_x^dag, w_x being
+    block.gamma_factors[x], so a trial is carried as counts: gamma maps
+    (j, m) to the codeword at position j of bin m, and bin_counts maps
+    each bin m to its member -> count dict. Bins whose operator sum leaks
+    above the identity, or whose case-1 selection failed, fall back to
+    the trivial single-outcome measurement and are flagged here.
     """
 
     block: ConditioningBlock
     gamma: dict
-    bin_sums: dict
+    bin_counts: dict
+    scale: float
     is_valid_subpovm: dict
     fallback_applied: dict
 
@@ -728,6 +743,49 @@ class BobOperatorSet:
         vals = list(self.fallback_applied.values())
         return float(sum(bool(v) for v in vals)) / len(vals)
 
+    def pooled_counts(self) -> dict:
+        """Member -> count over the bins that did not fall back."""
+        pooled = {}
+        for m, counts in self.bin_counts.items():
+            if self.fallback_applied[m]:
+                continue
+            for seq, count in counts.items():
+                pooled[seq] = pooled.get(seq, 0) + count
+        return pooled
+
+    def columns(self, counts) -> list:
+        """Column blocks sqrt(scale * n_x) w_x of a member -> count dict;
+        stacked into G, G G^dag is the operator sum of those codewords."""
+        factors = self.block.gamma_factors
+        return [
+            math.sqrt(self.scale * count) * factors[seq]
+            for seq, count in counts.items()
+        ]
+
+
+def _top_eigenvalue(cols) -> float:
+    """Largest eigenvalue of G G^dag, G = hstack(cols), from the smaller of
+    G G^dag and the Gram matrix G^dag G; 0 when G has no column."""
+    g = np.hstack(cols) if cols else np.zeros((0, 0))
+    if g.shape[1] == 0:
+        return 0.0
+    gram = g.conj().T @ g if g.shape[1] < g.shape[0] else g @ g.conj().T
+    return float(np.linalg.eigvalsh(gram)[-1])
+
+
+def _root(w) -> np.ndarray:
+    """(w w^dag)^{1/2} = U diag(s) U^dag, from the thin SVD
+    w = U diag(s) V^dag.
+
+    w can be rank-deficient after the cutoff, so singular values at or
+    below max(shape) * machine eps * s_max (numpy's matrix_rank
+    tolerance) count as zero.
+    """
+    u, s, _ = np.linalg.svd(w, full_matrices=False)
+    keep = s > max(w.shape) * np.finfo(float).eps * s.max(initial=0.0)
+    u = u[:, keep]
+    return (u * s[keep]) @ u.conj().T
+
 
 def build_gamma(
     block: ConditioningBlock,
@@ -737,34 +795,30 @@ def build_gamma(
     m_count,
     eps,
 ) -> BobOperatorSet:
-    """Rescale the cut compressed states of the drawn codewords.
+    """Count the drawn codewords of each bin against the block's factors.
 
-    Each operator gets weight s_cond / ((1 + eps) * size * m_count); the
-    sum over a bin then concentrates near identity/ (m_count) on the cut
-    support when the codebook is large enough.
+    Each codeword's operator gets weight scale = s_cond / ((1 + eps) *
+    size * m_count); the sum over a bin then concentrates near identity /
+    (m_count) on the cut support when the codebook is large enough.
     """
-    factor = block.s_cond / ((1.0 + eps) * size * m_count)
     gamma = {}
-    bin_sums = {}
-    dim = block.cutoff.projector.shape[0]
+    bin_counts = {}
     for m in range(m_count):
-        words = codebook.codewords(block.cond_seq, m)
-        total = np.zeros((dim, dim), dtype=np.complex128)
-        for j, seq in enumerate(words):
-            w = block.gamma_factors.get(seq)
-            if w is None:
+        counts = {}
+        for j, seq in enumerate(codebook.codewords(block.cond_seq, m)):
+            if seq not in block.gamma_factors:
                 raise SizeMismatch(
                     f"codeword {seq} is outside the conditional typical set "
                     f"of {block.cond_seq}"
                 )
-            op = hermitian_part(factor * (w @ w.conj().T))
-            gamma[(j, m)] = op
-            total = total + op
-        bin_sums[m] = hermitian_part(total)
+            gamma[(j, m)] = seq
+            counts[seq] = counts.get(seq, 0) + 1
+        bin_counts[m] = counts
     return BobOperatorSet(
         block=block,
         gamma=gamma,
-        bin_sums=bin_sums,
+        bin_counts=bin_counts,
+        scale=block.s_cond / ((1.0 + eps) * size * m_count),
         is_valid_subpovm={},
         fallback_applied={},
     )
@@ -777,15 +831,11 @@ def validate_subpovm(
 
     A bin falls back when its operators leak above identity by more than
     tol, or when its case-1 codeword selection failed. Fallback bins are
-    served by the trivial measurement {I} downstream, so their gamma
-    entries are ignored there.
+    served by the trivial measurement {I} downstream, so their codewords
+    are ignored there.
     """
     for m in range(codebook.m_count):
-        total = opset.bin_sums.get(m)
-        if total is None or not opset.gamma:
-            top = 0.0
-        else:
-            top = float(np.linalg.eigvalsh(total)[-1])
+        top = _top_eigenvalue(opset.columns(opset.bin_counts.get(m, {})))
         valid = top <= 1.0 + tol
         failed = bool(
             codebook.failure_flags.get((opset.cond_seq, m), False)
@@ -799,11 +849,14 @@ def validate_subpovm(
 class AliceMeasurement:
     """Alice's randomized block measurement for one trial.
 
-    opset.gamma maps (j, m) to the operator answering codeword j of bin
-    m; lambda_tilde collects them per produced sequence across
-    non-fallback bins. With a single Alice outcome letter the
+    opset counts the codewords of each bin. lambda_tilde maps each
+    produced sequence x to the factor sqrt(N_x scale) w_x of its operator
+    N_x scale w_x w_x^dag, N_x being its count over the non-fallback
+    bins, and sqrt_lambda_tilde to the square root sqrt(N_x scale)
+    (w_x w_x^dag)^{1/2}. With a single Alice outcome letter the
     construction collapses and every operator is exactly
-    I / (m_count * size) (trivial=True).
+    I / (m_count * size) (trivial=True); the summed operator and its
+    factor are then I.
     """
 
     opset: BobOperatorSet
@@ -828,33 +881,33 @@ def build_alice_measurement(
     """
     n = block.n
     ab = block.alice_block
-    cond_key = ab.cond_seq
     codebook = generate_codebook(
         params,
         None,
-        {cond_key: ab.pruned},
+        {ab.cond_seq: ab.pruned},
         rng,
         size=params.s_a,
         m_count=params.m_a,
         case=2,
     )
 
-    single = block.single
-    trivial = single.n_alice == 1
+    trivial = block.single.n_alice == 1
     if trivial:
-        dim = block.rho_n.shape[0]
-        eye = np.eye(dim)
-        shared = eye / (params.m_a * params.s_a)
+        # every codeword is the only sequence, and its operator is
+        # scale * I: the identity stands in for its gamma factor
+        only_seq = (0,) * n
+        eye = np.eye(block.rho_n.shape[0])
         opset = BobOperatorSet(
-            block=ab,
+            block=replace(ab, gamma_factors={only_seq: eye}),
             gamma=dict.fromkeys(
-                itertools.product(range(params.s_a), range(params.m_a)), shared
+                itertools.product(range(params.s_a), range(params.m_a)),
+                only_seq,
             ),
-            bin_sums={},
+            bin_counts={m: {only_seq: params.s_a} for m in range(params.m_a)},
+            scale=1.0 / (params.m_a * params.s_a),
             is_valid_subpovm=dict.fromkeys(range(params.m_a), True),
             fallback_applied=dict.fromkeys(range(params.m_a), False),
         )
-        only_seq = (0,) * n
         return AliceMeasurement(
             opset=opset,
             codebook=codebook,
@@ -869,33 +922,23 @@ def build_alice_measurement(
     validate_subpovm(opset, codebook)
 
     lambda_tilde = {}
-    for m in range(params.m_a):
-        if opset.fallback_applied[m]:
-            continue
-        words = codebook.codewords(cond_key, m)
-        for j, seq in enumerate(words):
-            op = opset.gamma[(j, m)]
-            if seq in lambda_tilde:
-                lambda_tilde[seq] = lambda_tilde[seq] + op
-            else:
-                lambda_tilde[seq] = np.array(op)
-    sqrt_lambda_tilde = {
-        seq: sqrt_psd(hermitian_part(mat)) for seq, mat in lambda_tilde.items()
-    }
+    sqrt_lambda_tilde = {}
+    for seq, count in opset.pooled_counts().items():
+        w = ab.gamma_factors[seq]
+        weight = math.sqrt(count * opset.scale)
+        lambda_tilde[seq] = weight * w
+        sqrt_lambda_tilde[seq] = weight * _root(w)
     return AliceMeasurement(
         opset=opset,
         codebook=codebook,
         lambda_tilde=lambda_tilde,
         sqrt_lambda_tilde=sqrt_lambda_tilde,
-        trivial=trivial,
+        trivial=False,
     )
 
 
 def assemble_bob_povm(
-    block: BlockScenario,
-    alice: AliceMeasurement,
-    bob_sets: dict,
-    codebook: Codebook,
+    block: BlockScenario, alice: AliceMeasurement, bob_sets: dict
 ):
     """Combine the per-conditioning operators into Bob's block elements.
 
@@ -903,42 +946,30 @@ def assemble_bob_povm(
     sandwiched by the square roots of Alice's realized operators, and the
     intermediate variant sandwiched by the true sqrt(Lambda_{x_A^n}) over
     every typical conditioning, which isolates the Bob-codebook error.
-    Fallback bins contribute nothing to either. Keys are the x_B^n that
-    received an operator; a missing key means the zero operator.
+    Per conditioning the counts are pooled over the non-fallback bins
+    (fallback bins contribute nothing), and a member with count n adds
+    the columns S sqrt(n scale) w_x, S being the sandwiching root. Each
+    element is returned as the factor G of its stacked columns (D x K),
+    the operator being G G^dag. Keys are the x_B^n that received an
+    operator; a missing key means the zero operator.
     """
-    lambda_tilde_b = {}
-    lambda_prime_b = {}
-
-    def accumulate(ops, seq, sqrt_op, mat):
-        term = hermitian_part(sqrt_op @ mat @ sqrt_op)
-        ops[seq] = ops[seq] + term if seq in ops else term
-
+    tilde_cols = {}
+    prime_cols = {}
     for cond_seq, opset in bob_sets.items():
-        # Operators for equal codewords are equal, so each class sum is
-        # multiplicity times one representative; grouped scaling keeps
-        # the sum independent of how draws are spread over the bins.
-        counts = {}
-        rep = {}
-        for m in range(codebook.m_count):
-            if opset.fallback_applied[m]:
-                continue
-            words = codebook.codewords(cond_seq, m)
-            for j, seq in enumerate(words):
-                if seq in counts:
-                    counts[seq] += 1
-                else:
-                    counts[seq] = 1
-                    rep[seq] = opset.gamma[(j, m)]
-        if not counts:
+        pooled = opset.pooled_counts()
+        if not pooled:
             continue
         sqrt_true = block.sqrt_lambda_a_n[cond_seq]
         sqrt_alice = alice.sqrt_lambda_tilde.get(cond_seq)
-        for seq, count in counts.items():
-            mat = count * rep[seq] if count > 1 else rep[seq]
-            accumulate(lambda_prime_b, seq, sqrt_true, mat)
+        for seq, cols in zip(pooled, opset.columns(pooled)):
+            prime_cols.setdefault(seq, []).append(sqrt_true @ cols)
             if sqrt_alice is not None:
-                accumulate(lambda_tilde_b, seq, sqrt_alice, mat)
-    return lambda_tilde_b, lambda_prime_b
+                tilde_cols.setdefault(seq, []).append(sqrt_alice @ cols)
+
+    def stacked(cols_by_seq):
+        return {seq: np.hstack(cols) for seq, cols in cols_by_seq.items()}
+
+    return stacked(tilde_cols), stacked(prime_cols)
 
 
 @dataclass(eq=False)
@@ -1024,9 +1055,7 @@ def build_protocol_instance(
         validate_subpovm(opset, bob_codebook)
         bob_sets[cond_seq] = opset
 
-    lambda_tilde_b, lambda_prime_b = assemble_bob_povm(
-        block, alice, bob_sets, bob_codebook
-    )
+    lambda_tilde_b, lambda_prime_b = assemble_bob_povm(block, alice, bob_sets)
     return ProtocolInstance(
         block=block,
         params=params,
@@ -1043,8 +1072,10 @@ def build_protocol_instance(
 def faithfulness_distance(reference, approx, rho_n, *, sqrt_rho=None):
     """Trace-norm deviation of a simulated measurement from a reference.
 
-    Both arguments map outcome sequences to operators; missing keys count
-    as zero. Returns sum_x || sqrt(rho_n) (approx_x - ref_x) sqrt(rho_n) ||_1.
+    Both arguments map outcome sequences to dense operators; missing keys
+    count as zero. Returns sum_x || sqrt(rho_n) (approx_x - ref_x)
+    sqrt(rho_n) ||_1 by one D x D SVD per key. instance_report scores its
+    factor tables with _signed_trace_norm instead.
     """
     if sqrt_rho is None:
         sqrt_rho = sqrt_psd(np.asarray(rho_n))
@@ -1061,18 +1092,35 @@ def faithfulness_distance(reference, approx, rho_n, *, sqrt_rho=None):
     return total
 
 
-def _reference_distance(reference, probs, approx, keys, sqrt_rho):
-    """faithfulness_distance over keys. A key approx lacks scores
-    tr(rho^n Lambda_x) = prod_i probs[x_i], as Lambda_x is a PSD product."""
-    used = [key for key in keys if key in approx]
+def _signed_trace_norm(plus, minus) -> float:
+    """||P P^dag - M M^dag||_1 for factors P and M with the same rows.
+
+    With A = [P, M] = Q R and J = diag(+1 on P's columns, -1 on M's),
+    P P^dag - M M^dag = A J A^dag = Q (R J R^dag) Q^dag, so the trace
+    norm is the sum of |eigenvalues| of the Hermitian R J R^dag. R is
+    min(D, K) x K for K stacked columns, so this holds for K >= D too.
+    """
+    stacked = np.hstack([plus, minus])
+    if stacked.shape[1] == 0:
+        return 0.0
+    r = np.linalg.qr(stacked, mode="r")
+    signed = r.copy()
+    signed[:, plus.shape[1] :] *= -1.0
+    return float(np.abs(np.linalg.eigvalsh(signed @ r.conj().T)).sum())
+
+
+def _reference_distance(reference, probs, approx, keys):
+    """Sum over keys of ||sqrt(rho^n) (approx_x - Lambda_x) sqrt(rho^n)||_1,
+    both tables holding sandwiched factors sqrt(rho^n) F. A key approx
+    lacks scores tr(rho^n Lambda_x) = prod_i probs[x_i], as Lambda_x is a
+    PSD product."""
     unused = sum(
         math.prod(probs[x] for x in key) for key in keys if key not in approx
     )
-    drawn = faithfulness_distance(
-        {key: reference[key] for key in used},
-        {key: approx[key] for key in used},
-        None,
-        sqrt_rho=sqrt_rho,
+    drawn = sum(
+        _signed_trace_norm(approx[key], reference[key])
+        for key in keys
+        if key in approx
     )
     return unused + drawn
 
@@ -1150,37 +1198,43 @@ def instance_report(instance: ProtocolInstance) -> FaithfulnessReport:
     """Score a realized protocol against the reference measurements.
 
     d_bob is the atypical part plus the typical part over the x_B^n
-    marginal typical set; d2 and d3 split the typical part."""
+    marginal typical set; d2 and d3 split the typical part. Every
+    operator is a factor, sandwiched once by sqrt(rho^n) and scored by
+    _signed_trace_norm; only the references of drawn keys are touched."""
     block = instance.block
     single = block.single
     sqrt_rho = block.sqrt_rho_n
-    tilde = instance.lambda_tilde_b
-    prime = instance.lambda_prime_b
+    empty = np.zeros((sqrt_rho.shape[0], 0))
+
+    def sandwiched(table, keys=None):
+        keys = table.keys() if keys is None else keys
+        return {key: sqrt_rho @ table[key] for key in keys}
+
+    tilde = sandwiched(instance.lambda_tilde_b)
+    prime = sandwiched(instance.lambda_prime_b)
+    ref_b = sandwiched(block.lambda_ref_b, set(tilde) | set(prime))
     members = set(block.bob_marg_typical.members)
     typ, atyp = [], []
     for seq in itertools.product(range(single.n_bob), repeat=block.n):
         (typ if seq in members else atyp).append(seq)
 
     def bob(approx, keys):
-        return _reference_distance(
-            block.lambda_ref_b, single.p_b, approx, keys, sqrt_rho
-        )
+        return _reference_distance(ref_b, single.p_b, approx, keys)
 
     atypical = bob(tilde, atyp)
     d_bob = atypical + bob(tilde, typ)
     d2 = bob(prime, typ)
-    d3 = faithfulness_distance(
-        {seq: op for seq, op in prime.items() if seq in members},
-        {seq: op for seq, op in tilde.items() if seq in members},
-        None,
-        sqrt_rho=sqrt_rho,
+    d3 = sum(
+        _signed_trace_norm(prime.get(seq, empty), tilde.get(seq, empty))
+        for seq in typ
+        if seq in prime or seq in tilde
     )
+    alice_tilde = sandwiched(instance.alice.lambda_tilde)
     d_alice = _reference_distance(
-        block.lambda_a_n,
+        sandwiched(block.lambda_a_n, alice_tilde),
         single.p_a,
-        instance.alice.lambda_tilde,
+        alice_tilde,
         list(itertools.product(range(single.n_alice), repeat=block.n)),
-        sqrt_rho,
     )
     conditionals = {
         cond_seq: blk.pruned for cond_seq, blk in block.bob_blocks.items()
@@ -1239,6 +1293,31 @@ def _sample_index(weights, residual, rng):
     return min(idx, len(weights))
 
 
+def _codeword_weights(opset, words, m_count, state) -> list:
+    """Outcome weights m_count * tr(op_x state) = m_count * scale *
+    tr(w_x^dag state w_x) of one bin's codewords, one trace per member."""
+    factors = opset.block.gamma_factors
+    per_member = {}
+    for seq in words:
+        if seq not in per_member:
+            w = factors[seq]
+            trace = float(np.vdot(w, state @ w).real)
+            per_member[seq] = m_count * opset.scale * trace
+    return [per_member[seq] for seq in words]
+
+
+def _collapsed_state(alice, seq, rho_n) -> np.ndarray:
+    """rho_n after Alice's outcome seq from a non-fallback bin.
+
+    The server collapses by the physical operator
+    sqrt(scale) (w w^dag)^{1/2}; Alice's root of seq is a multiple of it,
+    and the scale cancels in the quotient.
+    """
+    root = alice.sqrt_lambda_tilde[seq]
+    post = hermitian_part(root @ rho_n @ root)
+    return post / float(np.trace(post).real)
+
+
 def run_protocol_trial(instance: ProtocolInstance, rng) -> SimulationTranscript:
     """Sample common randomness, Alice's index, then Bob's index.
 
@@ -1281,24 +1360,16 @@ def run_protocol_trial(instance: ProtocolInstance, rng) -> SimulationTranscript:
     # server measures the m_count-fold rescaling, whose bin sum is near
     # identity.
     words_a = alice.codebook.codewords(block.alice_block.cond_seq, m_a)
-    ops = [alice.opset.gamma[(j, m_a)] for j in range(len(words_a))]
-    weights = [
-        params.m_a * float(np.trace(op @ block.rho_n).real) for op in ops
-    ]
+    weights = _codeword_weights(alice.opset, words_a, params.m_a, block.rho_n)
     residual = 1.0 - sum(weights)
     j_a = _sample_index(weights, residual, rng)
     if j_a >= len(words_a):
         return degenerate("alice_garbage", m_a=m_a, m_b=m_b)
     alice_seq = words_a[j_a]
 
-    op = ops[j_a]
-    p_a = weights[j_a]
-    if p_a <= TAU_PROB:
+    if weights[j_a] <= TAU_PROB:
         return degenerate("alice_garbage", m_a=m_a, m_b=m_b, j_a=j_a)
-    # collapse by the physical operator; its scale cancels in the quotient
-    sqrt_op = sqrt_psd(hermitian_part(op))
-    post = hermitian_part(sqrt_op @ block.rho_n @ sqrt_op)
-    post = post / float(np.trace(post).real)
+    post = _collapsed_state(alice, alice_seq, block.rho_n)
 
     opset = instance.bob_sets.get(alice_seq)
     if opset is None:
@@ -1307,10 +1378,7 @@ def run_protocol_trial(instance: ProtocolInstance, rng) -> SimulationTranscript:
         return degenerate("bob_fallback", m_a=m_a, m_b=m_b, j_a=j_a)
 
     words_b = instance.bob_codebook.codewords(alice_seq, m_b)
-    ops_b = [opset.gamma[(j, m_b)] for j in range(len(words_b))]
-    weights_b = [
-        params.m_b * float(np.trace(op @ post).real) for op in ops_b
-    ]
+    weights_b = _codeword_weights(opset, words_b, params.m_b, post)
     residual_b = 1.0 - sum(weights_b)
     j_pos = _sample_index(weights_b, residual_b, rng)
     if j_pos >= len(words_b):
@@ -1359,6 +1427,8 @@ def simulate_trials(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     if block is None:
         block = build_block_scenario(single, params)
     root = np.random.SeedSequence(params.seed)
@@ -1374,7 +1444,7 @@ def simulate_trials(
         )
         return TrialRecord(index=i, report=report, transcript=transcript)
 
-    if workers <= 1 or trials == 1:
+    if workers == 1 or trials == 1:
         return [one(i) for i in range(trials)]
     from concurrent.futures import ThreadPoolExecutor
 

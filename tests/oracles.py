@@ -269,12 +269,18 @@ def conditioning_state(block, blk):
     return kron_all([single.post_states[a].mat for a in blk.cond_seq])
 
 
+def densify(factors):
+    """Operator table F F^dag of a factor table."""
+    return {key: f @ f.conj().T for key, f in factors.items()}
+
+
 def dense_instance_scores(block, instance):
     """d_bob, d_alice, atypical, d2 and d3 of an instance by the literal sum.
 
     Every outcome sequence gets a dense Kronecker reference operator, the
-    simulated operators are zero-filled over all sequences, and the five
-    scores are five faithfulness_distance calls over explicit dicts.
+    simulated operators are densified from their factors and zero-filled
+    over all sequences, and the five scores are five
+    faithfulness_distance calls over explicit dicts.
     """
     from povmcast.linalg import kron_all
     from povmcast.protocol import faithfulness_distance
@@ -295,8 +301,8 @@ def dense_instance_scores(block, instance):
 
     ref_b = table(single.bob_reference.elements)
     ref_a = table(single.alice_povm.elements)
-    tilde = filled(instance.lambda_tilde_b, ref_b)
-    prime = filled(instance.lambda_prime_b, ref_b)
+    tilde = filled(densify(instance.lambda_tilde_b), ref_b)
+    prime = filled(densify(instance.lambda_prime_b), ref_b)
     members = set(block.bob_marg_typical.members)
 
     def part(ops, typical):
@@ -307,8 +313,152 @@ def dense_instance_scores(block, instance):
 
     return {
         "d_bob": dist(ref_b, tilde),
-        "d_alice": dist(ref_a, filled(instance.alice.lambda_tilde, ref_a)),
+        "d_alice": dist(ref_a, filled(densify(instance.alice.lambda_tilde), ref_a)),
         "atypical": dist(part(ref_b, False), part(tilde, False)),
         "d2": dist(part(ref_b, True), part(prime, True)),
         "d3": dist(part(prime, True), part(tilde, True)),
+    }
+
+
+def dense_trial_operators(block, params, seed_seq):
+    """Every operator of one trial by the dense per-codeword route.
+
+    Draws the codebooks build_protocol_instance draws from seed_seq. Each
+    codeword gets its own D x D operator hermitian_part(c w w^dag), every
+    bin sum is checked with eigvalsh, Alice's operators are summed per
+    sequence over her non-fallback bins and rooted with sqrt_psd, and
+    Bob's elements are the four-matmul sandwich of each codeword's
+    operator. Sampling weights are m tr(op rho^n) for every Alice bin,
+    and for every (Alice bin, Alice position, Bob bin) they are m_b
+    tr(op post), post being rho^n collapsed by sqrt_psd of Alice's
+    operator. With a single Alice letter her operators are I / (m_a s_a).
+
+    Returns a dict with alice_fallback (bin -> flag), bob_fallback
+    ((conditioning, bin) -> flag), bob_bin_sums ((conditioning, bin) ->
+    dense sum), lambda_tilde, sqrt_lambda_tilde, lambda_tilde_b,
+    lambda_prime_b, alice_weights (bin -> list) and bob_weights
+    ((m_a, j_a, m_b) -> list).
+    """
+    from povmcast.linalg import TAU_PROB, TAU_PSD, hermitian_part, sqrt_psd
+    from povmcast.protocol import generate_codebook
+
+    alice_ss, bob_ss, _ = seed_seq.spawn(3)
+    ab = block.alice_block
+    rho_n = block.rho_n
+    dim = rho_n.shape[0]
+    alice_cb = generate_codebook(
+        params, None, {ab.cond_seq: ab.pruned}, np.random.default_rng(alice_ss),
+        size=params.s_a, m_count=params.m_a, case=2,
+    )
+    bob_cb = generate_codebook(
+        params, block.bob_marg_pruned,
+        {c: blk.pruned for c, blk in block.bob_blocks.items()},
+        np.random.default_rng(bob_ss),
+    )
+
+    def operators(blk, codebook, size, m_count):
+        c = blk.s_cond / ((1.0 + params.eps) * size * m_count)
+        gamma, sums, fallback = {}, {}, {}
+        for m in range(m_count):
+            total = np.zeros((dim, dim), dtype=complex)
+            for j, seq in enumerate(codebook.codewords(blk.cond_seq, m)):
+                w = blk.gamma_factors[seq]
+                gamma[(j, m)] = hermitian_part(c * (w @ w.conj().T))
+                total = total + gamma[(j, m)]
+            sums[m] = hermitian_part(total)
+            top = float(np.linalg.eigvalsh(sums[m])[-1])
+            failed = codebook.failure_flags.get((blk.cond_seq, m), False)
+            fallback[m] = top > 1.0 + TAU_PSD or bool(failed)
+        return gamma, sums, fallback
+
+    def summed(gamma, fallback, codebook, cond_seq, m_count):
+        out = {}
+        for m in range(m_count):
+            if fallback[m]:
+                continue
+            for j, seq in enumerate(codebook.codewords(cond_seq, m)):
+                out[seq] = out.get(seq, 0.0) + gamma[(j, m)]
+        return out
+
+    if block.single.n_alice == 1:
+        eye = np.eye(dim)
+        only = (0,) * block.n
+        alice_gamma = {
+            (j, m): eye / (params.m_a * params.s_a)
+            for j in range(params.s_a) for m in range(params.m_a)
+        }
+        alice_fallback = dict.fromkeys(range(params.m_a), False)
+        lambda_tilde = {only: eye}
+        sqrt_lambda_tilde = {only: eye}
+    else:
+        alice_gamma, _, alice_fallback = operators(
+            ab, alice_cb, params.s_a, params.m_a
+        )
+        lambda_tilde = summed(
+            alice_gamma, alice_fallback, alice_cb, ab.cond_seq, params.m_a
+        )
+        sqrt_lambda_tilde = {
+            seq: sqrt_psd(hermitian_part(op)) for seq, op in lambda_tilde.items()
+        }
+
+    bob_gamma, bob_fallback, bob_bin_sums = {}, {}, {}
+    lambda_tilde_b, lambda_prime_b = {}, {}
+    for cond_seq, blk in block.bob_blocks.items():
+        gamma, sums, fallback = operators(blk, bob_cb, params.s_b, params.m_b)
+        bob_gamma[cond_seq] = gamma
+        for m in range(params.m_b):
+            bob_fallback[(cond_seq, m)] = fallback[m]
+            bob_bin_sums[(cond_seq, m)] = sums[m]
+        sqrt_true = block.sqrt_lambda_a_n[cond_seq]
+        sqrt_alice = sqrt_lambda_tilde.get(cond_seq)
+        for m in range(params.m_b):
+            if fallback[m]:
+                continue
+            for j, seq in enumerate(bob_cb.codewords(cond_seq, m)):
+                op = gamma[(j, m)]
+                term = hermitian_part(sqrt_true @ op @ sqrt_true)
+                lambda_prime_b[seq] = lambda_prime_b.get(seq, 0.0) + term
+                if sqrt_alice is not None:
+                    term = hermitian_part(sqrt_alice @ op @ sqrt_alice)
+                    lambda_tilde_b[seq] = lambda_tilde_b.get(seq, 0.0) + term
+
+    def weights(gamma, m, count, m_count, state):
+        return [
+            m_count * float(np.trace(gamma[(j, m)] @ state).real)
+            for j in range(count)
+        ]
+
+    alice_weights, bob_weights = {}, {}
+    for m_a in range(params.m_a):
+        words_a = alice_cb.codewords(ab.cond_seq, m_a)
+        alice_weights[m_a] = weights(
+            alice_gamma, m_a, len(words_a), params.m_a, rho_n
+        )
+        if alice_fallback[m_a]:
+            continue
+        for j_a, cond_seq in enumerate(words_a):
+            if alice_weights[m_a][j_a] <= TAU_PROB:
+                continue
+            if cond_seq not in block.bob_blocks:
+                continue
+            root = sqrt_psd(alice_gamma[(j_a, m_a)])
+            post = hermitian_part(root @ rho_n @ root)
+            post = post / float(np.trace(post).real)
+            for m_b in range(params.m_b):
+                if bob_fallback[(cond_seq, m_b)]:
+                    continue
+                count = len(bob_cb.codewords(cond_seq, m_b))
+                bob_weights[(m_a, j_a, m_b)] = weights(
+                    bob_gamma[cond_seq], m_b, count, params.m_b, post
+                )
+    return {
+        "alice_fallback": alice_fallback,
+        "bob_fallback": bob_fallback,
+        "bob_bin_sums": bob_bin_sums,
+        "lambda_tilde": lambda_tilde,
+        "sqrt_lambda_tilde": sqrt_lambda_tilde,
+        "lambda_tilde_b": lambda_tilde_b,
+        "lambda_prime_b": lambda_prime_b,
+        "alice_weights": alice_weights,
+        "bob_weights": bob_weights,
     }

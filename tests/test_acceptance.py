@@ -46,7 +46,7 @@ from povmcast.typicality import (
 )
 
 from conftest import random_scenario
-from oracles import conditioning_state, joint_information_oracle
+from oracles import conditioning_state, densify, joint_information_oracle
 
 QUBIT_PRESETS = ("bell-computational", "three-outcome-split", "pure-state")
 ALL_PRESETS = QUBIT_PRESETS + ("independent-product",)
@@ -301,6 +301,8 @@ def test_criterion_10_degenerate_cases():
     assert report.d_alice <= 1e-9, report.d_alice
 
     # comparing a measurement against itself is exactly zero (the table
-    # holds only the sequences a Bob codebook can draw)
-    d_self = faithfulness_distance(block.lambda_ref_b, block.lambda_ref_b, block.rho_n)
+    # holds the factors of the sequences a Bob codebook can draw, here
+    # densified to their operators F F^dag)
+    ref = densify(block.lambda_ref_b)
+    d_self = faithfulness_distance(ref, ref, block.rho_n)
     assert d_self == 0.0

@@ -533,6 +533,12 @@ def test_cli_validation_exit_codes(capsys, tmp_path):
     assert "exceeds cap" in err
     assert main(["simulate", "--config", "preset:pure-state", "--seed", "-1"]) == 2
     assert "seed" in capsys.readouterr().err
+    # rejected before any thread starts, so no large value is tried
+    for cmd in ("simulate", "sweep"):
+        for workers in ("0", "-3"):
+            argv = [cmd, "--config", "preset:pure-state", "--workers", workers]
+            assert main(argv) == 2
+            assert "--workers" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("raw", ["abc", "0"])

@@ -28,13 +28,16 @@ from povmcast.presets import preset_document, preset_names
 from povmcast.protocol import (
     BobOperatorSet,
     ProtocolParams,
+    _codeword_weights,
+    _collapsed_state,
+    _signed_trace_norm,
     build_alice_measurement,
     build_gamma,
     build_omega_and_cutoff,
     build_xi_prime,
     validate_subpovm,
 )
-from povmcast.linalg import TAU_PROB, hermitian_part, kron_all, sqrt_psd
+from povmcast.linalg import TAU_PROB, TAU_PSD, hermitian_part, kron_all, sqrt_psd
 from povmcast.measurement import SUPPORT_CUTOFF_REL
 from povmcast.typicality import (
     branch_eigensystem,
@@ -270,11 +273,17 @@ def _assert_matches_dense_oracle(single, params, trivial=False, sqrt_tol=1e-10):
     for blk in block.bob_blocks.values():
         bob_members.update(blk.typical.members)
     assert set(block.lambda_ref_b) == bob_members
-    for seq, mat in block.lambda_a_n.items():
-        close(mat, kron_all([single.alice_povm.elements[a] for a in seq]), 0.0)
+    # each reference is held as a factor F with Lambda_x = F F^dag
+    dim = block.rho_n.shape[0]
+    for seq, f in block.lambda_a_n.items():
+        mat = kron_all([single.alice_povm.elements[a] for a in seq])
+        assert f.shape[0] == dim and f.shape[1] <= dim
+        close(f @ f.conj().T, mat, 1e-14)
         close(block.sqrt_lambda_a_n[seq], sqrt_psd(mat), sqrt_tol)
-    for seq, mat in block.lambda_ref_b.items():
-        close(mat, kron_all([single.bob_reference.elements[b] for b in seq]), 0.0)
+    for seq, f in block.lambda_ref_b.items():
+        mat = kron_all([single.bob_reference.elements[b] for b in seq])
+        assert f.shape[0] == dim and f.shape[1] <= dim
+        close(f @ f.conj().T, mat, 1e-14)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -404,21 +413,29 @@ def test_build_gamma_scaling():
         blk, cb, size=BELL_PARAMS.s_b, m_count=BELL_PARAMS.m_b, eps=BELL_PARAMS.eps
     )
     factor = blk.s_cond / ((1.0 + BELL_PARAMS.eps) * BELL_PARAMS.s_b * BELL_PARAMS.m_b)
+    dim = block.rho_n.shape[0]
     for m in range(BELL_PARAMS.m_b):
         words = cb.codewords(cond_seq, m)
-        total = np.zeros_like(opset.bin_sums[m])
+        total = np.zeros((dim, dim), dtype=complex)
         for j, seq in enumerate(words):
             w = blk.gamma_factors[seq]
             expect = factor * (w @ w.conj().T)
             expect = 0.5 * (expect + expect.conj().T)
-            assert np.allclose(opset.gamma[(j, m)], expect, atol=1e-14)
+            # codeword (j, m) stands for scale * w w^dag of its member
+            assert opset.gamma[(j, m)] == seq
+            assert np.allclose(opset.scale * (w @ w.conj().T), expect, atol=1e-14)
             total = total + expect
-        assert np.allclose(opset.bin_sums[m], total, atol=1e-13)
+        assert sum(opset.bin_counts[m].values()) == len(words)
+        g = np.hstack(opset.columns(opset.bin_counts[m]))
+        assert np.allclose(g @ g.conj().T, total, atol=1e-13)
 
 
 def test_validate_subpovm_leak_and_selection_failure():
     eye = np.eye(2)
-    blk_stub = type("Blk", (), {"cond_seq": (0,)})()
+    unit = np.array([[0.8], [0.6]])
+    blk_stub = type(
+        "Blk", (), {"cond_seq": (0,), "gamma_factors": {(0,): eye, (1,): unit}}
+    )()
 
     def fake_codebook(flags):
         return Codebook(
@@ -426,29 +443,40 @@ def test_validate_subpovm_leak_and_selection_failure():
             entries={}, selection={}, failure_flags=flags,
         )
 
-    leaky = BobOperatorSet(
-        block=blk_stub,
-        gamma={(0, 0): 0.6 * eye, (0, 1): 0.6 * eye},
-        bin_sums={0: 1.2 * eye, 1: 0.6 * eye},
-        is_valid_subpovm={},
-        fallback_applied={},
-    )
+    def opset(bin_counts, scale):
+        gamma = {
+            (j, m): seq
+            for m, counts in bin_counts.items()
+            for j, seq in enumerate(
+                s for s, k in counts.items() for _ in range(k)
+            )
+        }
+        return BobOperatorSet(
+            block=blk_stub, gamma=gamma, bin_counts=bin_counts, scale=scale,
+            is_valid_subpovm={}, fallback_applied={},
+        )
+
+    # bin sums 1.2 I and 0.6 I
+    leaky = opset({0: {(0,): 2}, 1: {(0,): 1}}, 0.6)
     validate_subpovm(leaky, fake_codebook({}))
     assert leaky.is_valid_subpovm == {0: False, 1: True}
     assert leaky.fallback_applied == {0: True, 1: False}
     assert leaky.fallback_rate == 0.5
 
     # a selection failure forces fallback even when the sum is fine
-    ok = BobOperatorSet(
-        block=blk_stub,
-        gamma={(0, 0): 0.6 * eye, (0, 1): 0.6 * eye},
-        bin_sums={0: 0.6 * eye, 1: 0.6 * eye},
-        is_valid_subpovm={},
-        fallback_applied={},
-    )
+    ok = opset({0: {(0,): 1}, 1: {(0,): 1}}, 0.6)
     validate_subpovm(ok, fake_codebook({((0,), 1): True}))
     assert ok.is_valid_subpovm == {0: True, 1: True}
     assert ok.fallback_applied == {0: False, 1: True}
+
+    # fewer columns than rows: the top eigenvalue comes from the Gram
+    # matrix; 1.05 u u^dag leaks, 0.6 u u^dag and an empty bin do not
+    rank_one = opset({0: {(1,): 1}, 1: {}}, 1.05)
+    validate_subpovm(rank_one, fake_codebook({}))
+    assert rank_one.is_valid_subpovm == {0: False, 1: True}
+    rank_one = opset({0: {(1,): 1}, 1: {}}, 0.6)
+    validate_subpovm(rank_one, fake_codebook({}))
+    assert rank_one.is_valid_subpovm == {0: True, 1: True}
 
 
 def test_scaled_average_stays_below_block_state():
@@ -475,8 +503,12 @@ def test_alice_trivial_when_single_letter():
     alice = build_alice_measurement(block, params, np.random.default_rng(2))
     assert alice.trivial
     only = (0, 0)
+    # the summed operator I is held as its factor I
     assert np.allclose(alice.lambda_tilde[only], np.eye(4))
-    assert np.allclose(alice.opset.gamma[(0, 0)], np.eye(4) / 6)
+    # every codeword is the only sequence, whose operator is I / 6
+    assert alice.opset.gamma[(0, 0)] == only
+    w = alice.opset.block.gamma_factors[only]
+    assert np.allclose(alice.opset.scale * (w @ w.conj().T), np.eye(4) / 6)
     assert len(alice.opset.gamma) == params.s_a * params.m_a
     assert alice.fallback_rate == 0.0
 
@@ -492,14 +524,18 @@ def test_assemble_matches_naive_accumulation():
             if opset.fallback_applied[m]:
                 continue
             for j, seq in enumerate(instance.bob_codebook.codewords(cond_seq, m)):
-                term = sqrt_true @ opset.gamma[(j, m)] @ sqrt_true
+                assert opset.gamma[(j, m)] == seq
+                w = opset.block.gamma_factors[seq]
+                op = opset.scale * (w @ w.conj().T)
+                term = sqrt_true @ op @ sqrt_true
                 naive[seq] = naive.get(seq, 0.0) + 0.5 * (term + term.conj().T)
     # keys are exactly the sequences with a contribution; a missing key
     # is the zero operator
     assert naive
     assert set(instance.lambda_prime_b) == set(naive)
+    prime = oracles.densify(instance.lambda_prime_b)
     for seq, mat in naive.items():
-        assert np.allclose(instance.lambda_prime_b[seq], mat, atol=1e-12)
+        assert np.allclose(prime[seq], mat, atol=1e-12)
     assert set(instance.lambda_tilde_b) <= set(naive)
 
 
@@ -540,6 +576,123 @@ def test_saturated_instance_scores_match_dense_oracle():
     assert abs(report.d_bob - 1.0) <= 1e-12
 
 
+def _assert_trial_matches_dense_oracle(
+    block, params, mode, seed, root_tol=1e-10
+):
+    """The count route of one trial against oracles.dense_trial_operators:
+    fallback flags identical; Alice's and Bob's operators and every
+    sampling weight within 1e-10. What the oracle derives from sqrt_psd
+    (Alice's roots, lambda_tilde_b and Bob's weights) is compared within
+    root_tol, and the count route's roots must square to lambda_tilde
+    within 1e-10."""
+    instance = build_protocol_instance(
+        block, params, mode=mode, seed_seq=np.random.SeedSequence(seed)
+    )
+    want = oracles.dense_trial_operators(
+        block, params, np.random.SeedSequence(seed)
+    )
+    alice = instance.alice
+
+    def close(got, ref, tol=1e-10):
+        assert set(got) == set(ref)
+        for key, mat in got.items():
+            assert np.abs(mat - ref[key]).max() <= tol, (key, seed)
+
+    assert alice.opset.fallback_applied == want["alice_fallback"]
+    assert {
+        (cond_seq, m): flag
+        for cond_seq, opset in instance.bob_sets.items()
+        for m, flag in opset.fallback_applied.items()
+    } == want["bob_fallback"]
+    lambda_tilde = oracles.densify(alice.lambda_tilde)
+    close(lambda_tilde, want["lambda_tilde"])
+    close(
+        {seq: root @ root for seq, root in alice.sqrt_lambda_tilde.items()},
+        lambda_tilde,
+    )
+    close(alice.sqrt_lambda_tilde, want["sqrt_lambda_tilde"], root_tol)
+    close(
+        oracles.densify(instance.lambda_tilde_b), want["lambda_tilde_b"], root_tol
+    )
+    close(oracles.densify(instance.lambda_prime_b), want["lambda_prime_b"])
+
+    cond_a = block.alice_block.cond_seq
+    for m_a, ref in want["alice_weights"].items():
+        words = alice.codebook.codewords(cond_a, m_a)
+        got = _codeword_weights(alice.opset, words, params.m_a, block.rho_n)
+        assert np.allclose(got, ref, rtol=0.0, atol=1e-10)
+    for (m_a, j_a, m_b), ref in want["bob_weights"].items():
+        cond_seq = alice.codebook.codewords(cond_a, m_a)[j_a]
+        post = _collapsed_state(alice, cond_seq, block.rho_n)
+        words = instance.bob_codebook.codewords(cond_seq, m_b)
+        got = _codeword_weights(
+            instance.bob_sets[cond_seq], words, params.m_b, post
+        )
+        assert np.allclose(got, ref, rtol=0.0, atol=root_tol)
+    return instance, want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", preset_names())
+def test_trial_operators_match_dense_oracle_on_presets(name, n):
+    cfg = config_from_dict(preset_document(name), name=name)
+    single = prepare_scenario(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b)
+    params = replace(cfg.params, n=n)
+    block = build_block_scenario(single, params)
+    for seed in (0, 1, 2):
+        _assert_trial_matches_dense_oracle(block, params, cfg.mode, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rank_two_scenarios(),
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_trial_operators_match_dense_oracle_on_rank_two_scenarios(
+    case, size, m_count, seed
+):
+    single, params, trivial = case
+    params = replace(params, s_a=size, m_a=m_count, s_b=size, m_b=m_count)
+    try:
+        block = build_block_scenario(single, params, trivial_projectors=trivial)
+    except (EmptySupport, NegligibleProbability):
+        assume(False)
+    # The oracle's sqrt_psd of a singular operator is only about
+    # sqrt(machine eps)-accurate; the count route's roots are checked
+    # exactly through their squares.
+    _assert_trial_matches_dense_oracle(
+        block, params, "with_alice_randomness", seed, root_tol=1e-7
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", preset_names())
+def test_instance_invariants_on_presets(name, n):
+    # what the construction guarantees for every trial: d in [0, 2], the
+    # split bounds d, and every Bob bin that serves outcomes sums below
+    # the identity (the sums rebuilt densely by the oracle)
+    cfg = config_from_dict(preset_document(name), name=name)
+    single = prepare_scenario(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b)
+    params = replace(cfg.params, n=n)
+    block = build_block_scenario(single, params)
+    for seed in (0, 1, 2):
+        instance = build_protocol_instance(
+            block, params, mode=cfg.mode, seed_seq=np.random.SeedSequence(seed)
+        )
+        report = instance_report(instance)
+        assert 0.0 <= report.d_bob <= 2.0
+        assert report.d_bob <= report.atypical + report.d2 + report.d3 + 1e-9
+        want = oracles.dense_trial_operators(
+            block, params, np.random.SeedSequence(seed)
+        )
+        for (cond_seq, m), total in want["bob_bin_sums"].items():
+            if instance.bob_sets[cond_seq].fallback_applied[m]:
+                continue
+            assert np.linalg.eigvalsh(total)[-1] <= 1.0 + TAU_PSD
+
+
 def test_instance_modes_and_seeding():
     single = trine_single()
     block = build_block_scenario(single, TRINE_PARAMS)
@@ -556,6 +709,24 @@ def test_instance_modes_and_seeding():
     assert a.alice.codebook.entries == b.alice.codebook.entries
     c = build_protocol_instance(block, TRINE_PARAMS, seed_seq=np.random.SeedSequence(5))
     assert c.bob_codebook.entries != a.bob_codebook.entries
+
+
+@pytest.mark.parametrize(
+    "dim,k_plus,k_minus", [(8, 2, 3), (4, 5, 3), (4, 0, 2), (4, 0, 0)]
+)
+def test_signed_trace_norm_matches_dense_svd(dim, k_plus, k_minus):
+    # fewer stacked columns than rows, more (R is then dim x K), one side
+    # empty, and both empty
+    rng = np.random.default_rng(dim * 100 + k_plus * 10 + k_minus)
+
+    def factor(k):
+        return rng.normal(size=(dim, k)) + 1j * rng.normal(size=(dim, k))
+
+    p, m = factor(k_plus), factor(k_minus)
+    diff = p @ p.conj().T - m @ m.conj().T
+    want = np.linalg.svd(diff, compute_uv=False).sum()
+    assert abs(_signed_trace_norm(p, m) - want) <= 1e-12 * max(1.0, want)
+    assert _signed_trace_norm(p, p) <= 1e-12 * max(1.0, want)
 
 
 def test_faithfulness_distance_identity_and_split():
@@ -622,6 +793,8 @@ def test_simulate_trials_worker_invariance():
     single = trine_single()
     with pytest.raises(ValueError):
         simulate_trials(single, TRINE_PARAMS, trials=0)
+    with pytest.raises(ValueError):
+        simulate_trials(single, TRINE_PARAMS, trials=2, workers=0)
     serial = simulate_trials(single, TRINE_PARAMS, trials=6)
     block = build_block_scenario(single, TRINE_PARAMS)
     threaded = simulate_trials(single, TRINE_PARAMS, trials=6, block=block, workers=3)
