@@ -31,9 +31,7 @@ print()
 print(" s_B   median d   mean d     shortfall rate")
 for s_b in sizes:
     params = params_with_axis(cfg.params, "sB", s_b)
-    records = simulate_trials(
-        single, params, mode=cfg.mode, trials=trials, workers=4
-    )
+    records = simulate_trials(single, params, mode=cfg.mode, trials=trials)
     ds = [rec.report.d_bob for rec in records]
     ec = float(np.mean([rec.report.ec_rate for rec in records]))
     groups.append(ds)

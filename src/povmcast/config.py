@@ -120,7 +120,13 @@ def resolve_size(value, n: int, env: dict, scalars: dict, field: str) -> int:
         return value
     if isinstance(value, str):
         rate = evaluate_rate_expression(value, env, scalars)
-        return max(1, math.ceil(2.0 ** (n * rate)))
+        try:
+            return max(1, math.ceil(2.0 ** (n * rate)))
+        except (OverflowError, ValueError):
+            # an infinite or NaN rate, or 2^(n rate) beyond float range
+            raise ConfigError(
+                f"{field}: 2^({n} * {rate!r}) is not a finite codebook size"
+            ) from None
     raise ConfigError(f"{field} must be an integer or expression string")
 
 

@@ -236,7 +236,6 @@ def conditional_povm(
     g_a: OutcomeFunction,
     g_b: OutcomeFunction,
     x_a: int,
-    cutoff_rel: float = SUPPORT_CUTOFF_REL,
 ) -> Povm:
     """POVM the server applies after announcing the coarse outcome x_a.
 
@@ -256,7 +255,7 @@ def conditional_povm(
     scale = float(np.linalg.norm(branch, 2))
     if scale <= TAU_PSD:
         raise EmptyBranch(f"coarse element for x_a={x_a} is numerically zero")
-    cutoff = cutoff_rel * scale
+    cutoff = SUPPORT_CUTOFF_REL * scale
     pinv_root = pinv_sqrt_on_support(branch, cutoff)
     proj = support_projector(branch, cutoff)
     elements = []

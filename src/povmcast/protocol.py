@@ -157,8 +157,8 @@ class SingleLetterScenario:
     """One-copy data shared by every block computation.
 
     p_cond rows belonging to Alice outcomes of negligible probability are
-    all zero; the matching entries are absent from post_states, cond_povms
-    and hat_states.
+    all zero; the matching entries are absent from post_states and
+    hat_states.
     """
 
     rho: DensityOperator
@@ -171,7 +171,6 @@ class SingleLetterScenario:
     p_b: np.ndarray
     p_cond: np.ndarray
     post_states: dict
-    cond_povms: dict
     hat_states: dict
     h_r: float
     h_r_given_xa: float
@@ -194,7 +193,6 @@ def prepare_scenario(rho, povm, g_a, g_b) -> SingleLetterScenario:
     p_b = born_probabilities(rho, bob_reference)
 
     post_states = {}
-    cond_povms = {}
     hat_states = {}
     p_cond = np.zeros((g_a.image_size, g_b.image_size))
     for a in range(g_a.image_size):
@@ -203,7 +201,6 @@ def prepare_scenario(rho, povm, g_a, g_b) -> SingleLetterScenario:
         _, rho_a = post_measurement_state(rho, alice_povm.elements[a])
         post_states[a] = rho_a
         cpov = conditional_povm(povm, g_a, g_b, a)
-        cond_povms[a] = cpov
         probs = born_probabilities(rho_a, cpov)
         p_cond[a, :] = probs[: g_b.image_size]
         sqrt_a = sqrt_psd(rho_a.mat)
@@ -237,7 +234,6 @@ def prepare_scenario(rho, povm, g_a, g_b) -> SingleLetterScenario:
         p_b=p_b,
         p_cond=p_cond,
         post_states=post_states,
-        cond_povms=cond_povms,
         hat_states=hat_states,
         h_r=float(h_r),
         h_r_given_xa=float(h_r_given_xa),
@@ -281,19 +277,31 @@ CUTOFF_FLOOR_REL = 1e-13
 
 @dataclass(eq=False)
 class CutoffResult:
-    """Eigenvalue cutoff of the averaged compressed state.
+    """Eigenvalue cutoff of the averaged compressed state, as factors.
 
-    projector keeps the eigenspaces of xi_bar above threshold; omega is
-    the cut average, xi maps each member to the factor P F of its cut
-    compressed state P xi' P. empty flags a cutoff that removed
-    everything.
+    basis (D x r) spans the eigenspaces of xi_bar above threshold, so the
+    cutoff projector is basis basis^dag; the cut average omega is
+    weighted weighted^dag. xi maps each member to the factor P F of its
+    cut compressed state P xi' P.
     """
 
-    projector: np.ndarray
-    omega: np.ndarray
+    basis: np.ndarray
+    weighted: np.ndarray
     xi: dict
     threshold: float
-    empty: bool
+
+    @property
+    def projector(self) -> np.ndarray:
+        return hermitian_part(self.basis @ self.basis.conj().T)
+
+    @property
+    def omega(self) -> np.ndarray:
+        return hermitian_part(self.weighted @ self.weighted.conj().T)
+
+    @property
+    def empty(self) -> bool:
+        """True when the cutoff removed everything."""
+        return self.basis.shape[1] == 0
 
 
 def build_omega_and_cutoff(
@@ -315,11 +323,10 @@ def build_omega_and_cutoff(
     )
     if trivial:
         return CutoffResult(
-            projector=np.eye(dim),
-            omega=hermitian_part(g @ g.conj().T),
+            basis=np.eye(dim),
+            weighted=g,
             xi=dict(xi_prime_map),
             threshold=float("-inf"),
-            empty=False,
         )
     threshold = eps * 2.0 ** (-n * (h_ref_given_cond + delta))
     gram = g.shape[1] < dim
@@ -333,11 +340,10 @@ def build_omega_and_cutoff(
         vecs = dec.eigenvectors[:, keep]
     scaled = vecs * np.sqrt(mu[keep])
     return CutoffResult(
-        projector=hermitian_part(vecs @ vecs.conj().T),
-        omega=hermitian_part(scaled @ scaled.conj().T),
+        basis=vecs,
+        weighted=scaled,
         xi={m: vecs @ (vecs.conj().T @ f) for m, f in xi_prime_map.items()},
         threshold=float(threshold),
-        empty=not bool(keep.any()),
     )
 
 
@@ -465,9 +471,6 @@ class BlockScenario:
 
     single: SingleLetterScenario
     n: int
-    delta: float
-    eps: float
-    trivial_projectors: bool
     rho_n: np.ndarray
     sqrt_rho_n: np.ndarray
     alice_block: ConditioningBlock
@@ -583,9 +586,6 @@ def build_block_scenario(
     return BlockScenario(
         single=single,
         n=n,
-        delta=delta,
-        eps=eps,
-        trivial_projectors=trivial_projectors,
         rho_n=rho_n,
         sqrt_rho_n=sqrt_rho_n,
         alice_block=alice_block,
@@ -597,6 +597,12 @@ def build_block_scenario(
         sqrt_lambda_a_n=sqrt_lambda_a_n,
         lambda_ref_b=lambda_ref_b,
     )
+
+
+def _share(flags) -> float:
+    """Fraction of true flags; 0 when there are none."""
+    flags = [bool(v) for v in flags]
+    return float(sum(flags)) / len(flags) if flags else 0.0
 
 
 @dataclass(eq=False)
@@ -635,10 +641,7 @@ class Codebook:
 
     @property
     def failure_rate(self) -> float:
-        if not self.failure_flags:
-            return 0.0
-        vals = list(self.failure_flags.values())
-        return float(sum(bool(v) for v in vals)) / len(vals)
+        return _share(self.failure_flags.values())
 
 
 def generate_codebook(
@@ -649,7 +652,6 @@ def generate_codebook(
     *,
     size=None,
     m_count=None,
-    size_prime=None,
     case=None,
 ) -> Codebook:
     """Draw the codebook for one trial.
@@ -662,7 +664,6 @@ def generate_codebook(
     case = params.case if case is None else case
     size = params.s_b if size is None else size
     m_count = params.m_b if m_count is None else m_count
-    size_prime = params.s_b_prime if size_prime is None else size_prime
 
     entries = {}
     selection = {}
@@ -686,7 +687,7 @@ def generate_codebook(
     if marginal is None:
         raise SizeMismatch("case 1 needs a pruned output marginal")
     for m in range(m_count):
-        entries[m] = tuple(sample_sequences(marginal, rng, size_prime))
+        entries[m] = tuple(sample_sequences(marginal, rng, params.s_b_prime))
     member_sets = {
         cond_seq: frozenset(conditionals[cond_seq].base.members)
         for cond_seq in cond_keys
@@ -706,7 +707,7 @@ def generate_codebook(
         case=1,
         size=size,
         m_count=m_count,
-        size_prime=size_prime,
+        size_prime=params.s_b_prime,
         entries=entries,
         selection=selection,
         failure_flags=failure,
@@ -738,10 +739,7 @@ class BobOperatorSet:
 
     @property
     def fallback_rate(self) -> float:
-        if not self.fallback_applied:
-            return 0.0
-        vals = list(self.fallback_applied.values())
-        return float(sum(bool(v) for v in vals)) / len(vals)
+        return _share(self.fallback_applied.values())
 
     def pooled_counts(self) -> dict:
         """Member -> count over the bins that did not fall back."""
@@ -824,19 +822,17 @@ def build_gamma(
     )
 
 
-def validate_subpovm(
-    opset: BobOperatorSet, codebook: Codebook, *, tol=TAU_PSD
-) -> BobOperatorSet:
+def validate_subpovm(opset: BobOperatorSet, codebook: Codebook) -> BobOperatorSet:
     """Check each bin sums below the identity; mark fallbacks.
 
     A bin falls back when its operators leak above identity by more than
-    tol, or when its case-1 codeword selection failed. Fallback bins are
+    TAU_PSD, or when its case-1 codeword selection failed. Fallback bins are
     served by the trivial measurement {I} downstream, so their codewords
     are ignored there.
     """
     for m in range(codebook.m_count):
         top = _top_eigenvalue(opset.columns(opset.bin_counts.get(m, {})))
-        valid = top <= 1.0 + tol
+        valid = top <= 1.0 + TAU_PSD
         failed = bool(
             codebook.failure_flags.get((opset.cond_seq, m), False)
         )
@@ -864,10 +860,6 @@ class AliceMeasurement:
     lambda_tilde: dict
     sqrt_lambda_tilde: dict
     trivial: bool
-
-    @property
-    def fallback_rate(self) -> float:
-        return self.opset.fallback_rate
 
 
 def build_alice_measurement(
@@ -985,30 +977,6 @@ class ProtocolInstance:
     lambda_tilde_b: dict
     lambda_prime_b: dict
     trial_seed: np.random.SeedSequence
-
-    @property
-    def subpovm_failure_rate(self) -> float:
-        flags = []
-        for opset in self.bob_sets.values():
-            flags.extend(
-                not v for v in opset.is_valid_subpovm.values()
-            )
-        if not flags:
-            return 0.0
-        return float(sum(flags)) / len(flags)
-
-    @property
-    def fallback_rate(self) -> float:
-        flags = []
-        for opset in self.bob_sets.values():
-            flags.extend(bool(v) for v in opset.fallback_applied.values())
-        if not flags:
-            return 0.0
-        return float(sum(flags)) / len(flags)
-
-    @property
-    def ec_rate(self) -> float:
-        return self.bob_codebook.failure_rate
 
 
 MODES = ("with_alice_randomness", "without_alice_randomness")
@@ -1167,14 +1135,10 @@ def empirical_e0_check(
     for cond_seq in sorted(conditionals.keys()):
         law = conditionals[cond_seq]
         draws = []
-        if codebook.case == 2:
-            for m in range(codebook.m_count):
-                draws.extend(codebook.entries[(cond_seq, m)])
-        else:
-            for m in range(codebook.m_count):
-                if codebook.failure_flags.get((cond_seq, m), False):
-                    continue
-                draws.extend(codebook.codewords(cond_seq, m))
+        for m in range(codebook.m_count):
+            if codebook.failure_flags.get((cond_seq, m), False):
+                continue
+            draws.extend(codebook.codewords(cond_seq, m))
         counts = {}
         for seq in draws:
             counts[seq] = counts.get(seq, 0) + 1
@@ -1242,15 +1206,20 @@ def instance_report(instance: ProtocolInstance) -> FaithfulnessReport:
     e0 = empirical_e0_check(
         instance.bob_codebook, conditionals, instance.params.eps
     )
+    opsets = instance.bob_sets.values()
     return FaithfulnessReport(
         d_bob=float(d_bob),
         d_alice=float(d_alice),
         atypical=float(atypical),
         d2=float(d2),
         d3=float(d3),
-        subpovm_failure_rate=instance.subpovm_failure_rate,
-        fallback_rate=instance.fallback_rate,
-        ec_rate=instance.ec_rate,
+        subpovm_failure_rate=_share(
+            not v for o in opsets for v in o.is_valid_subpovm.values()
+        ),
+        fallback_rate=_share(
+            v for o in opsets for v in o.fallback_applied.values()
+        ),
+        ec_rate=instance.bob_codebook.failure_rate,
         e0_ok=e0.ok,
         e0_violation=float(e0.violation),
         saturated=not tilde,

@@ -548,6 +548,20 @@ def test_cli_malformed_dim_cap_exits_2(capsys, monkeypatch, raw):
     assert "POVMCAST_DIM_CAP" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    # 2^(n * rate) overflows a float, or the rate is NaN (inf - inf);
+    # both fail before any codebook is drawn
+    "expr", ["H(X_B) * 1000", "1e308 * 10 - 1e308 * 10"]
+)
+def test_cli_unrepresentable_size_expression_exits_2(capsys, tmp_path, expr):
+    doc = preset_document("bell-computational")
+    doc["protocol"]["sB"] = expr
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(path)]) == 2
+    assert "protocol.sB" in capsys.readouterr().err
+
+
 def test_module_entrypoint_runs():
     import subprocess
     import sys

@@ -294,6 +294,35 @@ def test_factored_block_matches_dense_oracle_on_presets(name, n):
     _assert_matches_dense_oracle(single, replace(cfg.params, n=n))
 
 
+def _owner(a):
+    """The array whose buffer a view a keeps alive."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_cutoff_keeps_only_its_factors(n):
+    # projector and omega are basis basis^dag and weighted weighted^dag;
+    # the block must not hold a D x D buffer for a rank-r cutoff
+    name = "three-outcome-split"
+    cfg = config_from_dict(preset_document(name), name=name)
+    single = prepare_scenario(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b)
+    block = build_block_scenario(single, replace(cfg.params, n=n))
+    dim = block.rho_n.shape[0]
+    checked = 0
+    for blk in [block.alice_block, *block.bob_blocks.values()]:
+        cut = blk.cutoff
+        rank = cut.basis.shape[1]
+        if rank >= dim:
+            continue
+        owners = {id(o): o for o in map(_owner, (cut.basis, cut.weighted))}
+        assert sum(o.size for o in owners.values()) <= 2 * dim * rank
+        assert cut.weighted.shape == (dim, rank)
+        checked += 1
+    assert checked > 0
+
+
 @st.composite
 def rank_two_scenarios(draw):
     dim = draw(st.sampled_from([2, 3]))
@@ -510,7 +539,7 @@ def test_alice_trivial_when_single_letter():
     w = alice.opset.block.gamma_factors[only]
     assert np.allclose(alice.opset.scale * (w @ w.conj().T), np.eye(4) / 6)
     assert len(alice.opset.gamma) == params.s_a * params.m_a
-    assert alice.fallback_rate == 0.0
+    assert alice.opset.fallback_rate == 0.0
 
 
 def test_assemble_matches_naive_accumulation():
