@@ -41,8 +41,8 @@ from .linalg import (
     _psd_eigenvalues,
     dimension_cap,
     hermitian_part,
-    kron_all,
-    # unused here, but perfbench/tracing.py wraps this module attribute
+    # unused here, but perfbench/tracing.py wraps these module attributes
+    kron_all,  # noqa: F401
     pinv_sqrt_on_support,  # noqa: F401
     spectral_decompose,
     sqrt_psd,
@@ -64,7 +64,8 @@ from .typicality import (
     _typical_mask,
     branch_eigensystem,
     build_typical_set,
-    conditional_quantum_typical_projector,
+    # unused here, but perfbench/tracing.py wraps this module attribute
+    conditional_quantum_typical_projector,  # noqa: F401
     conditional_typical_set,
     prune,
     prune_conditional,
@@ -240,21 +241,87 @@ def prepare_scenario(rho, povm, g_a, g_b) -> SingleLetterScenario:
     )
 
 
-def build_xi_prime(pair_eigs, proj_c, delta) -> np.ndarray:
-    """Factor F of a compressed block post-measurement state, xi' = F F^dag.
+def _kron(a, b) -> np.ndarray:
+    """a (x) b as one broadcast product; np.kron costs several times more
+    at the sizes a trial scores."""
+    (p, q), (r, s) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
+
+
+@dataclass(frozen=True, eq=False)
+class _Kron:
+    """The Kronecker product left (x) right of two half-products.
+
+    Applied to a factor G as two matmuls: (A (x) B) G reshapes G to
+    (a, b K), multiplies by A, then multiplies each of the a row blocks
+    by B. No matrix of the product's size is formed.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+
+    def __matmul__(self, g) -> np.ndarray:
+        (a, a_in), (b, b_in) = self.left.shape, self.right.shape
+        k = g.shape[1]
+        t = (self.left @ g.reshape(a_in, b_in * k)).reshape(a, b_in, k)
+        return (self.right @ t).reshape(a * b, k)
+
+    @property
+    def H(self) -> "_Kron":
+        return _Kron(self.left.conj().T, self.right.conj().T)
+
+    def dense(self) -> np.ndarray:
+        """The product as one matrix, for a thin factor that is scored."""
+        return _kron(self.left, self.right)
+
+
+def _kron_halves(mats, seq, memo) -> _Kron:
+    """mats[s_1] (x) ... (x) mats[s_n] over seq, split at h = n // 2; the
+    matrices may be rectangular, and an empty half is the 1 x 1 identity.
+    Each half-product is formed once per half-sequence and shared through
+    memo, so a table over many sequences holds only small matrices."""
+    h = len(seq) // 2
+    halves = []
+    for part in (tuple(seq[:h]), tuple(seq[h:])):
+        if part not in memo:
+            memo[part] = reduce(_kron, [mats[s] for s in part], np.ones((1, 1)))
+        halves.append(memo[part])
+    return _Kron(*halves)
+
+
+def _in_basis(basis: _Kron, diag, g) -> np.ndarray:
+    """basis diag(diag) basis^dag g."""
+    return basis @ (diag[:, None] * (basis.H @ g))
+
+
+def _batched(apply, factors: dict) -> dict:
+    """apply run once on the hstack of every factor, split back per key."""
+    out = apply(np.concatenate(list(factors.values()), axis=1))
+    split = {}
+    start = 0
+    for key, f in factors.items():
+        split[key] = out[:, start : start + f.shape[1]]
+        start += f.shape[1]
+    return split
+
+
+def build_xi_prime(pair_eigs, delta) -> np.ndarray:
+    """Factor F of P_hat rho_hat^n P_hat, the block post-measurement state
+    compressed by its own typical projector; P_C is applied by the
+    caller, batched over a block's members.
 
     pair_eigs holds the branch eigensystem of the hat state at each
     position. P_hat and rho_hat^n share their Kronecker eigenbasis, so
     P_hat rho_hat^n P_hat = V_M diag(lambda_M) V_M^dag, where M masks the
     typical branches and lambda is the product of the per-position
     eigenvalues; only the masked columns of V are formed. Returns
-    P_C V_M diag(sqrt(lambda_M)). With proj_c None (trivial projectors)
-    P_C and P_hat are the identity and every branch with lambda > 0 is
-    kept, so F F^dag is rho_hat^n itself.
+    V_M diag(sqrt(lambda_M)). With delta None (trivial projectors) P_hat
+    is the identity and every branch with lambda > 0 is kept, so F F^dag
+    is rho_hat^n itself.
     """
     values = [w for w, _ in pair_eigs]
     shape = [w.size for w in values]
-    if proj_c is None:
+    if delta is None:
         keep = reduce(np.multiply.outer, values).ravel() > 0.0
     else:
         _, keep = _typical_mask(values, delta)
@@ -265,8 +332,7 @@ def build_xi_prime(pair_eigs, proj_c, delta) -> np.ndarray:
         lam = lam * w[k]
         rows = cols.shape[0] * v.shape[0]
         cols = (cols[:, None, :] * v[:, k][None, :, :]).reshape(rows, k.size)
-    factor = cols * np.sqrt(lam)
-    return factor if proj_c is None else proj_c @ factor
+    return cols * np.sqrt(lam)
 
 
 # Eigenvalues of the averaged compressed state at or below this fraction
@@ -342,7 +408,7 @@ def build_omega_and_cutoff(
     return CutoffResult(
         basis=vecs,
         weighted=scaled,
-        xi={m: vecs @ (vecs.conj().T @ f) for m, f in xi_prime_map.items()},
+        xi=_batched(lambda g: vecs @ (vecs.conj().T @ g), xi_prime_map),
         threshold=float(threshold),
     )
 
@@ -366,25 +432,39 @@ class ConditioningBlock:
     cutoff: CutoffResult
 
 
-def _pinv_sqrt_product(states, cond_seq):
-    """rho_cond^{-1/2} on its support as (basis, diagonal) from the
-    single-letter eigensystems; the support cutoff applies to the
-    products of the single-letter eigenvalues."""
-    decs = {sym: _psd_eigenvalues(states[sym]) for sym in set(cond_seq)}
-    values = reduce(
-        np.multiply.outer, [decs[sym].eigenvalues for sym in cond_seq]
-    ).ravel()
+class _ProductEigs:
+    """Eigensystems of the single-letter conditioning states, computed once
+    per scenario. A product state along a conditioning sequence has the
+    Kronecker product of their eigenvectors as its eigenbasis, formed as
+    half-products shared by every block through memo."""
+
+    def __init__(self, states):
+        decs = {sym: _psd_eigenvalues(m) for sym, m in states.items()}
+        self.values = {sym: d.eigenvalues for sym, d in decs.items()}
+        self.vectors = {sym: d.eigenvectors for sym, d in decs.items()}
+        self.memo = {}
+
+    def eigenvalues(self, cond_seq) -> list:
+        return [self.values[sym] for sym in cond_seq]
+
+    def basis(self, cond_seq) -> _Kron:
+        return _kron_halves(self.vectors, cond_seq, self.memo)
+
+
+def _pinv_sqrt_product(eigs: _ProductEigs, cond_seq) -> np.ndarray:
+    """rho_cond^{-1/2} on its support, as its diagonal in the Kronecker
+    eigenbasis; the support cutoff applies to the products of the
+    single-letter eigenvalues."""
+    values = reduce(np.multiply.outer, eigs.eigenvalues(cond_seq)).ravel()
     cut = SUPPORT_CUTOFF_REL * max(float(values.max()), 1.0)
-    inv = np.where(
+    return np.where(
         values > cut, 1.0 / np.sqrt(np.where(values > cut, values, 1.0)), 0.0
     )
-    basis = kron_all([decs[sym].eigenvectors for sym in cond_seq])
-    return basis, inv
 
 
 def _build_conditioning_block(
     cond_seq,
-    base_states,
+    eigs,
     p_cond_rows,
     hat_eigs,
     h_ref_given_cond,
@@ -394,19 +474,16 @@ def _build_conditioning_block(
     *,
     trivial_projectors=False,
 ):
-    """Assemble one ConditioningBlock. hat_eigs maps each (conditioning,
-    output) pair to the branch eigensystem of its hat state. Raises
-    EmptySupport when the conditional typical set along cond_seq is
-    empty."""
+    """Assemble one ConditioningBlock. eigs holds the eigensystems of the
+    conditioning states, hat_eigs maps each (conditioning, output) pair
+    to the branch eigensystem of its hat state. The product state along
+    cond_seq has eigenbasis B, so P_C = B diag(m) B^dag, m masking its
+    typical branches, and rho_cond^{-1/2} = B diag(inv) B^dag. Both are
+    applied to the stacked factors of all members at once, B as
+    Kronecker half-products. Raises EmptySupport when the conditional
+    typical set along cond_seq is empty."""
     typical = conditional_typical_set(p_cond_rows, cond_seq, n, delta)
     pruned = prune_conditional(p_cond_rows, cond_seq, typical)
-
-    if trivial_projectors:
-        proj_c = None
-    else:
-        proj_c = conditional_quantum_typical_projector(
-            {sym: base_states[sym] for sym in set(cond_seq)}, cond_seq, delta
-        ).projector
 
     xi_prime = {}
     for member in typical.members:
@@ -418,8 +495,13 @@ def _build_conditioning_block(
                     "probability is below tolerance"
                 )
         xi_prime[member] = build_xi_prime(
-            [hat_eigs[pair] for pair in pair_seq], proj_c, delta
+            [hat_eigs[pair] for pair in pair_seq],
+            None if trivial_projectors else delta,
         )
+    basis = eigs.basis(cond_seq)
+    if not trivial_projectors:
+        _, mask = _typical_mask(eigs.eigenvalues(cond_seq), delta)
+        xi_prime = _batched(lambda g: _in_basis(basis, mask, g), xi_prime)
 
     cutoff = build_omega_and_cutoff(
         xi_prime,
@@ -430,14 +512,10 @@ def _build_conditioning_block(
         delta,
         trivial=trivial_projectors,
     )
-    basis, inv = _pinv_sqrt_product(base_states, cond_seq)
-    gamma_factors = {
-        member: basis @ (inv[:, None] * (basis.conj().T @ f))
-        for member, f in cutoff.xi.items()
-    }
+    inv = _pinv_sqrt_product(eigs, cond_seq)
     return ConditioningBlock(
         cond_seq=cond_seq,
-        gamma_factors=gamma_factors,
+        gamma_factors=_batched(lambda g: _in_basis(basis, inv, g), cutoff.xi),
         typical=typical,
         pruned=pruned,
         s_cond=float(typical.total_prob),
@@ -463,10 +541,12 @@ class BlockScenario:
     compressed states and cutoffs for Alice (one free conditioning) and
     for Bob (one block per typical Alice sequence), plus the reference
     measurement operators for the sequences a codebook can draw (typical
-    members). A reference Lambda_x is held as its factor, the Kronecker
-    product of single-letter factors (D x prod_i r_i); sqrt_lambda_a_n is
-    dense. Conditioning sequences whose conditional typical set is empty
-    are listed in dropped_cond and excluded from the construction.
+    members). A reference Lambda_x is held by its factor, the Kronecker
+    product of single-letter factors (D x prod_i r_i), and
+    sqrt_lambda_a_n by sqrt(Lambda_x); both as two Kronecker
+    half-products shared between sequences with a common half.
+    Conditioning sequences whose conditional typical set is empty are
+    listed in dropped_cond and excluded from the construction.
     """
 
     single: SingleLetterScenario
@@ -516,7 +596,6 @@ def build_block_scenario(
     # Alice: the unconditioned pipeline is the conditional one along a
     # single free symbol whose conditional law is the x_A marginal.
     alice_rows = single.p_a.reshape(1, k_a)
-    alice_states = {_FREE: single.rho.mat}
     alice_hat = {}
     for a in range(k_a):
         if single.p_a[a] <= TAU_PROB:
@@ -530,7 +609,7 @@ def build_block_scenario(
         alice_hat[(_FREE, a)] = branch_eigensystem(hat)
     alice_block = _build_conditioning_block(
         (_FREE,) * n,
-        alice_states,
+        _ProductEigs({_FREE: single.rho.mat}),
         alice_rows,
         alice_hat,
         single.h_r,
@@ -540,7 +619,7 @@ def build_block_scenario(
         trivial_projectors=trivial_projectors,
     )
 
-    bob_states = {a: st.mat for a, st in single.post_states.items()}
+    bob_eigs = _ProductEigs({a: st.mat for a, st in single.post_states.items()})
     bob_hat = {
         pair: branch_eigensystem(m) for pair, m in single.hat_states.items()
     }
@@ -550,7 +629,7 @@ def build_block_scenario(
         try:
             block = _build_conditioning_block(
                 cond_seq,
-                bob_states,
+                bob_eigs,
                 single.p_cond,
                 bob_hat,
                 single.h_r_given_xa,
@@ -567,21 +646,23 @@ def build_block_scenario(
     bob_marg_typical = build_typical_set(single.p_b, n, delta)
     bob_marg_pruned = prune(single.p_b, bob_marg_typical)
 
-    lambda_a_n = {}
-    sqrt_lambda_a_n = {}
     alice_elems = single.alice_povm.elements
     alice_factors = [_psd_factor(e) for e in alice_elems]
     sqrt_alice = [sqrt_psd(e) for e in alice_elems]
+    factor_memo, sqrt_memo = {}, {}
+    lambda_a_n = {}
+    sqrt_lambda_a_n = {}
     for seq in alice_block.typical.members:
-        lambda_a_n[seq] = reduce(np.kron, [alice_factors[a] for a in seq])
-        sqrt_lambda_a_n[seq] = kron_all([sqrt_alice[a] for a in seq])
+        lambda_a_n[seq] = _kron_halves(alice_factors, seq, factor_memo)
+        sqrt_lambda_a_n[seq] = _kron_halves(sqrt_alice, seq, sqrt_memo)
 
     bob_factors = [_psd_factor(e) for e in single.bob_reference.elements]
+    bob_memo = {}
     lambda_ref_b = {}
     for blk in bob_blocks.values():
         for seq in blk.typical.members:
             if seq not in lambda_ref_b:
-                lambda_ref_b[seq] = reduce(np.kron, [bob_factors[b] for b in seq])
+                lambda_ref_b[seq] = _kron_halves(bob_factors, seq, bob_memo)
 
     return BlockScenario(
         single=single,
@@ -771,9 +852,9 @@ def _top_eigenvalue(cols) -> float:
     return float(np.linalg.eigvalsh(gram)[-1])
 
 
-def _root(w) -> np.ndarray:
-    """(w w^dag)^{1/2} = U diag(s) U^dag, from the thin SVD
-    w = U diag(s) V^dag.
+def _root(w) -> tuple:
+    """(w w^dag)^{1/2} = U diag(s) U^dag as the thin pair (U, s), from the
+    thin SVD w = U diag(s) V^dag.
 
     w can be rank-deficient after the cutoff, so singular values at or
     below max(shape) * machine eps * s_max (numpy's matrix_rank
@@ -781,8 +862,13 @@ def _root(w) -> np.ndarray:
     """
     u, s, _ = np.linalg.svd(w, full_matrices=False)
     keep = s > max(w.shape) * np.finfo(float).eps * s.max(initial=0.0)
-    u = u[:, keep]
-    return (u * s[keep]) @ u.conj().T
+    return u[:, keep], s[keep]
+
+
+def _apply_root(root, g) -> np.ndarray:
+    """U (s * (U^dag g)) for a root held as (U, s)."""
+    u, s = root
+    return u @ (s[:, None] * (u.conj().T @ g))
 
 
 def build_gamma(
@@ -848,11 +934,12 @@ class AliceMeasurement:
     opset counts the codewords of each bin. lambda_tilde maps each
     produced sequence x to the factor sqrt(N_x scale) w_x of its operator
     N_x scale w_x w_x^dag, N_x being its count over the non-fallback
-    bins, and sqrt_lambda_tilde to the square root sqrt(N_x scale)
-    (w_x w_x^dag)^{1/2}. With a single Alice outcome letter the
-    construction collapses and every operator is exactly
-    I / (m_count * size) (trivial=True); the summed operator and its
-    factor are then I.
+    bins, and sqrt_lambda_tilde to its square root sqrt(N_x scale)
+    (w_x w_x^dag)^{1/2} held thin as (U, s), the root being
+    U diag(s) U^dag. With a single Alice outcome letter the construction
+    collapses and every operator is exactly I / (m_count * size)
+    (trivial=True); the summed operator, its factor and its root are
+    then I.
     """
 
     opset: BobOperatorSet
@@ -904,7 +991,7 @@ def build_alice_measurement(
             opset=opset,
             codebook=codebook,
             lambda_tilde={only_seq: eye},
-            sqrt_lambda_tilde={only_seq: eye},
+            sqrt_lambda_tilde={only_seq: (eye, np.ones(eye.shape[0]))},
             trivial=True,
         )
 
@@ -918,8 +1005,9 @@ def build_alice_measurement(
     for seq, count in opset.pooled_counts().items():
         w = ab.gamma_factors[seq]
         weight = math.sqrt(count * opset.scale)
+        u, s = _root(w)
         lambda_tilde[seq] = weight * w
-        sqrt_lambda_tilde[seq] = weight * _root(w)
+        sqrt_lambda_tilde[seq] = (u, weight * s)
     return AliceMeasurement(
         opset=opset,
         codebook=codebook,
@@ -940,28 +1028,40 @@ def assemble_bob_povm(
     every typical conditioning, which isolates the Bob-codebook error.
     Per conditioning the counts are pooled over the non-fallback bins
     (fallback bins contribute nothing), and a member with count n adds
-    the columns S sqrt(n scale) w_x, S being the sandwiching root. Each
-    element is returned as the factor G of its stacked columns (D x K),
-    the operator being G G^dag. Keys are the x_B^n that received an
-    operator; a missing key means the zero operator.
+    the columns S sqrt(n scale) w_x, S being the sandwiching root; each
+    root is applied once per conditioning, to all its pooled columns.
+    Each element is returned as the factor G of its stacked columns
+    (D x K), the operator being G G^dag. Keys are the x_B^n that
+    received an operator; a missing key means the zero operator.
     """
-    tilde_cols = {}
-    prime_cols = {}
+    tilde, prime = [], []
     for cond_seq, opset in bob_sets.items():
         pooled = opset.pooled_counts()
         if not pooled:
             continue
-        sqrt_true = block.sqrt_lambda_a_n[cond_seq]
-        sqrt_alice = alice.sqrt_lambda_tilde.get(cond_seq)
-        for seq, cols in zip(pooled, opset.columns(pooled)):
-            prime_cols.setdefault(seq, []).append(sqrt_true @ cols)
-            if sqrt_alice is not None:
-                tilde_cols.setdefault(seq, []).append(sqrt_alice @ cols)
+        cols = opset.columns(pooled)
+        widths = [(seq, c.shape[1]) for seq, c in zip(pooled, cols)]
+        stacked = np.concatenate(cols, axis=1)
+        prime.append((widths, block.sqrt_lambda_a_n[cond_seq] @ stacked))
+        root = alice.sqrt_lambda_tilde.get(cond_seq)
+        if root is not None:
+            tilde.append((widths, _apply_root(root, stacked)))
 
-    def stacked(cols_by_seq):
-        return {seq: np.hstack(cols) for seq, cols in cols_by_seq.items()}
+    def by_sequence(parts):
+        # each sequence's columns in conditioning order, gathered at once;
+        # a member whose factor has no column still gets its key
+        if not parts:
+            return {}
+        out = np.concatenate([cols for _, cols in parts], axis=1)
+        index = {}
+        start = 0
+        for widths, _ in parts:
+            for seq, width in widths:
+                index.setdefault(seq, []).extend(range(start, start + width))
+                start += width
+        return {seq: out[:, idx] for seq, idx in index.items()}
 
-    return stacked(tilde_cols), stacked(prime_cols)
+    return by_sequence(tilde), by_sequence(prime)
 
 
 @dataclass(eq=False)
@@ -1164,19 +1264,22 @@ def instance_report(instance: ProtocolInstance) -> FaithfulnessReport:
     d_bob is the atypical part plus the typical part over the x_B^n
     marginal typical set; d2 and d3 split the typical part. Every
     operator is a factor, sandwiched once by sqrt(rho^n) and scored by
-    _signed_trace_norm; only the references of drawn keys are touched."""
+    _signed_trace_norm; only the references of drawn keys are formed
+    from their Kronecker halves."""
     block = instance.block
     single = block.single
     sqrt_rho = block.sqrt_rho_n
     empty = np.zeros((sqrt_rho.shape[0], 0))
 
-    def sandwiched(table, keys=None):
-        keys = table.keys() if keys is None else keys
-        return {key: sqrt_rho @ table[key] for key in keys}
+    def sandwiched(factors):
+        return {key: sqrt_rho @ f for key, f in factors.items()}
+
+    def references(table, keys):
+        return sandwiched({key: table[key].dense() for key in keys})
 
     tilde = sandwiched(instance.lambda_tilde_b)
     prime = sandwiched(instance.lambda_prime_b)
-    ref_b = sandwiched(block.lambda_ref_b, set(tilde) | set(prime))
+    ref_b = references(block.lambda_ref_b, set(tilde) | set(prime))
     members = set(block.bob_marg_typical.members)
     typ, atyp = [], []
     for seq in itertools.product(range(single.n_bob), repeat=block.n):
@@ -1195,7 +1298,7 @@ def instance_report(instance: ProtocolInstance) -> FaithfulnessReport:
     )
     alice_tilde = sandwiched(instance.alice.lambda_tilde)
     d_alice = _reference_distance(
-        sandwiched(block.lambda_a_n, alice_tilde),
+        references(block.lambda_a_n, alice_tilde),
         single.p_a,
         alice_tilde,
         list(itertools.product(range(single.n_alice), repeat=block.n)),
@@ -1263,28 +1366,34 @@ def _sample_index(weights, residual, rng):
 
 
 def _codeword_weights(opset, words, m_count, state) -> list:
-    """Outcome weights m_count * tr(op_x state) = m_count * scale *
-    tr(w_x^dag state w_x) of one bin's codewords, one trace per member."""
+    """Outcome weights m_count * tr(op_x F F^dag) = m_count * scale *
+    ||w_x^dag F||^2 of one bin's codewords, one product per member, for a
+    state given as its factor F."""
     factors = opset.block.gamma_factors
     per_member = {}
     for seq in words:
         if seq not in per_member:
-            w = factors[seq]
-            trace = float(np.vdot(w, state @ w).real)
+            x = factors[seq].conj().T @ state
+            trace = float(np.vdot(x, x).real)
             per_member[seq] = m_count * opset.scale * trace
     return [per_member[seq] for seq in words]
 
 
 def _collapsed_state(alice, seq, rho_n) -> np.ndarray:
-    """rho_n after Alice's outcome seq from a non-fallback bin.
+    """Factor F of rho_n after Alice's outcome seq from a non-fallback
+    bin, the state being F F^dag.
 
     The server collapses by the physical operator
-    sqrt(scale) (w w^dag)^{1/2}; Alice's root of seq is a multiple of it,
-    and the scale cancels in the quotient.
+    sqrt(scale) (w w^dag)^{1/2}; Alice's root U diag(s) U^dag of seq is a
+    multiple of it, and the scale cancels in the quotient. The collapsed
+    state is U M U^dag with the r x r matrix M = s (U^dag rho_n U) s, so
+    F = U Q diag(sqrt(mu)) for the eigensystem M = Q diag(mu) Q^dag.
     """
-    root = alice.sqrt_lambda_tilde[seq]
-    post = hermitian_part(root @ rho_n @ root)
-    return post / float(np.trace(post).real)
+    u, s = alice.sqrt_lambda_tilde[seq]
+    inner = (s[:, None] * (u.conj().T @ rho_n @ u)) * s
+    mu, q = np.linalg.eigh(hermitian_part(inner))
+    factor = u @ (q * np.sqrt(np.clip(mu, 0.0, None)))
+    return factor / np.linalg.norm(factor)
 
 
 def run_protocol_trial(instance: ProtocolInstance, rng) -> SimulationTranscript:
@@ -1329,7 +1438,9 @@ def run_protocol_trial(instance: ProtocolInstance, rng) -> SimulationTranscript:
     # server measures the m_count-fold rescaling, whose bin sum is near
     # identity.
     words_a = alice.codebook.codewords(block.alice_block.cond_seq, m_a)
-    weights = _codeword_weights(alice.opset, words_a, params.m_a, block.rho_n)
+    weights = _codeword_weights(
+        alice.opset, words_a, params.m_a, block.sqrt_rho_n
+    )
     residual = 1.0 - sum(weights)
     j_a = _sample_index(weights, residual, rng)
     if j_a >= len(words_a):

@@ -274,6 +274,17 @@ def densify(factors):
     return {key: f @ f.conj().T for key, f in factors.items()}
 
 
+def dense_kron(halves):
+    """The dense Kronecker product of an operator held as two
+    half-products."""
+    return np.kron(halves.left, halves.right)
+
+
+def dense_roots(roots):
+    """Root table U diag(s) U^dag of a table of thin (U, s) pairs."""
+    return {key: (u * s) @ u.conj().T for key, (u, s) in roots.items()}
+
+
 def dense_instance_scores(block, instance):
     """d_bob, d_alice, atypical, d2 and d3 of an instance by the literal sum.
 
@@ -328,10 +339,12 @@ def dense_trial_operators(block, params, seed_seq):
     bin sum is checked with eigvalsh, Alice's operators are summed per
     sequence over her non-fallback bins and rooted with sqrt_psd, and
     Bob's elements are the four-matmul sandwich of each codeword's
-    operator. Sampling weights are m tr(op rho^n) for every Alice bin,
-    and for every (Alice bin, Alice position, Bob bin) they are m_b
-    tr(op post), post being rho^n collapsed by sqrt_psd of Alice's
-    operator. With a single Alice letter her operators are I / (m_a s_a).
+    operator, sqrt(Lambda_a^n) being the Kronecker product of the
+    single-letter sqrt_psd(E_a). Sampling weights are m tr(op rho^n) for
+    every Alice bin, and for every (Alice bin, Alice position, Bob bin)
+    they are m_b tr(op post), post being rho^n collapsed by sqrt_psd of
+    Alice's operator. With a single Alice letter her operators are
+    I / (m_a s_a).
 
     Returns a dict with alice_fallback (bin -> flag), bob_fallback
     ((conditioning, bin) -> flag), bob_bin_sums ((conditioning, bin) ->
@@ -339,7 +352,9 @@ def dense_trial_operators(block, params, seed_seq):
     lambda_prime_b, alice_weights (bin -> list) and bob_weights
     ((m_a, j_a, m_b) -> list).
     """
-    from povmcast.linalg import TAU_PROB, TAU_PSD, hermitian_part, sqrt_psd
+    from povmcast.linalg import (
+        TAU_PROB, TAU_PSD, hermitian_part, kron_all, sqrt_psd,
+    )
     from povmcast.protocol import generate_codebook
 
     alice_ss, bob_ss, _ = seed_seq.spawn(3)
@@ -401,6 +416,7 @@ def dense_trial_operators(block, params, seed_seq):
             seq: sqrt_psd(hermitian_part(op)) for seq, op in lambda_tilde.items()
         }
 
+    alice_elems = block.single.alice_povm.elements
     bob_gamma, bob_fallback, bob_bin_sums = {}, {}, {}
     lambda_tilde_b, lambda_prime_b = {}, {}
     for cond_seq, blk in block.bob_blocks.items():
@@ -409,7 +425,7 @@ def dense_trial_operators(block, params, seed_seq):
         for m in range(params.m_b):
             bob_fallback[(cond_seq, m)] = fallback[m]
             bob_bin_sums[(cond_seq, m)] = sums[m]
-        sqrt_true = block.sqrt_lambda_a_n[cond_seq]
+        sqrt_true = kron_all([sqrt_psd(alice_elems[a]) for a in cond_seq])
         sqrt_alice = sqrt_lambda_tilde.get(cond_seq)
         for m in range(params.m_b):
             if fallback[m]:

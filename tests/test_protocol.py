@@ -1,6 +1,6 @@
 """Protocol construction tests: scenario prep, codebooks, operators, trials."""
 
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -30,7 +30,9 @@ from povmcast.protocol import (
     ProtocolParams,
     _codeword_weights,
     _collapsed_state,
+    _kron_halves,
     _signed_trace_norm,
+    assemble_bob_povm,
     build_alice_measurement,
     build_gamma,
     build_omega_and_cutoff,
@@ -131,7 +133,7 @@ def test_build_xi_prime_is_projected_hermitian():
     state = g @ g.conj().T
     proj = np.diag([1.0, 1.0, 0.0, 0.0])
     # a wide delta keeps every branch, so P_hat is the identity
-    f = build_xi_prime([branch_eigensystem(state)], proj, 100.0)
+    f = proj @ build_xi_prime([branch_eigensystem(state)], 100.0)
     out = f @ f.conj().T
     assert np.allclose(out, out.conj().T)
     assert np.allclose(out, proj @ state @ proj, atol=1e-12)
@@ -147,15 +149,15 @@ def test_build_xi_prime_is_projected_hermitian():
     eigs = [branch_eigensystem(a), branch_eigensystem(b)]
     proj_hat = conditional_quantum_typical_projector(hats, pair_seq, 0.5).projector
     proj_c = np.diag([1.0, 1.0, 1.0, 0.0])
-    f = build_xi_prime(eigs, proj_c, 0.5)
+    f = proj_c @ build_xi_prime(eigs, 0.5)
     dense = proj_c @ proj_hat @ np.kron(a, b) @ proj_hat @ proj_c
     assert np.allclose(f @ f.conj().T, dense, atol=1e-12)
     assert f.shape == (4, 2)
     # no typical branch: an empty factor, a zero compressed state
-    assert build_xi_prime(eigs, proj_c, 0.2).shape == (4, 0)
+    assert (proj_c @ build_xi_prime(eigs, 0.2)).shape == (4, 0)
 
     # trivial projectors: the whole product state
-    f = build_xi_prime(eigs, None, None)
+    f = build_xi_prime(eigs, None)
     assert np.allclose(f @ f.conj().T, np.kron(a, b), atol=1e-12)
 
 
@@ -273,14 +275,18 @@ def _assert_matches_dense_oracle(single, params, trivial=False, sqrt_tol=1e-10):
     for blk in block.bob_blocks.values():
         bob_members.update(blk.typical.members)
     assert set(block.lambda_ref_b) == bob_members
-    # each reference is held as a factor F with Lambda_x = F F^dag
+    # each reference is held by the Kronecker halves of a factor F with
+    # Lambda_x = F F^dag
     dim = block.rho_n.shape[0]
-    for seq, f in block.lambda_a_n.items():
+    for seq, halves in block.lambda_a_n.items():
+        f = oracles.dense_kron(halves)
         mat = kron_all([single.alice_povm.elements[a] for a in seq])
         assert f.shape[0] == dim and f.shape[1] <= dim
         close(f @ f.conj().T, mat, 1e-14)
-        close(block.sqrt_lambda_a_n[seq], sqrt_psd(mat), sqrt_tol)
-    for seq, f in block.lambda_ref_b.items():
+        sqrt_true = oracles.dense_kron(block.sqrt_lambda_a_n[seq])
+        close(sqrt_true, sqrt_psd(mat), sqrt_tol)
+    for seq, halves in block.lambda_ref_b.items():
+        f = oracles.dense_kron(halves)
         mat = kron_all([single.bob_reference.elements[b] for b in seq])
         assert f.shape[0] == dim and f.shape[1] <= dim
         close(f @ f.conj().T, mat, 1e-14)
@@ -321,6 +327,86 @@ def test_cutoff_keeps_only_its_factors(n):
         assert cut.weighted.shape == (dim, rank)
         checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_kron_halves_apply_matches_kron_all(n, k):
+    # n = 1 leaves the first half empty, odd n splits unevenly, and the
+    # letters mix dimensions 2 and 3
+    rng = np.random.default_rng(10 * n + k)
+    dims = [2, 3, 2, 3, 2][:n]
+    mats = [
+        (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / d
+        for d in dims
+    ]
+    dense = kron_all(mats)
+    g = rng.normal(size=(dense.shape[0], k)) + 1j * rng.normal(
+        size=(dense.shape[0], k)
+    )
+    halves = _kron_halves(mats, tuple(range(n)), {})
+    got = halves @ g
+    assert got.shape == (dense.shape[0], k)
+    assert np.abs(got - dense @ g).max(initial=0.0) <= 1e-13
+    assert np.abs(halves.H @ g - dense.conj().T @ g).max(initial=0.0) <= 1e-13
+
+
+def test_kron_halves_share_equal_halves():
+    # equal halves are formed once and shared through the memo
+    mats = [np.diag([1.0, 2.0]), np.array([[0.0, 1.0], [1.0, 0.0]])]
+    memo = {}
+    first = _kron_halves(mats, (0, 1, 0, 1), memo)
+    assert list(memo) == [(0, 1)]
+    assert first.left is first.right
+    assert _kron_halves(mats, (0, 1, 0, 1), memo).left is first.left
+
+
+def _arrays(obj) -> list:
+    """Every ndarray reachable from obj through dict values, sequences,
+    dataclass fields and the buffers views keep alive, each once."""
+    seen, found, stack = set(), [], [obj]
+    while stack:
+        o = stack.pop()
+        if id(o) in seen:
+            continue
+        seen.add(id(o))
+        if isinstance(o, np.ndarray):
+            found.append(o)
+            if o.base is not None:
+                stack.append(o.base)
+        elif isinstance(o, dict):
+            stack.extend(o.values())
+        elif isinstance(o, (list, tuple)):
+            stack.extend(o)
+        elif is_dataclass(o):
+            stack.extend(getattr(o, f.name) for f in fields(o))
+    return found
+
+
+@pytest.mark.parametrize("name", ["bell-computational", "three-outcome-split"])
+def test_square_roots_hold_no_dense_block_operator(name):
+    # sqrt(Lambda_a^n) is held as Kronecker half-products shared between
+    # sequences, and Alice's realized roots as thin (U, s) pairs. Her
+    # covering-lemma sizes keep bins from falling back, so the trial has
+    # roots to check.
+    doc = preset_document(name)
+    doc["protocol"].update(
+        n=6, sA="I(X_A;R) + delta2", MA="H(X_A) - I(X_A;R) + delta2"
+    )
+    cfg = config_from_dict(doc, name=name)
+    single = prepare_scenario(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b)
+    block = build_block_scenario(single, cfg.params)
+    full = block.rho_n.shape[0] ** 2
+    table = _arrays(block.sqrt_lambda_a_n)
+    assert table
+    assert all(a.size < full for a in table)
+    assert sum(a.size for a in table) < full
+    instance = build_protocol_instance(
+        block, cfg.params, mode=cfg.mode, seed_seq=np.random.SeedSequence(0)
+    )
+    roots = _arrays(instance.alice.sqrt_lambda_tilde)
+    assert roots
+    assert all(a.size < full for a in roots)
 
 
 @st.composite
@@ -542,13 +628,40 @@ def test_alice_trivial_when_single_letter():
     assert alice.opset.fallback_rate == 0.0
 
 
+def test_assemble_keeps_members_without_columns():
+    # a member whose cut factor has no column still received an operator,
+    # the zero one: its key stays, with a D x 0 factor
+    unit = np.array([[0.6], [0.8]])
+    blk = type(
+        "Blk", (), {"cond_seq": (0,), "gamma_factors": {
+            (0,): np.zeros((2, 0)), (1,): unit,
+        }}
+    )()
+    opset = BobOperatorSet(
+        block=blk, gamma={(0, 0): (0,), (1, 0): (1,)},
+        bin_counts={0: {(0,): 1, (1,): 1}}, scale=0.5,
+        is_valid_subpovm={0: True}, fallback_applied={0: False},
+    )
+    scenario = type(
+        "Scn", (), {"sqrt_lambda_a_n": {(0,): _kron_halves([np.eye(2)], (0,), {})}}
+    )()
+    alice = type(
+        "Alice", (), {"sqrt_lambda_tilde": {(0,): (np.eye(2), np.ones(2))}}
+    )()
+    tilde, prime = assemble_bob_povm(scenario, alice, {(0,): opset})
+    for table in (tilde, prime):
+        assert set(table) == {(0,), (1,)}
+        assert table[(0,)].shape == (2, 0)
+        assert np.allclose(table[(1,)], np.sqrt(0.5) * unit)
+
+
 def test_assemble_matches_naive_accumulation():
     single = trine_single()
     block = build_block_scenario(single, TRINE_PARAMS)
     instance = build_protocol_instance(block, TRINE_PARAMS, mode="with_alice_randomness")
     naive = {}
     for cond_seq, opset in instance.bob_sets.items():
-        sqrt_true = block.sqrt_lambda_a_n[cond_seq]
+        sqrt_true = oracles.dense_kron(block.sqrt_lambda_a_n[cond_seq])
         for m in range(instance.bob_codebook.m_count):
             if opset.fallback_applied[m]:
                 continue
@@ -635,11 +748,12 @@ def _assert_trial_matches_dense_oracle(
     } == want["bob_fallback"]
     lambda_tilde = oracles.densify(alice.lambda_tilde)
     close(lambda_tilde, want["lambda_tilde"])
+    sqrt_lambda_tilde = oracles.dense_roots(alice.sqrt_lambda_tilde)
     close(
-        {seq: root @ root for seq, root in alice.sqrt_lambda_tilde.items()},
+        {seq: root @ root for seq, root in sqrt_lambda_tilde.items()},
         lambda_tilde,
     )
-    close(alice.sqrt_lambda_tilde, want["sqrt_lambda_tilde"], root_tol)
+    close(sqrt_lambda_tilde, want["sqrt_lambda_tilde"], root_tol)
     close(
         oracles.densify(instance.lambda_tilde_b), want["lambda_tilde_b"], root_tol
     )
@@ -648,7 +762,9 @@ def _assert_trial_matches_dense_oracle(
     cond_a = block.alice_block.cond_seq
     for m_a, ref in want["alice_weights"].items():
         words = alice.codebook.codewords(cond_a, m_a)
-        got = _codeword_weights(alice.opset, words, params.m_a, block.rho_n)
+        got = _codeword_weights(
+            alice.opset, words, params.m_a, block.sqrt_rho_n
+        )
         assert np.allclose(got, ref, rtol=0.0, atol=1e-10)
     for (m_a, j_a, m_b), ref in want["bob_weights"].items():
         cond_seq = alice.codebook.codewords(cond_a, m_a)[j_a]
@@ -670,6 +786,16 @@ def test_trial_operators_match_dense_oracle_on_presets(name, n):
     block = build_block_scenario(single, params)
     for seed in (0, 1, 2):
         _assert_trial_matches_dense_oracle(block, params, cfg.mode, seed)
+
+
+def test_factored_routes_match_dense_oracles_at_n5():
+    # spot check beyond the n = 1..3 sweeps: D = 32, 32 conditioning blocks
+    cfg = config_from_dict(preset_document("three-outcome-split"))
+    single = prepare_scenario(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b)
+    params = replace(cfg.params, n=5)
+    _assert_matches_dense_oracle(single, params)
+    block = build_block_scenario(single, params)
+    _assert_trial_matches_dense_oracle(block, params, cfg.mode, 0)
 
 
 @settings(max_examples=40, deadline=None)
