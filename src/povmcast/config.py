@@ -96,15 +96,16 @@ def evaluate_rate_expression(expr: str, env: dict, scalars: dict) -> float:
         text = re.sub(
             rf"\b{name}\b", f"({float(scalars[name])!r})", text
         )
-    if not _SAFE_EXPR.match(text):
+    # ** is refused: a tower such as 9**9**9 would build a huge integer
+    if "**" in text or not _SAFE_EXPR.match(text):
         raise ConfigError(
             f"rate expression {expr!r} contains unsupported tokens"
         )
     try:
-        value = eval(text, {"__builtins__": {}}, {})
+        # float() fails on an integer literal beyond float range
+        return float(eval(text, {"__builtins__": {}}, {}))
     except Exception as exc:
         raise ConfigError(f"rate expression {expr!r} failed: {exc}") from exc
-    return float(value)
 
 
 def resolve_size(value, n: int, env: dict, scalars: dict, field: str) -> int:
@@ -119,7 +120,10 @@ def resolve_size(value, n: int, env: dict, scalars: dict, field: str) -> int:
             raise ConfigError(f"{field} must be >= 1, got {value}")
         return value
     if isinstance(value, str):
-        rate = evaluate_rate_expression(value, env, scalars)
+        try:
+            rate = evaluate_rate_expression(value, env, scalars)
+        except ConfigError as exc:
+            raise ConfigError(f"{field}: {exc}") from None
         try:
             return max(1, math.ceil(2.0 ** (n * rate)))
         except (OverflowError, ValueError):
@@ -315,7 +319,7 @@ def config_from_dict(doc: dict, name: str = "config") -> ScenarioConfig:
         ("MB", 1),
     ):
         raw_val = raw_proto.get(key, default)
-        if key == "sBprime" and raw_val == 0:
+        if key == "sBprime" and raw_val == 0 and not isinstance(raw_val, bool):
             sizes[key] = 0
             continue
         sizes[key] = resolve_size(

@@ -72,10 +72,11 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def is_hermitian(a, tol: float = TAU_HERM) -> bool:
+def is_hermitian(a) -> bool:
+    """True when the anti-Hermitian part is within TAU_HERM of the scale."""
     a = as_matrix(a)
     dev = float(np.linalg.norm(a - a.conj().T, 2))
-    return dev <= tol * operator_scale(a)
+    return dev <= TAU_HERM * operator_scale(a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,14 +91,14 @@ class SpectralDecomposition:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def spectral_decompose(a, tol: float = TAU_HERM) -> SpectralDecomposition:
+def spectral_decompose(a) -> SpectralDecomposition:
     """Eigendecompose a Hermitian operator.
 
-    Raises NotHermitian when the anti-Hermitian part exceeds tolerance
+    Raises NotHermitian when the anti-Hermitian part exceeds TAU_HERM
     (relative to the operator norm).
     """
     a = as_matrix(a)
-    if not is_hermitian(a, tol):
+    if not is_hermitian(a):
         raise NotHermitian("operator is not Hermitian within tolerance")
     w, v = np.linalg.eigh(hermitian_part(a))
     order = np.argsort(w)[::-1]
@@ -108,17 +109,19 @@ def spectral_decompose(a, tol: float = TAU_HERM) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 
-def _psd_eigenvalues(a: np.ndarray, tol: float = TAU_PSD) -> SpectralDecomposition:
+def _psd_eigenvalues(a: np.ndarray) -> SpectralDecomposition:
     """Spectral decomposition with negative eigenvalues clipped to zero.
 
-    Eigenvalues below -tol (relative to scale) raise NotPsd; values in
-    (-tol, 0) are treated as numerical noise.
+    Eigenvalues below -TAU_PSD (relative to scale) raise NotPsd; values
+    in (-TAU_PSD, 0) are treated as numerical noise.
     """
     dec = spectral_decompose(a)
     w = dec.eigenvalues
     scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
-    if w.size and float(w.min()) < -tol * scale:
-        raise NotPsd(f"operator has eigenvalue {w.min():.3e} below -{tol:.1e} * scale")
+    if w.size and float(w.min()) < -TAU_PSD * scale:
+        raise NotPsd(
+            f"operator has eigenvalue {w.min():.3e} below -{TAU_PSD:.1e} * scale"
+        )
     w = np.clip(w, 0.0, None)
     w.setflags(write=False)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=dec.eigenvectors)
@@ -237,7 +240,7 @@ class DensityOperator:
 
     def __init__(self, mat):
         m = as_matrix(mat).copy()
-        if not is_hermitian(m, TAU_HERM):
+        if not is_hermitian(m):
             raise NotHermitian("density operator is not Hermitian within tolerance")
         w = np.linalg.eigvalsh(hermitian_part(m))
         scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0

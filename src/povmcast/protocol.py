@@ -315,17 +315,11 @@ def build_xi_prime(pair_eigs, delta) -> np.ndarray:
     P_hat rho_hat^n P_hat = V_M diag(lambda_M) V_M^dag, where M masks the
     typical branches and lambda is the product of the per-position
     eigenvalues; only the masked columns of V are formed. Returns
-    V_M diag(sqrt(lambda_M)). With delta None (trivial projectors) P_hat
-    is the identity and every branch with lambda > 0 is kept, so F F^dag
-    is rho_hat^n itself.
+    V_M diag(sqrt(lambda_M)).
     """
     values = [w for w, _ in pair_eigs]
-    shape = [w.size for w in values]
-    if delta is None:
-        keep = reduce(np.multiply.outer, values).ravel() > 0.0
-    else:
-        _, keep = _typical_mask(values, delta)
-    idx = np.unravel_index(np.flatnonzero(keep), shape)
+    _, keep = _typical_mask(values, delta)
+    idx = np.unravel_index(np.flatnonzero(keep), [w.size for w in values])
     lam = np.ones(idx[0].size)
     cols = np.ones((1, idx[0].size), dtype=np.complex128)
     for (w, v), k in zip(pair_eigs, idx):
@@ -343,17 +337,16 @@ CUTOFF_FLOOR_REL = 1e-13
 
 @dataclass(eq=False)
 class CutoffResult:
-    """Eigenvalue cutoff of the averaged compressed state, as factors.
+    """Eigenvalue cutoff of the averaged compressed state xi_bar.
 
-    basis (D x r) spans the eigenspaces of xi_bar above threshold, so the
-    cutoff projector is basis basis^dag; the cut average omega is
-    weighted weighted^dag. xi maps each member to the factor P F of its
-    cut compressed state P xi' P.
+    basis (D x r) holds the orthonormal eigenvectors of xi_bar above
+    threshold and eigenvalues (r) their eigenvalues, so the cutoff
+    projector is basis basis^dag and the cut average omega is
+    basis diag(eigenvalues) basis^dag. Both are formed only on request.
     """
 
     basis: np.ndarray
-    weighted: np.ndarray
-    xi: dict
+    eigenvalues: np.ndarray
     threshold: float
 
     @property
@@ -362,7 +355,7 @@ class CutoffResult:
 
     @property
     def omega(self) -> np.ndarray:
-        return hermitian_part(self.weighted @ self.weighted.conj().T)
+        return hermitian_part((self.basis * self.eigenvalues) @ self.basis.conj().T)
 
     @property
     def empty(self) -> bool:
@@ -371,7 +364,7 @@ class CutoffResult:
 
 
 def build_omega_and_cutoff(
-    xi_prime_map, probs, n, eps, h_ref_given_cond, delta, *, trivial=False
+    xi_prime_map, probs, n, eps, h_ref_given_cond, delta
 ) -> CutoffResult:
     """Cut eigenvalues of xi_bar below eps * 2^{-n (H + delta)}.
 
@@ -379,21 +372,14 @@ def build_omega_and_cutoff(
     to their weights, so xi_bar = G G^dag with G = [sqrt(p_x) F_x]. The
     eigenproblem is solved on the smaller side: the R x R Gram matrix
     G^dag G when G has fewer columns R than rows, else G G^dag.
-    H is the relevant conditional reference entropy. With trivial=True the
-    cutoff projector is the identity and nothing is cut (used for exact
-    small-case checks); threshold 0 keeps the positive spectrum.
+    H is the relevant conditional reference entropy; threshold 0 keeps
+    the positive spectrum. Returns the kept eigenvectors and eigenvalues;
+    the caller projects the members' factors onto them.
     """
     dim = next(iter(xi_prime_map.values())).shape[0]
     g = np.hstack(
         [math.sqrt(probs[m]) * f for m, f in xi_prime_map.items()]
     )
-    if trivial:
-        return CutoffResult(
-            basis=np.eye(dim),
-            weighted=g,
-            xi=dict(xi_prime_map),
-            threshold=float("-inf"),
-        )
     threshold = eps * 2.0 ** (-n * (h_ref_given_cond + delta))
     gram = g.shape[1] < dim
     dec = spectral_decompose(g.conj().T @ g if gram else g @ g.conj().T)
@@ -404,12 +390,8 @@ def build_omega_and_cutoff(
         vecs = (g @ dec.eigenvectors[:, keep]) / np.sqrt(mu[keep])
     else:
         vecs = dec.eigenvectors[:, keep]
-    scaled = vecs * np.sqrt(mu[keep])
     return CutoffResult(
-        basis=vecs,
-        weighted=scaled,
-        xi=_batched(lambda g: vecs @ (vecs.conj().T @ g), xi_prime_map),
-        threshold=float(threshold),
+        basis=vecs, eigenvalues=mu[keep], threshold=float(threshold)
     )
 
 
@@ -418,9 +400,10 @@ class ConditioningBlock:
     """Deterministic per-conditioning-sequence geometry.
 
     Shared by every trial: the conditional typical set of output
-    sequences along the conditioning with its pruned law, the
-    compressed states through the eigenvalue cutoff (cutoff.xi, one
-    factor per typical member), and per member the factor w_x with
+    sequences along the conditioning with its pruned law, the eigenvalue
+    cutoff of the averaged compressed state, and per typical member the
+    factor w_x = rho_cond^{-1/2} P F_x, where P is the cutoff projector
+    and F_x the P_C-compressed state's factor, so that
     rho_cond^{-1/2} xi_x rho_cond^{-1/2} = w_x w_x^dag.
     """
 
@@ -471,17 +454,16 @@ def _build_conditioning_block(
     n,
     delta,
     eps,
-    *,
-    trivial_projectors=False,
 ):
     """Assemble one ConditioningBlock. eigs holds the eigensystems of the
     conditioning states, hat_eigs maps each (conditioning, output) pair
     to the branch eigensystem of its hat state. The product state along
     cond_seq has eigenbasis B, so P_C = B diag(m) B^dag, m masking its
-    typical branches, and rho_cond^{-1/2} = B diag(inv) B^dag. Both are
-    applied to the stacked factors of all members at once, B as
-    Kronecker half-products. Raises EmptySupport when the conditional
-    typical set along cond_seq is empty."""
+    typical branches, and rho_cond^{-1/2} = B diag(inv) B^dag. P_C, and
+    then the cutoff projection with rho_cond^{-1/2}, are applied to the
+    stacked factors of all members at once, B as Kronecker
+    half-products. Raises EmptySupport when the conditional typical set
+    along cond_seq is empty."""
     typical = conditional_typical_set(p_cond_rows, cond_seq, n, delta)
     pruned = prune_conditional(p_cond_rows, cond_seq, typical)
 
@@ -495,27 +477,24 @@ def _build_conditioning_block(
                     "probability is below tolerance"
                 )
         xi_prime[member] = build_xi_prime(
-            [hat_eigs[pair] for pair in pair_seq],
-            None if trivial_projectors else delta,
+            [hat_eigs[pair] for pair in pair_seq], delta
         )
     basis = eigs.basis(cond_seq)
-    if not trivial_projectors:
-        _, mask = _typical_mask(eigs.eigenvalues(cond_seq), delta)
-        xi_prime = _batched(lambda g: _in_basis(basis, mask, g), xi_prime)
+    _, mask = _typical_mask(eigs.eigenvalues(cond_seq), delta)
+    xi_prime = _batched(lambda g: _in_basis(basis, mask, g), xi_prime)
 
     cutoff = build_omega_and_cutoff(
-        xi_prime,
-        pruned.probs,
-        n,
-        eps,
-        h_ref_given_cond,
-        delta,
-        trivial=trivial_projectors,
+        xi_prime, pruned.probs, n, eps, h_ref_given_cond, delta
     )
+    vecs = cutoff.basis
     inv = _pinv_sqrt_product(eigs, cond_seq)
+
+    def whiten(g):
+        return _in_basis(basis, inv, vecs @ (vecs.conj().T @ g))
+
     return ConditioningBlock(
         cond_seq=cond_seq,
-        gamma_factors=_batched(lambda g: _in_basis(basis, inv, g), cutoff.xi),
+        gamma_factors=_batched(whiten, xi_prime),
         typical=typical,
         pruned=pruned,
         s_cond=float(typical.total_prob),
@@ -568,10 +547,7 @@ class BlockScenario:
 
 
 def build_block_scenario(
-    single: SingleLetterScenario,
-    params: ProtocolParams,
-    *,
-    trivial_projectors=False,
+    single: SingleLetterScenario, params: ProtocolParams
 ) -> BlockScenario:
     """Build the trial-independent geometry for params.n copies."""
     n = params.n
@@ -616,7 +592,6 @@ def build_block_scenario(
         n,
         delta,
         eps,
-        trivial_projectors=trivial_projectors,
     )
 
     bob_eigs = _ProductEigs({a: st.mat for a, st in single.post_states.items()})
@@ -636,7 +611,6 @@ def build_block_scenario(
                 n,
                 delta,
                 eps,
-                trivial_projectors=trivial_projectors,
             )
         except EmptySupport:
             dropped.append(cond_seq)

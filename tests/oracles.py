@@ -177,8 +177,7 @@ def jt_statistic_oracle(groups):
 
 
 def dense_conditioning_block(
-    cond_seq, base_states, p_cond_rows, hat_states, h_ref_given_cond, n, delta,
-    eps, *, trivial=False,
+    cond_seq, base_states, p_cond_rows, hat_states, h_ref_given_cond, n, delta, eps
 ):
     """One conditioning block of the geometry, built with dense D x D operators.
 
@@ -209,24 +208,17 @@ def dense_conditioning_block(
     cut = SUPPORT_CUTOFF_REL * max(np.linalg.norm(rho_cond_n, 2), 1.0)
     pinv = pinv_sqrt_on_support(rho_cond_n, cutoff=cut)
     dim = rho_cond_n.shape[0]
-    eye = np.eye(dim)
-    if trivial:
-        proj_c = eye
-    else:
-        proj_c = conditional_quantum_typical_projector(
-            {sym: base_states[sym] for sym in set(cond_seq)}, cond_seq, delta
-        ).projector
+    proj_c = conditional_quantum_typical_projector(
+        {sym: base_states[sym] for sym in set(cond_seq)}, cond_seq, delta
+    ).projector
 
     xi_prime = {}
     for member in typical.members:
         pairs = tuple(zip(cond_seq, member))
         hat_n = kron_all([hat_states[pair] for pair in pairs])
-        if trivial:
-            proj_hat = eye
-        else:
-            proj_hat = conditional_quantum_typical_projector(
-                {pair: hat_states[pair] for pair in set(pairs)}, pairs, delta
-            ).projector
+        proj_hat = conditional_quantum_typical_projector(
+            {pair: hat_states[pair] for pair in set(pairs)}, pairs, delta
+        ).projector
         out = proj_c @ (proj_hat @ hat_n @ proj_hat) @ proj_c
         xi_prime[member] = hermitian_part(out)
     xi_bar = np.zeros((dim, dim), dtype=complex)
@@ -234,23 +226,17 @@ def dense_conditioning_block(
         xi_bar = xi_bar + pruned.prob(member) * mat
     xi_bar = hermitian_part(xi_bar)
 
-    if trivial:
-        projector, omega, xi = eye, xi_bar, xi_prime
-        threshold, empty = float("-inf"), False
-    else:
-        threshold = eps * 2.0 ** (-n * (h_ref_given_cond + delta))
-        w, v = np.linalg.eigh(xi_bar)
-        keep = w > max(threshold, CUTOFF_FLOOR_REL * float(w.max()), 0.0)
-        vecs = v[:, keep]
-        projector = vecs @ vecs.conj().T
-        omega = projector @ xi_bar @ projector
-        xi = {m: projector @ mat @ projector for m, mat in xi_prime.items()}
-        empty = not bool(keep.any())
+    threshold = eps * 2.0 ** (-n * (h_ref_given_cond + delta))
+    w, v = np.linalg.eigh(xi_bar)
+    keep = w > max(threshold, CUTOFF_FLOOR_REL * float(w.max()), 0.0)
+    vecs = v[:, keep]
+    projector = vecs @ vecs.conj().T
+    xi = {m: projector @ mat @ projector for m, mat in xi_prime.items()}
     return {
         "projector": projector,
-        "omega": omega,
+        "omega": projector @ xi_bar @ projector,
         "threshold": float(threshold),
-        "empty": empty,
+        "empty": not bool(keep.any()),
         "pinv": pinv,
         "xi": xi,
         "whitened": {m: pinv @ mat @ pinv for m, mat in xi.items()},

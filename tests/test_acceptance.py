@@ -161,14 +161,16 @@ def test_criterion_4_rate_region_structure():
 
 
 def test_criterion_5_scaled_average_dominated():
-    # with trivial projectors and the exact ensemble average, the scaled
-    # compressed state never exceeds the conditional block state
+    # the scaled cut average never exceeds the conditional block state:
+    # P_hat commutes with rho_hat^n, P_C with rho_cond, and the cutoff
+    # keeps a spectral part of xi_bar, so S * omega <= P_C rho_cond P_C
+    # <= rho_cond
     for name in QUBIT_PRESETS:
         cfg = load_config(f"preset:{name}")
         single = prepare_scenario(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b)
         for n in (1, 2, 3):
             params = replace(cfg.params, n=n)
-            block = build_block_scenario(single, params, trivial_projectors=True)
+            block = build_block_scenario(single, params)
             assert block.bob_blocks, (name, n)
             blocks = list(block.bob_blocks.values()) + [block.alice_block]
             for blk in blocks:

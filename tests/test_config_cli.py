@@ -113,6 +113,12 @@ def test_rate_expression_rejects_unknown_and_unsafe_tokens():
         evaluate_rate_expression("__import__('os').getcwd()", env, scalars)
     with pytest.raises(ConfigError, match="failed"):
         evaluate_rate_expression("1 + * 2", env, scalars)
+    # powers are refused before evaluation; never evaluate a tower here
+    with pytest.raises(ConfigError, match="unsupported tokens"):
+        evaluate_rate_expression("2**10", env, scalars)
+    # an integer literal beyond float range
+    with pytest.raises(ConfigError, match="failed"):
+        evaluate_rate_expression("1" + "0" * 400, env, scalars)
 
 
 def test_resolve_size():
@@ -198,6 +204,10 @@ def test_config_errors_cite_location():
     doc = minimal_doc()
     doc["protocol"]["n"] = 0
     with pytest.raises(ConfigError, match="protocol.n"):
+        config_from_dict(doc)
+    doc = minimal_doc()
+    doc["protocol"]["sBprime"] = False
+    with pytest.raises(ConfigError, match="protocol.sBprime"):
         config_from_dict(doc)
     with pytest.raises(ConfigError, match="mode"):
         config_from_dict(minimal_doc(mode="telepathy"))
@@ -549,9 +559,16 @@ def test_cli_malformed_dim_cap_exits_2(capsys, monkeypatch, raw):
 
 
 @pytest.mark.parametrize(
-    # 2^(n * rate) overflows a float, or the rate is NaN (inf - inf);
-    # both fail before any codebook is drawn
-    "expr", ["H(X_B) * 1000", "1e308 * 10 - 1e308 * 10"]
+    # 2^(n * rate) overflows a float, the rate is NaN (inf - inf), the
+    # expression is a power, or an integer literal overflows a float; all
+    # fail before any codebook is drawn
+    "expr",
+    [
+        "H(X_B) * 1000",
+        "1e308 * 10 - 1e308 * 10",
+        "2**10000",
+        pytest.param("1" + "0" * 400, id="400-digit-literal"),
+    ],
 )
 def test_cli_unrepresentable_size_expression_exits_2(capsys, tmp_path, expr):
     doc = preset_document("bell-computational")

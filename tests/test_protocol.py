@@ -156,10 +156,6 @@ def test_build_xi_prime_is_projected_hermitian():
     # no typical branch: an empty factor, a zero compressed state
     assert (proj_c @ build_xi_prime(eigs, 0.2)).shape == (4, 0)
 
-    # trivial projectors: the whole product state
-    f = build_xi_prime(eigs, None)
-    assert np.allclose(f @ f.conj().T, np.kron(a, b), atol=1e-12)
-
 
 def _diag_factor(values):
     return np.diag(np.sqrt(np.asarray(values, dtype=float)))
@@ -178,8 +174,7 @@ def test_omega_cutoff_keeps_eigenvalues_above_threshold():
     assert np.isclose(res.threshold, 0.01)
     assert np.allclose(res.projector, np.diag([1.0, 1.0, 0.0]))
     assert np.allclose(res.omega, np.diag([0.5, 0.02, 0.0]))
-    cut = res.xi[(0,)]
-    assert np.allclose(cut @ cut.conj().T, np.diag([0.3, 0.01, 0.0]))
+    assert np.allclose(res.eigenvalues, [0.5, 0.02])
     assert not res.empty
 
     # everything below threshold: empty cutoff
@@ -204,15 +199,8 @@ def test_omega_cutoff_keeps_eigenvalues_above_threshold():
     )
     assert np.allclose(res.projector, u @ u.T)
     assert np.allclose(res.omega, 0.3 * u @ u.T)
-    assert np.allclose(res.xi[(1,)], 0.0)
-
-    # trivial mode: identity projector, untouched operators
-    res = build_omega_and_cutoff(
-        xi_map, probs, 1, 0.1, 0.0, np.log2(10), trivial=True
-    )
-    assert np.allclose(res.projector, np.eye(3))
-    assert np.allclose(res.omega, np.diag([0.5, 0.02, 0.005]))
-    assert res.xi[(0,)] is xi_map[(0,)]
+    # the dropped member lies outside the kept space
+    assert np.allclose(res.basis.conj().T @ v, 0.0)
 
 
 def _oracle_cases(single, block):
@@ -238,8 +226,8 @@ def _oracle_cases(single, block):
         )
 
 
-def _assert_matches_dense_oracle(single, params, trivial=False, sqrt_tol=1e-10):
-    block = build_block_scenario(single, params, trivial_projectors=trivial)
+def _assert_matches_dense_oracle(single, params, sqrt_tol=1e-10):
+    block = build_block_scenario(single, params)
 
     def close(got, want, tol=1e-10):
         assert np.abs(got - want).max() <= tol
@@ -249,9 +237,9 @@ def _assert_matches_dense_oracle(single, params, trivial=False, sqrt_tol=1e-10):
         if blk is None:
             assert cond_seq in block.dropped_cond
             with pytest.raises(EmptySupport):
-                oracles.dense_conditioning_block(*args, trivial=trivial)
+                oracles.dense_conditioning_block(*args)
             continue
-        ref = oracles.dense_conditioning_block(*args, trivial=trivial)
+        ref = oracles.dense_conditioning_block(*args)
         close(blk.cutoff.projector, ref["projector"])
         close(blk.cutoff.omega, ref["omega"])
         assert blk.cutoff.empty == ref["empty"]
@@ -307,26 +295,38 @@ def _owner(a):
     return a
 
 
+def _buffer_ids(obj) -> set:
+    """ids of the owners of every ndarray buffer reachable from obj."""
+    if isinstance(obj, np.ndarray):
+        return {id(_owner(obj))}
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    elif is_dataclass(obj):
+        obj = [getattr(obj, f.name) for f in fields(obj)]
+    elif not isinstance(obj, (list, tuple)):
+        return set()
+    return set().union(*map(_buffer_ids, obj))
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_cutoff_keeps_only_its_factors(n):
-    # projector and omega are basis basis^dag and weighted weighted^dag;
-    # the block must not hold a D x D buffer for a rank-r cutoff
+    # projector and omega are formed from basis and eigenvalues on
+    # request; a block holds its gamma factors (one shared buffer) and
+    # the cutoff's basis and eigenvalues, and no other array
     name = "three-outcome-split"
     cfg = config_from_dict(preset_document(name), name=name)
     single = prepare_scenario(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b)
     block = build_block_scenario(single, replace(cfg.params, n=n))
     dim = block.rho_n.shape[0]
-    checked = 0
     for blk in [block.alice_block, *block.bob_blocks.values()]:
         cut = blk.cutoff
         rank = cut.basis.shape[1]
-        if rank >= dim:
-            continue
-        owners = {id(o): o for o in map(_owner, (cut.basis, cut.weighted))}
-        assert sum(o.size for o in owners.values()) <= 2 * dim * rank
-        assert cut.weighted.shape == (dim, rank)
-        checked += 1
-    assert checked > 0
+        assert cut.basis.shape == (dim, rank)
+        assert cut.eigenvalues.shape == (rank,)
+        gamma = {id(_owner(w)) for w in blk.gamma_factors.values()}
+        assert len(gamma) == 1
+        want = gamma | {id(_owner(cut.basis)), id(_owner(cut.eigenvalues))}
+        assert _buffer_ids(blk) == want
 
 
 @pytest.mark.parametrize("k", [0, 1, 3])
@@ -435,18 +435,18 @@ def rank_two_scenarios(draw):
         s_b=1,
         m_b=1,
     )
-    return prepare_scenario(rho, povm, g_a, g_b), params, draw(st.booleans())
+    return prepare_scenario(rho, povm, g_a, g_b), params
 
 
 @settings(max_examples=40, deadline=None)
 @given(rank_two_scenarios())
 def test_factored_block_matches_dense_oracle_on_rank_two_scenarios(case):
-    single, params, trivial = case
+    single, params = case
     # Rank-2 elements of a qutrit are singular, and the principal square
     # root of a singular matrix is only accurate to about the square root
     # of machine epsilon, by the dense route and the Kronecker one alike.
     try:
-        _assert_matches_dense_oracle(single, params, trivial, sqrt_tol=1e-7)
+        _assert_matches_dense_oracle(single, params, sqrt_tol=1e-7)
     except (EmptySupport, NegligibleProbability):
         assume(False)
 
@@ -595,10 +595,11 @@ def test_validate_subpovm_leak_and_selection_failure():
 
 
 def test_scaled_average_stays_below_block_state():
-    # with trivial projectors, S(cond) * omega never exceeds the block
-    # post-measurement state
+    # S(cond) * omega never exceeds the block post-measurement state:
+    # P_C commutes with rho_cond and the cutoff keeps a spectral part of
+    # the average, so S * omega <= P_C rho_cond P_C <= rho_cond
     for single, params in ((bell_single(), BELL_PARAMS), (trine_single(), TRINE_PARAMS)):
-        block = build_block_scenario(single, params, trivial_projectors=True)
+        block = build_block_scenario(single, params)
         for blk in list(block.bob_blocks.values()) + [block.alice_block]:
             rho_cond = oracles.conditioning_state(block, blk)
             gap = rho_cond - blk.s_cond * blk.cutoff.omega
@@ -808,10 +809,10 @@ def test_factored_routes_match_dense_oracles_at_n5():
 def test_trial_operators_match_dense_oracle_on_rank_two_scenarios(
     case, size, m_count, seed
 ):
-    single, params, trivial = case
+    single, params = case
     params = replace(params, s_a=size, m_a=m_count, s_b=size, m_b=m_count)
     try:
-        block = build_block_scenario(single, params, trivial_projectors=trivial)
+        block = build_block_scenario(single, params)
     except (EmptySupport, NegligibleProbability):
         assume(False)
     # The oracle's sqrt_psd of a singular operator is only about
