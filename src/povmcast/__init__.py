@@ -47,7 +47,6 @@ from .linalg import (
     spectral_decompose,
     sqrt_psd,
     support_projector,
-    tensor_power,
     trace_distance,
     trace_norm,
 )

@@ -218,21 +218,6 @@ def kron_all(ops) -> np.ndarray:
     return out
 
 
-def tensor_power(a, n: int) -> np.ndarray:
-    """n-fold Kronecker power, guarded by the dimension cap."""
-    m = as_matrix(a)
-    if n < 0:
-        raise ValueError("tensor power exponent must be >= 0")
-    if n == 0:
-        return np.eye(1, dtype=np.complex128)
-    d = m.shape[0]
-    if d**n > dimension_cap():
-        raise SizeLimitExceeded(
-            f"dimension {d}^{n} = {d**n} exceeds cap {dimension_cap()}"
-        )
-    return kron_all([m] * n)
-
-
 class DensityOperator:
     """Validated density operator: Hermitian, PSD, unit trace."""
 

@@ -46,7 +46,6 @@ from .linalg import (
     pinv_sqrt_on_support,  # noqa: F401
     spectral_decompose,
     sqrt_psd,
-    tensor_power,
 )
 from .measurement import (
     SUPPORT_CUTOFF_REL,
@@ -113,9 +112,11 @@ _FREE = 0
 class ProtocolParams:
     """Block-coding parameters for one protocol build.
 
-    delta controls the typical-set width, delta2 the eigenvalue cutoff
-    slack, eps the rescaling margin. s_a/s_b are codewords per bin,
-    m_a/m_b the number of common-randomness bins. Case 1 draws s_b_prime
+    delta sets the typical-set width and, with eps, the eigenvalue
+    cutoff eps * 2^{-n (H + delta)}; eps is also the rescaling margin.
+    delta2 is the slack that rate expressions may use; the construction
+    does not read it. s_a/s_b are codewords per bin, m_a/m_b the number
+    of common-randomness bins. Case 1 draws s_b_prime
     candidates from the output marginal and keeps the first s_b that are
     conditionally typical; case 2 draws s_b directly from the conditional
     law. Seed feeds a SeedSequence, so any 128-bit int is accepted.
@@ -254,13 +255,21 @@ class _Kron:
 
     Applied to a factor G as two matmuls: (A (x) B) G reshapes G to
     (a, b K), multiplies by A, then multiplies each of the a row blocks
-    by B. No matrix of the product's size is formed.
+    by B. No matrix of the product's size is formed. The product of two
+    such operators split at the same position is (A C) (x) (B E).
     """
 
     left: np.ndarray
     right: np.ndarray
 
-    def __matmul__(self, g) -> np.ndarray:
+    @property
+    def shape(self) -> tuple:
+        (a, a_in), (b, b_in) = self.left.shape, self.right.shape
+        return a * b, a_in * b_in
+
+    def __matmul__(self, g):
+        if isinstance(g, _Kron):
+            return _Kron(self.left @ g.left, self.right @ g.right)
         (a, a_in), (b, b_in) = self.left.shape, self.right.shape
         k = g.shape[1]
         t = (self.left @ g.reshape(a_in, b_in * k)).reshape(a, b_in, k)
@@ -522,16 +531,17 @@ class BlockScenario:
     measurement operators for the sequences a codebook can draw (typical
     members). A reference Lambda_x is held by its factor, the Kronecker
     product of single-letter factors (D x prod_i r_i), and
-    sqrt_lambda_a_n by sqrt(Lambda_x); both as two Kronecker
-    half-products shared between sequences with a common half.
+    sqrt_lambda_a_n by sqrt(Lambda_x); rho_n and sqrt_rho_n are the
+    Kronecker powers of rho and sqrt(rho). All are held as two Kronecker
+    half-products, shared between sequences with a common half.
     Conditioning sequences whose conditional typical set is empty are
     listed in dropped_cond and excluded from the construction.
     """
 
     single: SingleLetterScenario
     n: int
-    rho_n: np.ndarray
-    sqrt_rho_n: np.ndarray
+    rho_n: _Kron
+    sqrt_rho_n: _Kron
     alice_block: ConditioningBlock
     bob_blocks: dict
     dropped_cond: tuple
@@ -566,8 +576,9 @@ def build_block_scenario(
         )
 
     sqrt_rho = sqrt_psd(single.rho.mat)
-    rho_n = tensor_power(single.rho.mat, n)
-    sqrt_rho_n = tensor_power(sqrt_rho, n)
+    power = (0,) * n
+    rho_n = _kron_halves([single.rho.mat], power, {})
+    sqrt_rho_n = _kron_halves([sqrt_rho], power, {})
 
     # Alice: the unconditioned pipeline is the conditional one along a
     # single free symbol whose conditional law is the x_A marginal.
@@ -1111,16 +1122,16 @@ def build_protocol_instance(
     )
 
 
-def faithfulness_distance(reference, approx, rho_n, *, sqrt_rho=None):
+def faithfulness_distance(reference, approx, rho_n):
     """Trace-norm deviation of a simulated measurement from a reference.
 
-    Both arguments map outcome sequences to dense operators; missing keys
-    count as zero. Returns sum_x || sqrt(rho_n) (approx_x - ref_x)
-    sqrt(rho_n) ||_1 by one D x D SVD per key. instance_report scores its
-    factor tables with _signed_trace_norm instead.
+    Both tables map outcome sequences to dense operators; missing keys
+    count as zero, and rho_n is the dense block state. Returns
+    sum_x || sqrt(rho_n) (approx_x - ref_x) sqrt(rho_n) ||_1 by one
+    D x D SVD per key. instance_report scores its factor tables with
+    _signed_trace_norm instead.
     """
-    if sqrt_rho is None:
-        sqrt_rho = sqrt_psd(np.asarray(rho_n))
+    sqrt_rho = sqrt_psd(np.asarray(rho_n))
     keys = set(reference) | set(approx)
     dim = sqrt_rho.shape[0]
     zero = np.zeros((dim, dim))
@@ -1237,19 +1248,21 @@ def instance_report(instance: ProtocolInstance) -> FaithfulnessReport:
 
     d_bob is the atypical part plus the typical part over the x_B^n
     marginal typical set; d2 and d3 split the typical part. Every
-    operator is a factor, sandwiched once by sqrt(rho^n) and scored by
-    _signed_trace_norm; only the references of drawn keys are formed
-    from their Kronecker halves."""
+    operator is a factor, sandwiched by sqrt(rho^n) and scored by
+    _signed_trace_norm. A table of factors is sandwiched in one pass
+    through the Kronecker halves of sqrt(rho^n); the reference of a
+    drawn key is the product of its halves with those of sqrt(rho^n),
+    formed densely only then."""
     block = instance.block
     single = block.single
     sqrt_rho = block.sqrt_rho_n
     empty = np.zeros((sqrt_rho.shape[0], 0))
 
     def sandwiched(factors):
-        return {key: sqrt_rho @ f for key, f in factors.items()}
+        return _batched(lambda g: sqrt_rho @ g, factors) if factors else {}
 
     def references(table, keys):
-        return sandwiched({key: table[key].dense() for key in keys})
+        return {key: (sqrt_rho @ table[key]).dense() for key in keys}
 
     tilde = sandwiched(instance.lambda_tilde_b)
     prime = sandwiched(instance.lambda_prime_b)
@@ -1339,23 +1352,23 @@ def _sample_index(weights, residual, rng):
     return min(idx, len(weights))
 
 
-def _codeword_weights(opset, words, m_count, state) -> list:
+def _codeword_weights(opset, words, m_count, adjoint) -> list:
     """Outcome weights m_count * tr(op_x F F^dag) = m_count * scale *
-    ||w_x^dag F||^2 of one bin's codewords, one product per member, for a
-    state given as its factor F."""
+    ||F^dag w_x||^2 of one bin's codewords, one product per member, for a
+    state given by the adjoint F^dag of its factor F."""
     factors = opset.block.gamma_factors
     per_member = {}
     for seq in words:
         if seq not in per_member:
-            x = factors[seq].conj().T @ state
+            x = adjoint @ factors[seq]
             trace = float(np.vdot(x, x).real)
             per_member[seq] = m_count * opset.scale * trace
     return [per_member[seq] for seq in words]
 
 
 def _collapsed_state(alice, seq, rho_n) -> np.ndarray:
-    """Factor F of rho_n after Alice's outcome seq from a non-fallback
-    bin, the state being F F^dag.
+    """Factor F of the block state rho_n (Kronecker halves) after Alice's
+    outcome seq from a non-fallback bin, the state being F F^dag.
 
     The server collapses by the physical operator
     sqrt(scale) (w w^dag)^{1/2}; Alice's root U diag(s) U^dag of seq is a
@@ -1364,7 +1377,7 @@ def _collapsed_state(alice, seq, rho_n) -> np.ndarray:
     F = U Q diag(sqrt(mu)) for the eigensystem M = Q diag(mu) Q^dag.
     """
     u, s = alice.sqrt_lambda_tilde[seq]
-    inner = (s[:, None] * (u.conj().T @ rho_n @ u)) * s
+    inner = (s[:, None] * (u.conj().T @ (rho_n @ u))) * s
     mu, q = np.linalg.eigh(hermitian_part(inner))
     factor = u @ (q * np.sqrt(np.clip(mu, 0.0, None)))
     return factor / np.linalg.norm(factor)
@@ -1410,7 +1423,7 @@ def run_protocol_trial(instance: ProtocolInstance, rng) -> SimulationTranscript:
     # The operator families carry a 1/m_count normalization so that the
     # sum over every bin is the simulated POVM; for a fixed shared bin the
     # server measures the m_count-fold rescaling, whose bin sum is near
-    # identity.
+    # identity. sqrt(rho^n) is its own adjoint factor of rho^n.
     words_a = alice.codebook.codewords(block.alice_block.cond_seq, m_a)
     weights = _codeword_weights(
         alice.opset, words_a, params.m_a, block.sqrt_rho_n
@@ -1432,7 +1445,7 @@ def run_protocol_trial(instance: ProtocolInstance, rng) -> SimulationTranscript:
         return degenerate("bob_fallback", m_a=m_a, m_b=m_b, j_a=j_a)
 
     words_b = instance.bob_codebook.codewords(alice_seq, m_b)
-    weights_b = _codeword_weights(opset, words_b, params.m_b, post)
+    weights_b = _codeword_weights(opset, words_b, params.m_b, post.conj().T)
     residual_b = 1.0 - sum(weights_b)
     j_pos = _sample_index(weights_b, residual_b, rng)
     if j_pos >= len(words_b):

@@ -277,14 +277,16 @@ def dense_instance_scores(block, instance):
     Every outcome sequence gets a dense Kronecker reference operator, the
     simulated operators are densified from their factors and zero-filled
     over all sequences, and the five scores are five
-    faithfulness_distance calls over explicit dicts.
+    faithfulness_distance calls over explicit dicts, rho^n being the
+    Kronecker power of the single-letter state.
     """
     from povmcast.linalg import kron_all
     from povmcast.protocol import faithfulness_distance
 
     single = block.single
     n = block.n
-    dim = block.rho_n.shape[0]
+    rho_n = kron_all([single.rho.mat] * n)
+    dim = rho_n.shape[0]
 
     def table(elements):
         return {
@@ -306,7 +308,7 @@ def dense_instance_scores(block, instance):
         return {k: v for k, v in ops.items() if (k in members) == typical}
 
     def dist(ref, app):
-        return faithfulness_distance(ref, app, None, sqrt_rho=block.sqrt_rho_n)
+        return faithfulness_distance(ref, app, rho_n)
 
     return {
         "d_bob": dist(ref_b, tilde),
@@ -326,7 +328,8 @@ def dense_trial_operators(block, params, seed_seq):
     sequence over her non-fallback bins and rooted with sqrt_psd, and
     Bob's elements are the four-matmul sandwich of each codeword's
     operator, sqrt(Lambda_a^n) being the Kronecker product of the
-    single-letter sqrt_psd(E_a). Sampling weights are m tr(op rho^n) for
+    single-letter sqrt_psd(E_a) and rho^n the Kronecker power of the
+    single-letter state. Sampling weights are m tr(op rho^n) for
     every Alice bin, and for every (Alice bin, Alice position, Bob bin)
     they are m_b tr(op post), post being rho^n collapsed by sqrt_psd of
     Alice's operator. With a single Alice letter her operators are
@@ -345,7 +348,7 @@ def dense_trial_operators(block, params, seed_seq):
 
     alice_ss, bob_ss, _ = seed_seq.spawn(3)
     ab = block.alice_block
-    rho_n = block.rho_n
+    rho_n = kron_all([block.single.rho.mat] * block.n)
     dim = rho_n.shape[0]
     alice_cb = generate_codebook(
         params, None, {ab.cond_seq: ab.pruned}, np.random.default_rng(alice_ss),

@@ -28,6 +28,7 @@ from povmcast import (
     instance_report,
     joint_outcome_model,
     jonckheere_terpstra,
+    kron_all,
     load_config,
     measurements_equivalent,
     prepare_scenario,
@@ -311,5 +312,7 @@ def test_criterion_10_degenerate_cases():
     # holds the factors of the sequences a Bob codebook can draw as
     # Kronecker halves, here densified to their operators F F^dag)
     ref = densify({k: dense_kron(h) for k, h in block.lambda_ref_b.items()})
-    d_self = faithfulness_distance(ref, ref, block.rho_n)
+    d_self = faithfulness_distance(
+        ref, ref, kron_all([single.rho.mat] * cfg.params.n)
+    )
     assert d_self == 0.0

@@ -22,7 +22,6 @@ from povmcast import (
     spectral_decompose,
     sqrt_psd,
     support_projector,
-    tensor_power,
     trace_distance,
     trace_norm,
 )
@@ -150,24 +149,22 @@ def test_fidelity_pure_states():
     assert np.isclose(fidelity(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), 0.0)
 
 
-def test_kron_all_and_tensor_power():
+def test_kron_all():
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     z = np.diag([1.0, -1.0])
     assert np.allclose(kron_all([x, z]), np.kron(x, z))
-    assert np.allclose(tensor_power(x, 0), np.eye(1))
-    assert np.allclose(tensor_power(x, 3), np.kron(x, np.kron(x, x)))
+    assert np.allclose(kron_all([x]), x)
+    assert np.allclose(kron_all([x] * 3), np.kron(x, np.kron(x, x)))
     with pytest.raises(ValueError):
         kron_all([])
-    with pytest.raises(ValueError):
-        tensor_power(x, -1)
 
 
 def test_dimension_cap_env_override(monkeypatch):
     monkeypatch.setenv("POVMCAST_DIM_CAP", "8")
     assert dimension_cap() == 8
     with pytest.raises(SizeLimitExceeded):
-        tensor_power(np.eye(2), 4)
-    tensor_power(np.eye(2), 3)  # exactly at the cap
+        kron_all([np.eye(2)] * 4)
+    kron_all([np.eye(2)] * 3)  # exactly at the cap
     for bad in ("0", "abc"):
         monkeypatch.setenv("POVMCAST_DIM_CAP", bad)
         with pytest.raises(ConfigError, match=f"POVMCAST_DIM_CAP.*{bad!r}"):

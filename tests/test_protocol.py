@@ -1,6 +1,7 @@
 """Protocol construction tests: scenario prep, codebooks, operators, trials."""
 
 from dataclasses import fields, is_dataclass, replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -254,7 +255,9 @@ def _assert_matches_dense_oracle(single, params, sqrt_tol=1e-10):
         assert set(blk.gamma_factors) == set(ref["whitened"])
         for member, w in blk.gamma_factors.items():
             close(w @ w.conj().T, ref["whitened"][member], tol)
-    close(block.sqrt_rho_n, sqrt_psd(block.rho_n))
+    rho_n = oracles.dense_kron(block.rho_n)
+    close(rho_n, kron_all([single.rho.mat] * params.n), 1e-14)
+    close(oracles.dense_kron(block.sqrt_rho_n), sqrt_psd(rho_n))
     # references exist exactly for the sequences a codebook can draw
     alice_members = set(block.alice_block.typical.members)
     assert set(block.sqrt_lambda_a_n) == alice_members
@@ -345,10 +348,20 @@ def test_kron_halves_apply_matches_kron_all(n, k):
         size=(dense.shape[0], k)
     )
     halves = _kron_halves(mats, tuple(range(n)), {})
+    assert halves.shape == dense.shape
     got = halves @ g
     assert got.shape == (dense.shape[0], k)
     assert np.abs(got - dense @ g).max(initial=0.0) <= 1e-13
     assert np.abs(halves.H @ g - dense.conj().T @ g).max(initial=0.0) <= 1e-13
+    # the product of two Kronecker products split at the same position,
+    # here with a rectangular right factor of k columns per letter
+    right = [
+        rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k)) for d in dims
+    ]
+    product = halves @ _kron_halves(right, tuple(range(n)), {})
+    assert product.shape == (dense.shape[0], k**n)
+    want = dense @ reduce(np.kron, right)
+    assert np.abs(oracles.dense_kron(product) - want).max(initial=0.0) <= 1e-13
 
 
 def test_kron_halves_share_equal_halves():
@@ -396,7 +409,12 @@ def test_square_roots_hold_no_dense_block_operator(name):
     cfg = config_from_dict(doc, name=name)
     single = prepare_scenario(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b)
     block = build_block_scenario(single, cfg.params)
-    full = block.rho_n.shape[0] ** 2
+    dim = block.rho_n.shape[0]
+    full = dim**2
+    # rho^n and sqrt(rho^n) are Kronecker powers held as two halves
+    powers = _arrays([block.rho_n, block.sqrt_rho_n])
+    assert powers
+    assert all(a.size <= dim for a in powers)
     table = _arrays(block.sqrt_lambda_a_n)
     assert table
     assert all(a.size < full for a in table)
@@ -772,7 +790,7 @@ def _assert_trial_matches_dense_oracle(
         post = _collapsed_state(alice, cond_seq, block.rho_n)
         words = instance.bob_codebook.codewords(cond_seq, m_b)
         got = _codeword_weights(
-            instance.bob_sets[cond_seq], words, params.m_b, post
+            instance.bob_sets[cond_seq], words, params.m_b, post.conj().T
         )
         assert np.allclose(got, ref, rtol=0.0, atol=root_tol)
     return instance, want
@@ -797,6 +815,26 @@ def test_factored_routes_match_dense_oracles_at_n5():
     _assert_matches_dense_oracle(single, params)
     block = build_block_scenario(single, params)
     _assert_trial_matches_dense_oracle(block, params, cfg.mode, 0)
+
+
+def test_factored_routes_match_dense_oracles_at_n6():
+    # D = 64 with covering-lemma sizes for both parties, so Bob's bins
+    # serve outcomes and d is not saturated
+    name = "bell-computational"
+    doc = preset_document(name)
+    doc["protocol"].update(
+        n=6,
+        sA="I(X_A;R) + delta2",
+        MA="H(X_A) - I(X_A;R) + delta2",
+        sB="I(X_B;R|X_A) + delta2",
+        MB="H(X_B|X_A) - I(X_B;R|X_A) + delta2",
+    )
+    cfg = config_from_dict(doc, name=name)
+    single = prepare_scenario(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b)
+    block = build_block_scenario(single, cfg.params)
+    report = _assert_scores_match_dense_oracle(block, cfg.params, cfg.mode, 0)
+    assert not report.saturated
+    _assert_trial_matches_dense_oracle(block, cfg.params, cfg.mode, 0)
 
 
 @settings(max_examples=40, deadline=None)
