@@ -23,8 +23,7 @@ from povmcast import (
 
 for name in preset_names():
     cfg = load_config(f"preset:{name}")
-    region = evaluate_rate_region(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b)
-    q = region.quantities
+    q = evaluate_rate_region(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b)
     print(f"{name}")
     print(f"  I(X_A;R)     = {q.iXA_R:.6f}   H(X_A)      = {q.hXA:.6f}")
     print(f"  I(X_A,X_B;R) = {q.iXAXB_R:.6f}   H(X_B|X_A)  = {q.hXB_given_XA:.6f}")
@@ -32,15 +31,15 @@ for name in preset_names():
     print("  Alice:                 R_A >= %.6f, R_A + S_A >= %.6f"
           % (q.iXA_R, q.hXA))
     print("  Bob (shared rand.):    R_B >= %.6f, R_B + S_B >= %.6f"
-          % (region.option1.iXAXB_R, region.option1.hXB_given_XA))
+          % (q.iXAXB_R, q.hXB_given_XA))
     print("  Bob (independent):     R_B >= %.6f, R_B + S_B >= %.6f"
-          % (region.option2.iXB_RXA, region.option2.hXB))
+          % (q.iXB_RXA, q.hXB))
     print()
 
 # same-value broadcast: Bob's extra information and conditional entropy
 # both collapse
 cfg = load_config("preset:bell-computational")
-q = evaluate_rate_region(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b).quantities
+q = evaluate_rate_region(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b)
 print("bell-computational has g_A = g_B, so")
 print(f"  I(X_A,X_B;R) - I(X_A;R) = {q.iXAXB_R - q.iXA_R:.2e}")
 print(f"  H(X_B|X_A)              = {q.hXB_given_XA:.2e}")

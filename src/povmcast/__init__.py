@@ -88,7 +88,6 @@ from .protocol import (
 from .rates import (
     RateQuantities,
     RatePoint,
-    RateRegionReport,
     conditional_rate_quantities,
     evaluate_rate_region,
     holevo_mutual_information,

@@ -29,12 +29,7 @@ from .measurement import (
     sequential_composition,
 )
 from .protocol import build_block_scenario, prepare_scenario, simulate_trials
-from .rates import (
-    RATE_CSV_COLUMNS,
-    evaluate_rate_region,
-    report_csv_row,
-    report_to_json,
-)
+from .rates import RATE_CSV_COLUMNS, evaluate_rate_region, report_to_json
 from .stats import jonckheere_terpstra
 
 TRIAL_CSV_COLUMNS = (
@@ -76,6 +71,8 @@ SWEEP_CSV_COLUMNS = (
     "bits_to_bob_mean",
 )
 
+EQUIVALENCE_CSV_COLUMNS = ("equivalent", "max_deviation", "tolerance")
+
 
 def load_schema(kind: str) -> dict:
     """Published JSON schema shipped with the package.
@@ -97,12 +94,19 @@ def _dump_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_text(header, rows) -> str:
+def _csv_rows(columns, records) -> list:
+    """Each record's values in column order, with booleans as 0/1."""
+    return [
+        [int(rec[c]) if isinstance(rec[c], bool) else rec[c] for c in columns]
+        for rec in records
+    ]
+
+
+def _csv_text(columns, records) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerow(columns)
+    writer.writerows(_csv_rows(columns, records))
     return buf.getvalue()
 
 
@@ -155,27 +159,6 @@ def _trial_json(rec) -> dict:
     }
 
 
-def _trial_row(params, mode: str, rec) -> list:
-    r = rec.report
-    t = rec.transcript
-    return [
-        params.n,
-        params.s_b,
-        params.m_b,
-        params.case,
-        mode,
-        rec.index,
-        r.d_bob,
-        r.d2,
-        r.d3,
-        r.fallback_rate,
-        r.ec_rate,
-        int(r.e0_ok),
-        t.bits_to_alice,
-        t.bits_to_bob,
-    ]
-
-
 def aggregate_records(records) -> dict:
     """Summary statistics over per-trial records."""
     reports = [rec.report for rec in records]
@@ -216,20 +199,28 @@ def _load(args):
     return cfg
 
 
-def _resolve_output(args, cfg, default: str):
-    """Output path and format: command-line flags beat the config section."""
+def _emit(args, cfg, default: str, doc: dict, columns, records):
+    """Write the report to the output file, if one is named.
+
+    Command-line flags beat the config's output section. JSON writes doc;
+    CSV writes one row per record. Returns the path and format.
+    """
     out = args.out or cfg.output_path
     fmt = args.format or cfg.output_format or default
     if fmt not in ("json", "csv"):
         raise ConfigError(f"format must be json or csv, got {fmt!r}")
+    if out:
+        if fmt == "json":
+            _write_text(out, _dump_json(doc))
+        else:
+            _write_text(out, _csv_text(columns, records))
     return out, fmt
 
 
 def cmd_rates(args) -> int:
     """Evaluate the achievable rate floors and print the corner summary."""
     cfg = _load(args)
-    report = evaluate_rate_region(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b)
-    q = report.quantities
+    q = evaluate_rate_region(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b)
     lines = [
         f"scenario: {cfg.name}",
         "",
@@ -244,27 +235,16 @@ def cmd_rates(args) -> int:
         "",
         f"Alice:        R_A >= {q.iXA_R:.6f}   R_A + S_A >= {q.hXA:.6f}",
         "Bob, sharing Alice's randomness:",
-        f"              R_B >= {report.option1.iXAXB_R:.6f}"
-        f"   R_B + S_B >= {report.option1.hXB_given_XA:.6f}",
+        f"              R_B >= {q.iXAXB_R:.6f}"
+        f"   R_B + S_B >= {q.hXB_given_XA:.6f}",
         "Bob, with independent randomness:",
-        f"              R_B >= {report.option2.iXB_RXA:.6f}"
-        f"   R_B + S_B >= {report.option2.hXB:.6f}",
+        f"              R_B >= {q.iXB_RXA:.6f}"
+        f"   R_B + S_B >= {q.hXB:.6f}",
     ]
     print("\n".join(lines))
-    out, fmt = _resolve_output(args, cfg, "json")
-    if out:
-        if fmt == "json":
-            doc = {
-                "schema": "povmcast/rates-v1",
-                "name": cfg.name,
-                "report": report_to_json(report),
-            }
-            _write_text(out, _dump_json(doc))
-        else:
-            _write_text(
-                out,
-                _csv_text(RATE_CSV_COLUMNS, [report_csv_row(report)]),
-            )
+    report = report_to_json(q)
+    doc = {"schema": "povmcast/rates-v1", "name": cfg.name, "report": report}
+    _emit(args, cfg, "json", doc, RATE_CSV_COLUMNS, [report])
     return 0
 
 
@@ -302,24 +282,7 @@ def cmd_equivalence(args) -> int:
         "perturbed": perturbed,
     }
     print(_dump_json(doc), end="")
-    out, fmt = _resolve_output(args, cfg, "json")
-    if out:
-        if fmt == "json":
-            _write_text(out, _dump_json(doc))
-        else:
-            _write_text(
-                out,
-                _csv_text(
-                    ("equivalent", "max_deviation", "tolerance"),
-                    [
-                        [
-                            int(res.equivalent),
-                            float(res.max_deviation),
-                            cfg.equivalence.tolerance,
-                        ]
-                    ],
-                ),
-            )
+    _emit(args, cfg, "json", doc, EQUIVALENCE_CSV_COLUMNS, [doc])
     return 0 if res.equivalent else 1
 
 
@@ -329,61 +292,43 @@ def _warn_if_saturated(records, where: str):
         print(f"warning: {where}: {msg}, so d = 1", file=sys.stderr)
 
 
-def cmd_simulate(args) -> int:
-    """Run seeded protocol trials and emit per-trial and aggregate data."""
-    cfg = _load(args)
-    single = prepare_scenario(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b)
-    block = build_block_scenario(single, cfg.params)
+def _run_point(args, cfg, single, params, block, where: str) -> dict:
+    """Trials at one parameter point: its params, aggregate and trials."""
     records = simulate_trials(
         single,
-        cfg.params,
+        params,
         mode=cfg.mode,
         trials=cfg.trials,
         block=block,
         workers=args.workers,
     )
-    _warn_if_saturated(records, cfg.name)
+    _warn_if_saturated(records, where)
+    return {
+        "params": _params_json(params),
+        "aggregate": aggregate_records(records),
+        "trials": [_trial_json(rec) for rec in records],
+    }
+
+
+def _trial_records(point: dict, mode: str) -> list:
+    return [{**point["params"], "mode": mode, **t} for t in point["trials"]]
+
+
+def cmd_simulate(args) -> int:
+    """Run seeded protocol trials and emit per-trial and aggregate data."""
+    cfg = _load(args)
+    single = prepare_scenario(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b)
+    block = build_block_scenario(single, cfg.params)
     doc = {
         "schema": "povmcast/simulate-v1",
         "name": cfg.name,
         "mode": cfg.mode,
-        "params": _params_json(cfg.params),
-        "aggregate": aggregate_records(records),
-        "trials": [_trial_json(rec) for rec in records],
+        **_run_point(args, cfg, single, cfg.params, block, cfg.name),
     }
     print(_dump_json(doc), end="")
-    out, fmt = _resolve_output(args, cfg, "csv")
-    if out:
-        if fmt == "csv":
-            rows = [_trial_row(cfg.params, cfg.mode, rec) for rec in records]
-            _write_text(out, _csv_text(TRIAL_CSV_COLUMNS, rows))
-        else:
-            _write_text(out, _dump_json(doc))
+    records = _trial_records(doc, cfg.mode)
+    _emit(args, cfg, "csv", doc, TRIAL_CSV_COLUMNS, records)
     return 0
-
-
-def _sweep_point_row(axis, value, params, mode, aggregate, block) -> list:
-    return [
-        axis,
-        value,
-        params.n,
-        params.s_b,
-        params.m_b,
-        params.case,
-        mode,
-        aggregate["trials"],
-        aggregate["d_median"],
-        aggregate["d_mean"],
-        aggregate["d2_median"],
-        aggregate["d3_median"],
-        aggregate["fallback_rate"],
-        aggregate["ec_rate"],
-        aggregate["e0_ok_rate"],
-        len(block.alice_block.typical.members),
-        len(block.bob_marg_typical.members),
-        aggregate["bits_to_alice_mean"],
-        aggregate["bits_to_bob_mean"],
-    ]
 
 
 def _trials_sibling(path: str) -> str:
@@ -402,51 +347,40 @@ def cmd_sweep(args) -> int:
     if axis in ("sB", "MB"):
         base_block = build_block_scenario(single, cfg.params)
 
-    out, fmt = _resolve_output(args, cfg, "csv")
     points = []
-    agg_rows = []
-    trial_rows = []
-    groups = []
+    rows = []
     error = None
     failed_value = None
     for value in cfg.sweep.values:
         params = params_with_axis(cfg.params, axis, value)
+        where = f"{cfg.name} {axis}={value!r}"
         try:
             block = base_block
             if block is None:
                 block = build_block_scenario(single, params)
-            records = simulate_trials(
-                single,
-                params,
-                mode=cfg.mode,
-                trials=cfg.trials,
-                block=block,
-                workers=args.workers,
-            )
+            point = _run_point(args, cfg, single, params, block, where)
         except PovmcastError as exc:
             error = exc
             failed_value = value
             break
-        _warn_if_saturated(records, f"{cfg.name} {axis}={value!r}")
-        aggregate = aggregate_records(records)
-        points.append(
+        points.append({"value": value, **point})
+        rows.append(
             {
+                "axis": axis,
                 "value": value,
-                "params": _params_json(params),
-                "aggregate": aggregate,
-                "trials": [_trial_json(rec) for rec in records],
+                **point["params"],
+                "mode": cfg.mode,
+                **point["aggregate"],
+                "typical_size_alice": len(block.alice_block.typical.members),
+                "typical_size_bob_marginal": len(
+                    block.bob_marg_typical.members
+                ),
             }
         )
-        agg_rows.append(
-            _sweep_point_row(axis, value, params, cfg.mode, aggregate, block)
-        )
-        trial_rows.extend(
-            _trial_row(params, cfg.mode, rec) for rec in records
-        )
-        groups.append([rec.report.d_bob for rec in records])
 
     trend = None
-    if len(groups) >= 2:
+    if len(points) >= 2:
+        groups = [[t["d"] for t in p["trials"]] for p in points]
         tr = jonckheere_terpstra(groups)
         trend = {
             "statistic": tr.statistic,
@@ -469,15 +403,11 @@ def cmd_sweep(args) -> int:
         doc["error"] = str(error)
         doc["failed_value"] = failed_value
     print(_dump_json(doc), end="")
-    if out:
-        if fmt == "csv":
-            _write_text(out, _csv_text(SWEEP_CSV_COLUMNS, agg_rows))
-            _write_text(
-                _trials_sibling(out),
-                _csv_text(TRIAL_CSV_COLUMNS, trial_rows),
-            )
-        else:
-            _write_text(out, _dump_json(doc))
+    out, fmt = _emit(args, cfg, "csv", doc, SWEEP_CSV_COLUMNS, rows)
+    if out and fmt == "csv":
+        records = [r for p in points for r in _trial_records(p, cfg.mode)]
+        text = _csv_text(TRIAL_CSV_COLUMNS, records)
+        _write_text(_trials_sibling(out), text)
     if error is not None:
         print(f"error: sweep point {failed_value!r}: {error}", file=sys.stderr)
         return 3 if isinstance(error, SizeLimitExceeded) else 2

@@ -26,7 +26,7 @@ from .measurement import (
 )
 from .protocol import MODES, ProtocolParams, prepare_scenario
 from .rates import (
-    evaluate_rate_region,
+    conditional_rate_quantities,
     holevo_mutual_information,
     shannon_entropy,
 )
@@ -56,13 +56,10 @@ _SAFE_EXPR = re.compile(r"^[0-9eE+\-*/(). ]*$")
 
 def scenario_rate_environment(single) -> dict:
     """Numeric values for every token allowed in a rate expression."""
-    report = evaluate_rate_region(
-        single.rho, single.povm, single.g_a, single.g_b
-    )
-    q = report.quantities
     joint = joint_outcome_model(
         single.rho, single.povm, single.g_a, single.g_b
     )
+    q = conditional_rate_quantities(joint)
     h_joint = shannon_entropy(joint.probs)
     env = {
         "iXA_R": q.iXA_R,

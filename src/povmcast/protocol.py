@@ -1204,7 +1204,6 @@ class E0Report:
     its pruned probability. violation is the worst relative deviation.
     """
 
-    eps: float
     ok: bool
     violation: float
     draw_counts: dict
@@ -1240,7 +1239,7 @@ def empirical_e0_check(
             worst = max(worst, rel)
             if not ((1.0 - eps) * p <= freq <= (1.0 + eps) * p):
                 ok = False
-    return E0Report(eps=eps, ok=ok, violation=worst, draw_counts=draw_counts)
+    return E0Report(ok=ok, violation=worst, draw_counts=draw_counts)
 
 
 def instance_report(instance: ProtocolInstance) -> FaithfulnessReport:

@@ -8,7 +8,7 @@ explicitly assembled block-diagonal hybrid density operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -169,33 +169,6 @@ def holevo_conditional_direct(joint: CqState) -> float:
 
 
 @dataclass(frozen=True)
-class BobOptionOne:
-    """Bob bounds when he shares Alice's common randomness."""
-
-    iXAXB_R: float
-    hXB_given_XA: float
-    requires_alice_randomness: bool = True
-
-
-@dataclass(frozen=True)
-class BobOptionTwo:
-    """Bob bounds with common randomness independent of Alice's."""
-
-    iXB_RXA: float
-    hXB: float
-    requires_alice_randomness: bool = False
-
-
-@dataclass(frozen=True)
-class RateRegionReport:
-    iXA_R: float
-    hXA: float
-    option1: BobOptionOne
-    option2: BobOptionTwo
-    quantities: RateQuantities
-
-
-@dataclass(frozen=True)
 class RatePoint:
     rA: float
     sA: float
@@ -205,60 +178,32 @@ class RatePoint:
 
 def evaluate_rate_region(
     rho, povm: Povm, g_a: OutcomeFunction, g_b: OutcomeFunction
-) -> RateRegionReport:
+) -> RateQuantities:
     """Rate floors for faithful simulation of the (g_a, g_b) broadcast."""
-    joint = joint_outcome_model(rho, povm, g_a, g_b)
-    q = conditional_rate_quantities(joint)
-    return RateRegionReport(
-        iXA_R=q.iXA_R,
-        hXA=q.hXA,
-        option1=BobOptionOne(iXAXB_R=q.iXAXB_R, hXB_given_XA=q.hXB_given_XA),
-        option2=BobOptionTwo(iXB_RXA=q.iXB_RXA, hXB=q.hXB),
-        quantities=q,
-    )
+    return conditional_rate_quantities(joint_outcome_model(rho, povm, g_a, g_b))
 
 
 def rate_point_feasible(
     point: RatePoint,
-    report: RateRegionReport,
+    q: RateQuantities,
     option: int,
     tol: float = FEASIBILITY_TOL,
 ) -> bool:
-    """Membership test against the achievable region corners."""
+    """Membership test against the achievable region corners.
+
+    Option 1 has Bob share Alice's randomness; option 2 gives him his own.
+    """
     if option not in (1, 2):
         raise ValueError(f"option must be 1 or 2, got {option!r}")
-    ok = point.rA >= report.iXA_R - tol
-    ok = ok and point.rA + point.sA >= report.hXA - tol
+    ok = point.rA >= q.iXA_R - tol
+    ok = ok and point.rA + point.sA >= q.hXA - tol
     if option == 1:
-        ok = ok and point.rB >= report.option1.iXAXB_R - tol
-        ok = ok and point.rB + point.sB >= report.option1.hXB_given_XA - tol
+        ok = ok and point.rB >= q.iXAXB_R - tol
+        ok = ok and point.rB + point.sB >= q.hXB_given_XA - tol
     else:
-        ok = ok and point.rB >= report.option2.iXB_RXA - tol
-        ok = ok and point.rB + point.sB >= report.option2.hXB - tol
+        ok = ok and point.rB >= q.iXB_RXA - tol
+        ok = ok and point.rB + point.sB >= q.hXB - tol
     return ok
-
-
-def report_to_json(report: RateRegionReport) -> dict:
-    q = report.quantities
-    return {
-        "iXA_R": q.iXA_R,
-        "iXAXB_R": q.iXAXB_R,
-        "iXB_R_given_XA": q.iXB_R_given_XA,
-        "iXB_RXA": q.iXB_RXA,
-        "hXA": q.hXA,
-        "hXB": q.hXB,
-        "hXB_given_XA": q.hXB_given_XA,
-        "option1": {
-            "iXAXB_R": report.option1.iXAXB_R,
-            "hXB_given_XA": report.option1.hXB_given_XA,
-            "requires_alice_randomness": report.option1.requires_alice_randomness,
-        },
-        "option2": {
-            "iXB_RXA": report.option2.iXB_RXA,
-            "hXB": report.option2.hXB,
-            "requires_alice_randomness": report.option2.requires_alice_randomness,
-        },
-    }
 
 
 RATE_CSV_COLUMNS = (
@@ -272,6 +217,17 @@ RATE_CSV_COLUMNS = (
 )
 
 
-def report_csv_row(report: RateRegionReport) -> list:
-    q = report.quantities
-    return [getattr(q, name) for name in RATE_CSV_COLUMNS]
+def report_to_json(q: RateQuantities) -> dict:
+    """The seven quantities plus each option's Bob corner."""
+    doc = asdict(q)
+    doc["option1"] = {
+        "iXAXB_R": q.iXAXB_R,
+        "hXB_given_XA": q.hXB_given_XA,
+        "requires_alice_randomness": True,
+    }
+    doc["option2"] = {
+        "iXB_RXA": q.iXB_RXA,
+        "hXB": q.hXB,
+        "requires_alice_randomness": False,
+    }
+    return doc

@@ -150,9 +150,9 @@ def test_criterion_4_rate_region_structure():
         cfg = load_config(f"preset:{name}")
         if cfg.g_a.table != cfg.g_b.table:
             continue
-        region = evaluate_rate_region(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b)
-        assert abs(region.option1.iXAXB_R - region.iXA_R) <= 1e-9
-        assert region.option1.hXB_given_XA <= 1e-9
+        q = evaluate_rate_region(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b)
+        assert abs(q.iXAXB_R - q.iXA_R) <= 1e-9
+        assert q.hXB_given_XA <= 1e-9
 
     cfg = load_config("preset:independent-product")
     joint = joint_outcome_model(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b)

@@ -1,6 +1,7 @@
 """Configuration, preset, serialization and command-line tests."""
 
 import copy
+import csv
 import json
 import sys
 
@@ -27,6 +28,7 @@ from povmcast import (
     vector_to_json,
 )
 from povmcast.cli import (
+    EQUIVALENCE_CSV_COLUMNS,
     RATE_CSV_COLUMNS,
     SWEEP_CSV_COLUMNS,
     TRIAL_CSV_COLUMNS,
@@ -458,6 +460,87 @@ def test_cli_sweep_csv_and_trend(capsys, tmp_path):
     trial_lines = sibling.read_text().splitlines()
     assert trial_lines[0] == ",".join(TRIAL_CSV_COLUMNS)
     assert len(trial_lines) == 1 + 4 * 10
+
+
+def _csv_cells(record, columns):
+    return [
+        str(int(record[c])) if isinstance(record[c], bool) else str(record[c])
+        for c in columns
+    ]
+
+
+def _run_both_formats(capsys, tmp_path, command, preset):
+    outs = {}
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"{command}.{fmt}"
+        code = main([
+            command, "--config", f"preset:{preset}",
+            "--out", str(out), "--format", fmt,
+        ])
+        capsys.readouterr()
+        assert code in (0, 1)
+        outs[fmt] = out
+    doc = json.loads(outs["json"].read_text())
+    with open(outs["csv"], newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    return doc, header, rows
+
+
+def test_cli_csv_rows_are_json_records(capsys, tmp_path):
+    # each CSV row is its JSON record's fields in column order, with
+    # booleans written as 0/1
+    doc, header, rows = _run_both_formats(
+        capsys, tmp_path, "rates", "bell-computational"
+    )
+    assert header == list(RATE_CSV_COLUMNS)
+    assert len(rows) == 1
+    assert len(rows[0]) == len(RATE_CSV_COLUMNS)
+    assert float(rows[0][0]) == doc["report"]["iXA_R"]
+    assert rows[0] == _csv_cells(doc["report"], RATE_CSV_COLUMNS)
+
+    doc, header, rows = _run_both_formats(
+        capsys, tmp_path, "equivalence", "three-outcome-split"
+    )
+    assert header == list(EQUIVALENCE_CSV_COLUMNS)
+    assert rows == [_csv_cells(doc, EQUIVALENCE_CSV_COLUMNS)]
+    assert rows[0][0] == "1"
+
+    doc, header, rows = _run_both_formats(
+        capsys, tmp_path, "simulate", "pure-state"
+    )
+    assert header == list(TRIAL_CSV_COLUMNS)
+    records = [
+        {**doc["params"], "mode": doc["mode"], **t} for t in doc["trials"]
+    ]
+    assert len(rows) == len(records) == 5
+    assert rows == [_csv_cells(r, TRIAL_CSV_COLUMNS) for r in records]
+
+    doc, header, rows = _run_both_formats(
+        capsys, tmp_path, "sweep", "bell-computational"
+    )
+    assert header == list(SWEEP_CSV_COLUMNS)
+    sizes = ("typical_size_alice", "typical_size_bob_marginal")
+    shared = [c for c in SWEEP_CSV_COLUMNS if c not in sizes]
+    assert len(rows) == len(doc["points"]) == 4
+    for row, p in zip(rows, doc["points"]):
+        record = {
+            "axis": doc["axis"], "value": p["value"], **p["params"],
+            "mode": doc["mode"], **p["aggregate"],
+        }
+        assert set(SWEEP_CSV_COLUMNS) - set(record) == set(sizes)
+        cells = dict(zip(SWEEP_CSV_COLUMNS, row))
+        assert [cells[c] for c in shared] == _csv_cells(record, shared)
+        assert all(int(cells[c]) >= 1 for c in sizes)
+    with open(tmp_path / "sweep.trials.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == list(TRIAL_CSV_COLUMNS)
+    records = [
+        {**p["params"], "mode": doc["mode"], **t}
+        for p in doc["points"]
+        for t in p["trials"]
+    ]
+    assert len(rows) == len(records) == 4 * 10
+    assert rows == [_csv_cells(r, TRIAL_CSV_COLUMNS) for r in records]
 
 
 def _preset_at(tmp_path, name, n, **overrides):

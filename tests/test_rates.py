@@ -21,7 +21,6 @@ from povmcast import (
 from povmcast.rates import (
     RATE_CSV_COLUMNS,
     holevo_conditional_direct,
-    report_csv_row,
     report_to_json,
 )
 
@@ -107,38 +106,34 @@ def test_rate_region_report_and_feasibility():
     rho = DensityOperator.maximally_mixed(2)
     povm = Povm(elements=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), labels=(0, 1))
     g = OutcomeFunction.identity(2)
-    report = evaluate_rate_region(rho, povm, g, g)
-    assert np.isclose(report.iXA_R, 1.0, atol=1e-12)
-    assert np.isclose(report.hXA, 1.0, atol=1e-12)
+    q = evaluate_rate_region(rho, povm, g, g)
+    assert np.isclose(q.iXA_R, 1.0, atol=1e-12)
+    assert np.isclose(q.hXA, 1.0, atol=1e-12)
     # g_a == g_b: once Alice's outcome is known Bob's is deterministic
-    assert abs(report.option1.hXB_given_XA) <= 1e-9
-    assert np.isclose(report.option2.hXB, 1.0, atol=1e-12)
+    assert abs(q.hXB_given_XA) <= 1e-9
+    assert np.isclose(q.hXB, 1.0, atol=1e-12)
 
-    corner1 = RatePoint(rA=report.iXA_R, sA=report.hXA - report.iXA_R,
-                        rB=report.option1.iXAXB_R, sB=0.0)
-    assert rate_point_feasible(corner1, report, option=1)
-    starved = RatePoint(rA=report.iXA_R - 0.1, sA=1.0, rB=1.0, sB=1.0)
-    assert not rate_point_feasible(starved, report, option=1)
-    corner2 = RatePoint(rA=1.0, sA=0.0, rB=report.option2.iXB_RXA,
-                        sB=report.option2.hXB - report.option2.iXB_RXA)
-    assert rate_point_feasible(corner2, report, option=2)
-    short_sb = RatePoint(rA=1.0, sA=0.0, rB=report.option2.iXB_RXA,
-                         sB=report.option2.hXB - report.option2.iXB_RXA - 0.01)
-    assert not rate_point_feasible(short_sb, report, option=2)
+    corner1 = RatePoint(rA=q.iXA_R, sA=q.hXA - q.iXA_R,
+                        rB=q.iXAXB_R, sB=0.0)
+    assert rate_point_feasible(corner1, q, option=1)
+    starved = RatePoint(rA=q.iXA_R - 0.1, sA=1.0, rB=1.0, sB=1.0)
+    assert not rate_point_feasible(starved, q, option=1)
+    corner2 = RatePoint(rA=1.0, sA=0.0, rB=q.iXB_RXA,
+                        sB=q.hXB - q.iXB_RXA)
+    assert rate_point_feasible(corner2, q, option=2)
+    short_sb = RatePoint(rA=1.0, sA=0.0, rB=q.iXB_RXA,
+                         sB=q.hXB - q.iXB_RXA - 0.01)
+    assert not rate_point_feasible(short_sb, q, option=2)
     with pytest.raises(ValueError):
-        rate_point_feasible(corner1, report, option=3)
+        rate_point_feasible(corner1, q, option=3)
 
 
 def test_report_serialization_round_trip():
     rho = DensityOperator.maximally_mixed(2)
     povm = Povm(elements=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), labels=(0, 1))
     g = OutcomeFunction.identity(2)
-    report = evaluate_rate_region(rho, povm, g, g)
-    doc = report_to_json(report)
+    doc = report_to_json(evaluate_rate_region(rho, povm, g, g))
     for name in RATE_CSV_COLUMNS:
         assert name in doc
     assert doc["option1"]["requires_alice_randomness"] is True
     assert doc["option2"]["requires_alice_randomness"] is False
-    row = report_csv_row(report)
-    assert len(row) == len(RATE_CSV_COLUMNS)
-    assert row[0] == doc["iXA_R"]
