@@ -16,10 +16,12 @@ from povmcast import (
     build_typical_set,
     conditional_typical_set,
     prune,
-    quantum_typical_projector,
     sample_sequences,
 )
-from povmcast.typicality import prune_conditional
+from povmcast.typicality import (
+    conditional_quantum_typical_projector,
+    prune_conditional,
+)
 
 p = np.array([0.75, 0.25])
 n = 4
@@ -61,8 +63,9 @@ for cond in ((0, 0, 0, 0), (0, 0, 1, 1)):
           f" likeliest {top} at {pruned_c.prob(top):.4f}")
 print()
 
-# the quantum analogue keeps eigenvalue branches instead of sequences
+# the quantum analogue keeps eigenvalue branches instead of sequences;
+# conditioning every position on one symbol gives the projector of rho^n
 rho = np.diag([0.75, 0.25])
-proj = quantum_typical_projector(rho, n, 0.3)
+proj = conditional_quantum_typical_projector({0: rho}, (0,) * n, 0.3)
 print(f"quantum typical projector at delta = 0.3: rank {proj.rank}"
       f" of {2 ** n}")

@@ -39,16 +39,13 @@ from .linalg import (
     PureState,
     canonical_purification,
     dimension_cap,
-    fidelity,
     hermitian_part,
     kron_all,
-    partial_trace,
     pinv_sqrt_on_support,
     spectral_decompose,
     sqrt_psd,
     support_projector,
     trace_distance,
-    trace_norm,
 )
 from .measurement import (
     CqState,
@@ -66,7 +63,7 @@ from .measurement import (
     post_measurement_state,
     sequential_composition,
 )
-from .presets import preset_description, preset_document, preset_names
+from .presets import preset_document, preset_names
 from .protocol import (
     BlockScenario,
     Codebook,
@@ -87,19 +84,11 @@ from .protocol import (
 )
 from .rates import (
     RateQuantities,
-    RatePoint,
     conditional_rate_quantities,
     evaluate_rate_region,
     holevo_mutual_information,
-    rate_point_feasible,
     shannon_entropy,
     von_neumann_entropy,
-)
-from .serialize import (
-    operator_from_json,
-    operator_to_json,
-    vector_from_json,
-    vector_to_json,
 )
 from .stats import TrendResult, jonckheere_terpstra
 from .typicality import (
@@ -108,8 +97,6 @@ from .typicality import (
     build_typical_set,
     conditional_typical_set,
     prune,
-    quantum_typical_projector,
-    sample_sequence,
     sample_sequences,
 )
 

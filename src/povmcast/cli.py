@@ -111,8 +111,12 @@ def _csv_text(columns, records) -> str:
 
 
 def _write_text(path: str, text: str):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        # a directory, a missing parent directory, or no permission
+        raise ConfigError(f"cannot write output file {path}: {exc}") from exc
 
 
 def _params_json(params) -> dict:

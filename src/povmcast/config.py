@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, PovmcastError
+from .errors import ConfigError, DimensionMismatch, PovmcastError
 from .linalg import DensityOperator
 from .measurement import (
     OutcomeFunction,
@@ -30,7 +30,6 @@ from .rates import (
     holevo_mutual_information,
     shannon_entropy,
 )
-from .serialize import operator_from_json
 
 SWEEP_AXES = ("sB", "MB", "n", "delta")
 
@@ -52,6 +51,23 @@ _QUANTITY_TOKENS = (
 _SCALAR_TOKENS = ("delta2", "delta", "eps", "n")
 
 _SAFE_EXPR = re.compile(r"^[0-9eE+\-*/(). ]*$")
+
+
+def operator_from_json(obj: dict) -> np.ndarray:
+    """Decode {"dim": d, "re": [[...]], "im": [[...]]} into a complex matrix."""
+    try:
+        dim = int(obj["dim"])
+        re = np.asarray(obj["re"], dtype=np.float64)
+        im = np.asarray(obj["im"], dtype=np.float64)
+    except (KeyError, TypeError) as exc:
+        raise DimensionMismatch(f"malformed operator object: {exc}") from exc
+    if re.shape != (dim, dim) or im.shape != (dim, dim):
+        raise DimensionMismatch(
+            f"operator entries have shape {re.shape}/{im.shape}, expected ({dim}, {dim})"
+        )
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ConfigError("operator entries must be finite")
+    return re + 1j * im
 
 
 def scenario_rate_environment(single) -> dict:
@@ -183,6 +199,17 @@ _PROTOCOL_KEYS = {
 }
 
 
+def _finite_number(v) -> bool:
+    """True for a JSON number, not a boolean, that is a finite float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        # an integer beyond float range
+        return False
+
+
 def _require(doc: dict, key: str, where: str):
     if key not in doc:
         raise ConfigError(f"{where} is missing required key {key!r}")
@@ -294,9 +321,9 @@ def config_from_dict(doc: dict, name: str = "config") -> ScenarioConfig:
     }
     for key in ("delta", "delta2", "eps"):
         v = scalars[key]
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or v < 0:
+        if not _finite_number(v) or v < 0:
             raise ConfigError(
-                f"{name}.protocol.{key} must be a nonnegative number"
+                f"{name}.protocol.{key} must be a finite nonnegative number"
             )
 
     sizes = {}
@@ -369,8 +396,8 @@ def config_from_dict(doc: dict, name: str = "config") -> ScenarioConfig:
         if key not in ("tolerance", "perturb_element", "perturb_scale"):
             raise ConfigError(f"{name}.equivalence has unknown key {key!r}")
     tol = eq_doc.get("tolerance", 1e-7)
-    if not isinstance(tol, (int, float)) or isinstance(tol, bool) or tol <= 0:
-        raise ConfigError(f"{name}.equivalence.tolerance must be positive")
+    if not _finite_number(tol) or tol <= 0:
+        raise ConfigError(f"{name}.equivalence.tolerance must be finite and positive")
     pe = eq_doc.get("perturb_element")
     if pe is not None and (
         not isinstance(pe, int)
@@ -382,9 +409,9 @@ def config_from_dict(doc: dict, name: str = "config") -> ScenarioConfig:
             f"in [0, {g_b.image_size})"
         )
     ps = eq_doc.get("perturb_scale", 0.0)
-    if not isinstance(ps, (int, float)) or isinstance(ps, bool) or ps < 0:
+    if not _finite_number(ps) or ps < 0:
         raise ConfigError(
-            f"{name}.equivalence.perturb_scale must be nonnegative"
+            f"{name}.equivalence.perturb_scale must be finite and nonnegative"
         )
     equivalence = EquivalenceSettings(
         tolerance=float(tol), perturb_element=pe, perturb_scale=float(ps)
@@ -405,9 +432,9 @@ def config_from_dict(doc: dict, name: str = "config") -> ScenarioConfig:
             raise ConfigError(f"{name}.sweep.values must be a nonempty list")
         for i, v in enumerate(values):
             if axis == "delta":
-                if not isinstance(v, (int, float)) or isinstance(v, bool) or v < 0:
+                if not _finite_number(v) or v < 0:
                     raise ConfigError(
-                        f"{name}.sweep.values[{i}] must be nonnegative"
+                        f"{name}.sweep.values[{i}] must be finite and nonnegative"
                     )
             else:
                 if not isinstance(v, int) or isinstance(v, bool) or v < 1:
@@ -466,6 +493,9 @@ def load_config(source: str) -> ScenarioConfig:
         raise ConfigError(f"config file not found: {source}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {source} is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        # a directory, an unreadable file, or bytes that are not UTF-8
+        raise ConfigError(f"cannot read config file {source}: {exc}") from exc
     return config_from_dict(doc, name=source)
 
 

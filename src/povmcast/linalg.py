@@ -72,11 +72,30 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
+def hermitian_deviation(a) -> float:
+    """Spectral norm of the anti-Hermitian part, ||a - a^dag||_2."""
+    a = as_matrix(a)
+    return float(np.linalg.norm(a - a.conj().T, 2))
+
+
 def is_hermitian(a) -> bool:
     """True when the anti-Hermitian part is within TAU_HERM of the scale."""
     a = as_matrix(a)
-    dev = float(np.linalg.norm(a - a.conj().T, 2))
-    return dev <= TAU_HERM * operator_scale(a)
+    return hermitian_deviation(a) <= TAU_HERM * operator_scale(a)
+
+
+def below_psd_floor(w: np.ndarray) -> bool:
+    """True when a real spectrum dips below -TAU_PSD * max(1, max |w|)."""
+    return bool(w.size) and float(w.min()) < -TAU_PSD * max(
+        1.0, float(np.abs(w).max())
+    )
+
+
+def entropy_bits(w: np.ndarray) -> float:
+    """-sum w log2 w over the positive entries of a spectrum or law."""
+    w = w[w > 0.0]
+    # adding +0.0 turns the -0.0 of a one-point spectrum into +0.0
+    return float(-(w * np.log2(w)).sum() + 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,10 +104,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
 
 
 def spectral_decompose(a) -> SpectralDecomposition:
@@ -117,8 +132,7 @@ def _psd_eigenvalues(a: np.ndarray) -> SpectralDecomposition:
     """
     dec = spectral_decompose(a)
     w = dec.eigenvalues
-    scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
-    if w.size and float(w.min()) < -TAU_PSD * scale:
+    if below_psd_floor(w):
         raise NotPsd(
             f"operator has eigenvalue {w.min():.3e} below -{TAU_PSD:.1e} * scale"
         )
@@ -154,29 +168,6 @@ def pinv_sqrt_on_support(a, cutoff: float) -> np.ndarray:
     return (v * inv) @ v.conj().T
 
 
-def partial_trace(joint, dims: tuple[int, int], keep: str):
-    """Trace out one tensor factor of an operator on R (x) C.
-
-    dims is (dim_R, dim_C); keep is "R" or "C". Returns the same kind of
-    object it was given (DensityOperator in, DensityOperator out).
-    """
-    wrap = isinstance(joint, DensityOperator)
-    m = as_matrix(joint)
-    d_r, d_c = int(dims[0]), int(dims[1])
-    if m.shape[0] != d_r * d_c:
-        raise DimensionMismatch(
-            f"joint dimension {m.shape[0]} != {d_r} * {d_c}"
-        )
-    t = m.reshape(d_r, d_c, d_r, d_c)
-    if keep == "R":
-        out = np.einsum("ijkj->ik", t)
-    elif keep == "C":
-        out = np.einsum("ijik->jk", t)
-    else:
-        raise ValueError(f"keep must be 'R' or 'C', got {keep!r}")
-    return DensityOperator(out) if wrap else out
-
-
 def trace_distance(a, b) -> float:
     """Unnormalized trace norm ||a - b||_1 (sum of singular values).
 
@@ -184,20 +175,6 @@ def trace_distance(a, b) -> float:
     """
     diff = as_matrix(a) - as_matrix(b)
     return float(np.linalg.svd(diff, compute_uv=False).sum())
-
-
-def trace_norm(a) -> float:
-    return float(np.linalg.svd(as_matrix(a), compute_uv=False).sum())
-
-
-def fidelity(a, b) -> float:
-    """Uhlmann fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2, clipped to [0, 1]."""
-    sa = sqrt_psd(a)
-    inner = sa @ as_matrix(b) @ sa
-    w = np.linalg.eigvalsh(hermitian_part(inner))
-    w = np.clip(w, 0.0, None)
-    val = float(np.sqrt(w).sum()) ** 2
-    return min(max(val, 0.0), 1.0)
 
 
 def kron_all(ops) -> np.ndarray:
@@ -228,8 +205,7 @@ class DensityOperator:
         if not is_hermitian(m):
             raise NotHermitian("density operator is not Hermitian within tolerance")
         w = np.linalg.eigvalsh(hermitian_part(m))
-        scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
-        if w.size and float(w.min()) < -TAU_PSD * scale:
+        if below_psd_floor(w):
             raise NotPsd(f"density operator has eigenvalue {w.min():.3e}")
         tr = float(np.real(np.trace(m)))
         if abs(tr - 1.0) > TAU_TRACE:
@@ -282,9 +258,6 @@ class PureState:
 
     def projector(self) -> np.ndarray:
         return np.outer(self.vec, self.vec.conj())
-
-    def density(self) -> DensityOperator:
-        return DensityOperator(self.projector())
 
     def __repr__(self):
         return f"PureState(dim={self.dim})"

@@ -10,7 +10,7 @@ reference system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,15 +24,17 @@ from .errors import (
     SizeMismatch,
 )
 from .linalg import (
-    TAU_HERM,
     TAU_PROB,
     TAU_PSD,
     TAU_SPEC,
     DensityOperator,
     PureState,
     as_matrix,
+    below_psd_floor,
     canonical_purification,
+    hermitian_deviation,
     hermitian_part,
+    is_hermitian,
     pinv_sqrt_on_support,
     sqrt_psd,
     support_projector,
@@ -65,12 +67,11 @@ class Povm:
                 raise DimensionMismatch(
                     f"POVM element {idx}: shape {e.shape}, expected ({dim}, {dim})"
                 )
-            dev = float(np.linalg.norm(e - e.conj().T, 2))
-            scale = max(1.0, float(np.linalg.norm(e, 2)))
-            if dev > TAU_HERM * scale:
+            if not is_hermitian(e):
+                dev = hermitian_deviation(e)
                 raise NotHermitian(f"POVM element {idx}: not Hermitian (dev {dev:.3e})")
             w = np.linalg.eigvalsh(hermitian_part(e))
-            if w.size and float(w.min()) < -TAU_PSD * max(1.0, float(np.abs(w).max())):
+            if below_psd_floor(w):
                 raise NotPsd(f"POVM element {idx}: eigenvalue {w.min():.3e}")
         if len(self.labels) != len(elements):
             raise LabelMismatch(
@@ -86,7 +87,7 @@ class Povm:
                 raise NotPsd(f"POVM elements sum to I only within {dev:.3e}")
         else:
             w = np.linalg.eigvalsh(hermitian_part(gap))
-            if float(w.min()) < -TAU_PSD * max(1.0, float(np.abs(w).max())):
+            if below_psd_floor(w):
                 raise NotPsd(f"sub-POVM sum exceeds identity by {-w.min():.3e}")
         frozen = []
         for e in elements:
@@ -103,9 +104,6 @@ class Povm:
     @property
     def n_outcomes(self) -> int:
         return len(self.elements)
-
-    def element(self, label) -> np.ndarray:
-        return self.elements[self.labels.index(label)]
 
 
 @dataclass(frozen=True)
@@ -154,13 +152,12 @@ class CqState:
     """Classical-quantum output: outcome labels, probabilities, reference states.
 
     Outcomes with probability at or below TAU_PROB carry a maximally mixed
-    placeholder and are flagged so entropy code can skip them.
+    placeholder state; entropy code skips them by their probability.
     """
 
     outcome_labels: tuple
     probs: np.ndarray
     ref_states: tuple
-    placeholder: tuple
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=np.float64).copy()
@@ -177,7 +174,6 @@ class CqState:
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "outcome_labels", tuple(self.outcome_labels))
         object.__setattr__(self, "ref_states", tuple(self.ref_states))
-        object.__setattr__(self, "placeholder", tuple(bool(f) for f in self.placeholder))
 
     @property
     def dim_ref(self) -> int:
@@ -308,7 +304,6 @@ def measurement_channel_with_reference(phi: PureState, povm: Povm) -> CqState:
     psi = phi.vec.reshape(d_r, d_c)
     probs = []
     states = []
-    flags = []
     for e in povm.elements:
         unnorm = psi @ e.T @ psi.conj().T
         p = float(np.real(np.trace(unnorm)))
@@ -316,15 +311,12 @@ def measurement_channel_with_reference(phi: PureState, povm: Povm) -> CqState:
         probs.append(p)
         if p <= TAU_PROB:
             states.append(DensityOperator.maximally_mixed(d_r))
-            flags.append(True)
         else:
             states.append(DensityOperator(hermitian_part(unnorm) / p))
-            flags.append(False)
     return CqState(
         outcome_labels=povm.labels,
         probs=np.asarray(probs),
         ref_states=tuple(states),
-        placeholder=tuple(flags),
     )
 
 
@@ -355,7 +347,8 @@ def joint_outcome_model(
     """Classical-quantum state of (x_a, x_b) with the purifying reference.
 
     Labels are (x_a, x_b) pairs over the full product range; pairs no fine
-    outcome maps to appear with probability zero and a flagged placeholder.
+    outcome maps to appear with probability zero and a maximally mixed
+    placeholder state.
     """
     if g_a.domain_size != povm.n_outcomes or g_b.domain_size != povm.n_outcomes:
         raise SizeMismatch("outcome function domains must match POVM outcome count")
@@ -381,7 +374,6 @@ def cq_marginal(cq: CqState, component: int) -> CqState:
     values = sorted({lab[component] for lab in cq.outcome_labels})
     probs = []
     states = []
-    flags = []
     d = cq.dim_ref
     for v in values:
         idxs = [i for i, lab in enumerate(cq.outcome_labels) if lab[component] == v]
@@ -389,16 +381,13 @@ def cq_marginal(cq: CqState, component: int) -> CqState:
         probs.append(p)
         if p <= TAU_PROB:
             states.append(DensityOperator.maximally_mixed(d))
-            flags.append(True)
         else:
             avg = sum(cq.weighted_state(i) for i in idxs) / p
             states.append(DensityOperator(hermitian_part(avg)))
-            flags.append(False)
     return CqState(
         outcome_labels=tuple(values),
         probs=np.asarray(probs),
         ref_states=tuple(states),
-        placeholder=tuple(flags),
     )
 
 
@@ -416,5 +405,4 @@ def cq_conditional(cq: CqState, component: int, value) -> CqState:
     labels = tuple(cq.outcome_labels[i][other] for i in idxs)
     probs = np.asarray([float(cq.probs[i]) / total for i in idxs])
     states = tuple(cq.ref_states[i] for i in idxs)
-    flags = tuple(cq.placeholder[i] for i in idxs)
-    return CqState(outcome_labels=labels, probs=probs, ref_states=states, placeholder=flags)
+    return CqState(outcome_labels=labels, probs=probs, ref_states=states)

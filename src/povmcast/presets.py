@@ -7,7 +7,6 @@ involved is nonempty at the preset blocklength.
 
 from __future__ import annotations
 
-import copy
 import math
 
 from .errors import ConfigError
@@ -38,6 +37,8 @@ def _scaled(factor: float, obj: dict) -> dict:
 
 
 def _bell_computational() -> dict:
+    """Maximally mixed qubit with the computational measurement, both
+    receivers wanting the full outcome."""
     return {
         "name": "bell-computational",
         "rho": _op([[0.5, 0.0], [0.0, 0.5]]),
@@ -63,6 +64,8 @@ def _bell_computational() -> dict:
 
 
 def _three_outcome_split() -> dict:
+    """Qubit trine measurement split between the receivers, Bob running
+    without randomness shared with Alice."""
     trine = [
         _scaled(2.0 / 3.0, _projector([1.0, 0.0])),
         _scaled(2.0 / 3.0, _projector([0.5, _SQ3 / 2.0])),
@@ -94,6 +97,8 @@ def _three_outcome_split() -> dict:
 
 
 def _independent_product() -> dict:
+    """Two independent classical bits carried by a product state, one per
+    receiver."""
     povm = [
         _projector([1.0, 0.0, 0.0, 0.0]),
         _projector([0.0, 1.0, 0.0, 0.0]),
@@ -134,6 +139,8 @@ def _independent_product() -> dict:
 
 
 def _pure_state() -> dict:
+    """Rank-one state with a deterministic outcome, the fully degenerate
+    corner."""
     return {
         "name": "pure-state",
         "rho": _projector([1.0, 0.0]),
@@ -158,39 +165,15 @@ def _pure_state() -> dict:
 
 
 _PRESETS = {
-    "bell-computational": (
-        "Maximally mixed qubit with the computational measurement, both "
-        "receivers wanting the full outcome.",
-        _bell_computational,
-    ),
-    "three-outcome-split": (
-        "Qubit trine measurement split between the receivers, Bob running "
-        "without randomness shared with Alice.",
-        _three_outcome_split,
-    ),
-    "independent-product": (
-        "Two independent classical bits carried by a product state, one "
-        "per receiver.",
-        _independent_product,
-    ),
-    "pure-state": (
-        "Rank-one state with a deterministic outcome, the fully "
-        "degenerate corner.",
-        _pure_state,
-    ),
+    "bell-computational": _bell_computational,
+    "three-outcome-split": _three_outcome_split,
+    "independent-product": _independent_product,
+    "pure-state": _pure_state,
 }
 
 
 def preset_names() -> tuple:
     return tuple(_PRESETS)
-
-
-def preset_description(name: str) -> str:
-    if name not in _PRESETS:
-        raise ConfigError(
-            f"unknown preset {name!r}; available: {', '.join(_PRESETS)}"
-        )
-    return _PRESETS[name][0]
 
 
 def preset_document(name: str) -> dict:
@@ -199,4 +182,4 @@ def preset_document(name: str) -> dict:
         raise ConfigError(
             f"unknown preset {name!r}; available: {', '.join(_PRESETS)}"
         )
-    return copy.deepcopy(_PRESETS[name][1]())
+    return _PRESETS[name]()

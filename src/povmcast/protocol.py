@@ -57,6 +57,7 @@ from .measurement import (
     post_measurement_state,
     sequential_composition,
 )
+from .rates import von_neumann_entropy
 from .typicality import (
     PrunedDistribution,
     TypicalSet,
@@ -137,11 +138,12 @@ class ProtocolParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("block length must be at least 1")
-        for name in ("delta", "delta2"):
-            if getattr(self, name) < 0:
+        for name in ("delta", "delta2", "eps"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+            if value < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
         for name in ("s_a", "s_b", "m_a", "m_b"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -217,8 +219,6 @@ def prepare_scenario(rho, povm, g_a, g_b) -> SingleLetterScenario:
         if total <= 0:
             raise EmptySupport(f"alice outcome {a} has no bob outcome left")
         p_cond[a, :] = row / total
-
-    from .rates import von_neumann_entropy
 
     h_r = von_neumann_entropy(rho)
     h_r_given_xa = 0.0
@@ -351,7 +351,8 @@ class CutoffResult:
     basis (D x r) holds the orthonormal eigenvectors of xi_bar above
     threshold and eigenvalues (r) their eigenvalues, so the cutoff
     projector is basis basis^dag and the cut average omega is
-    basis diag(eigenvalues) basis^dag. Both are formed only on request.
+    basis diag(eigenvalues) basis^dag. The projector is formed only on
+    request.
     """
 
     basis: np.ndarray
@@ -361,15 +362,6 @@ class CutoffResult:
     @property
     def projector(self) -> np.ndarray:
         return hermitian_part(self.basis @ self.basis.conj().T)
-
-    @property
-    def omega(self) -> np.ndarray:
-        return hermitian_part((self.basis * self.eigenvalues) @ self.basis.conj().T)
-
-    @property
-    def empty(self) -> bool:
-        """True when the cutoff removed everything."""
-        return self.basis.shape[1] == 0
 
 
 def build_omega_and_cutoff(

@@ -12,13 +12,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import NotADistribution, NotPsd, SizeLimitExceeded
+from .errors import NotPsd, SizeLimitExceeded
 from .linalg import (
     TAU_PROB,
-    TAU_PSD,
     DensityOperator,
     as_matrix,
+    below_psd_floor,
     dimension_cap,
+    entropy_bits,
     hermitian_part,
 )
 from .measurement import (
@@ -29,33 +30,21 @@ from .measurement import (
     cq_marginal,
     joint_outcome_model,
 )
-
-FEASIBILITY_TOL = 1e-9
+from .typicality import _check_distribution
 
 
 def shannon_entropy(p) -> float:
     """H(p) in bits, with 0 log 0 = 0."""
-    p = np.asarray(p, dtype=np.float64).ravel()
-    if p.size == 0:
-        raise NotADistribution("empty probability vector")
-    if float(p.min()) < -TAU_PROB:
-        raise NotADistribution(f"negative probability {p.min():.3e}")
-    if abs(float(p.sum()) - 1.0) > 1e-9:
-        raise NotADistribution(f"probabilities sum to {p.sum()!r}")
-    p = p[p > 0.0]
-    # adding +0.0 turns the -0.0 of deterministic laws into +0.0
-    return float(-(p * np.log2(p)).sum() + 0.0)
+    return entropy_bits(_check_distribution(p))
 
 
 def von_neumann_entropy(rho) -> float:
     """S(rho) in bits from the clipped eigenvalue spectrum."""
     m = rho.mat if isinstance(rho, DensityOperator) else as_matrix(rho)
     w = np.linalg.eigvalsh(hermitian_part(m))
-    scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
-    if w.size and float(w.min()) < -TAU_PSD * scale:
+    if below_psd_floor(w):
         raise NotPsd(f"operator has eigenvalue {w.min():.3e}")
-    w = w[w > 0.0]
-    return float(-(w * np.log2(w)).sum() + 0.0)
+    return entropy_bits(w)
 
 
 def _active(cq: CqState):
@@ -101,10 +90,7 @@ def _block_diag_entropy(blocks) -> float:
     """Entropy of a block-diagonal PSD operator given its weighted blocks."""
     total = 0.0
     for blk in blocks:
-        w = np.linalg.eigvalsh(hermitian_part(blk))
-        w = w[w > 0.0]
-        if w.size:
-            total += float(-(w * np.log2(w)).sum())
+        total += entropy_bits(np.linalg.eigvalsh(hermitian_part(blk)))
     return total
 
 
@@ -130,20 +116,9 @@ def conditional_rate_quantities(joint: CqState) -> RateQuantities:
     d = joint.dim_ref
     if len(a_vals) * len(b_vals) * d > dimension_cap():
         raise SizeLimitExceeded("hybrid operator would exceed the dimension cap")
-    s_xb = shannon_entropy(p_b)
-    rxa_blocks = [
-        marg_a.weighted_state(i)
-        for i in range(len(marg_a.outcome_labels))
-        if marg_a.probs[i] > TAU_PROB
-    ]
-    s_rxa = _block_diag_entropy(rxa_blocks)
-    xbrxa_blocks = [
-        joint.weighted_state(i)
-        for i in range(len(joint.outcome_labels))
-        if joint.probs[i] > TAU_PROB
-    ]
-    s_xbrxa = _block_diag_entropy(xbrxa_blocks)
-    i_xb_rxa = s_xb + s_rxa - s_xbrxa
+    s_rxa = _block_diag_entropy(marg_a.weighted_state(i) for i in _active(marg_a))
+    s_xbrxa = _block_diag_entropy(joint.weighted_state(i) for i in _active(joint))
+    i_xb_rxa = h_xb + s_rxa - s_xbrxa
 
     return RateQuantities(
         iXA_R=i_xa_r,
@@ -168,42 +143,11 @@ def holevo_conditional_direct(joint: CqState) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class RatePoint:
-    rA: float
-    sA: float
-    rB: float
-    sB: float
-
-
 def evaluate_rate_region(
     rho, povm: Povm, g_a: OutcomeFunction, g_b: OutcomeFunction
 ) -> RateQuantities:
     """Rate floors for faithful simulation of the (g_a, g_b) broadcast."""
     return conditional_rate_quantities(joint_outcome_model(rho, povm, g_a, g_b))
-
-
-def rate_point_feasible(
-    point: RatePoint,
-    q: RateQuantities,
-    option: int,
-    tol: float = FEASIBILITY_TOL,
-) -> bool:
-    """Membership test against the achievable region corners.
-
-    Option 1 has Bob share Alice's randomness; option 2 gives him his own.
-    """
-    if option not in (1, 2):
-        raise ValueError(f"option must be 1 or 2, got {option!r}")
-    ok = point.rA >= q.iXA_R - tol
-    ok = ok and point.rA + point.sA >= q.hXA - tol
-    if option == 1:
-        ok = ok and point.rB >= q.iXAXB_R - tol
-        ok = ok and point.rB + point.sB >= q.hXB_given_XA - tol
-    else:
-        ok = ok and point.rB >= q.iXB_RXA - tol
-        ok = ok and point.rB + point.sB >= q.hXB - tol
-    return ok
 
 
 RATE_CSV_COLUMNS = (

@@ -7,7 +7,6 @@ and quantum projectors are assembled symbol-wise from eigenbranch products.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 
@@ -20,9 +19,9 @@ from .errors import (
     SizeMismatch,
 )
 from .linalg import (
-    DensityOperator,
     as_matrix,
     dimension_cap,
+    entropy_bits,
     hermitian_part,
     kron_all,
 )
@@ -40,11 +39,6 @@ class TypicalSet:
     alphabet_size: int
     members: tuple
     total_prob: float
-
-    def __contains__(self, seq) -> bool:
-        seq = tuple(seq)
-        i = bisect_left(self.members, seq)
-        return i < len(self.members) and self.members[i] == seq
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,9 +63,7 @@ class TypicalProjector:
     """Projector onto typical eigenvalue branches of a product state."""
 
     projector: np.ndarray
-    kind: str
     rank: int
-    conditioning: tuple | None = None
 
 
 def _check_distribution(p) -> np.ndarray:
@@ -92,17 +84,12 @@ def _guard_enumeration(alphabet: int, n: int):
         )
 
 
-def _entropy_bits(p: np.ndarray) -> float:
-    q = p[p > 0.0]
-    return float(-(q * np.log2(q)).sum())
-
-
 def _typical_mask(per_position_laws, delta: float):
     """Log2-probability of every sequence, in product order, and the mask
     of those whose sample entropy lies within delta of the
     empirical-average entropy of the per-position laws."""
     n = len(per_position_laws)
-    h_bar = float(np.mean([_entropy_bits(p) for p in per_position_laws]))
+    h_bar = float(np.mean([entropy_bits(p) for p in per_position_laws]))
     with np.errstate(divide="ignore"):
         logs = [np.log2(p) for p in per_position_laws]
     total = reduce(np.add.outer, logs).ravel()
@@ -238,32 +225,13 @@ def conditional_quantum_typical_projector(
     v_total = kron_all([decs[sym][1] for sym in cond_seq])
     cols = v_total[:, mask]
     projector = cols @ cols.conj().T
-    return TypicalProjector(
-        projector=projector,
-        kind="conditional",
-        rank=int(mask.sum()),
-        conditioning=cond_seq,
-    )
-
-
-def quantum_typical_projector(rho, n: int, delta: float) -> TypicalProjector:
-    """Typical projector of rho^(x n), the unconditioned special case."""
-    rho = DensityOperator.coerce(rho)
-    tp = conditional_quantum_typical_projector({0: rho}, (0,) * n, delta)
-    return TypicalProjector(
-        projector=tp.projector, kind="marginal", rank=tp.rank, conditioning=None
-    )
-
-
-def sample_sequence(pd: PrunedDistribution, rng: np.random.Generator) -> tuple:
-    """One exact draw by cumulative inversion over the sorted member list."""
-    return sample_sequences(pd, rng, 1)[0]
+    return TypicalProjector(projector=projector, rank=int(mask.sum()))
 
 
 def sample_sequences(
     pd: PrunedDistribution, rng: np.random.Generator, count: int
 ) -> list:
-    """count draws consuming the same uniform stream as repeated single draws."""
+    """count exact draws by cumulative inversion over the sorted member list."""
     if count < 0:
         raise ValueError("count must be >= 0")
     if count == 0:
@@ -274,16 +242,3 @@ def sample_sequences(
         np.searchsorted(cum, u, side="right"), len(pd.base.members) - 1
     )
     return [pd.base.members[int(i)] for i in idxs]
-
-
-def typical_set_to_json(ts: TypicalSet, pruned: PrunedDistribution | None = None) -> dict:
-    out = {
-        "n": ts.n,
-        "delta": ts.delta,
-        "alphabet_size": ts.alphabet_size,
-        "total_prob": ts.total_prob,
-        "members": [list(m) for m in ts.members],
-    }
-    if pruned is not None:
-        out["pruned_probs"] = [pruned.probs[m] for m in ts.members]
-    return out

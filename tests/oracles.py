@@ -255,6 +255,14 @@ def conditioning_state(block, blk):
     return kron_all([single.post_states[a].mat for a in blk.cond_seq])
 
 
+def cut_average(cutoff):
+    """The cut average omega = basis diag(eigenvalues) basis^dag of a
+    cutoff, made exactly Hermitian."""
+    v = cutoff.basis
+    omega = (v * cutoff.eigenvalues) @ v.conj().T
+    return 0.5 * (omega + omega.conj().T)
+
+
 def densify(factors):
     """Operator table F F^dag of a factor table."""
     return {key: f @ f.conj().T for key, f in factors.items()}

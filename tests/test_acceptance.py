@@ -49,6 +49,7 @@ from povmcast.typicality import (
 from conftest import random_scenario
 from oracles import (
     conditioning_state,
+    cut_average,
     dense_kron,
     densify,
     joint_information_oracle,
@@ -176,7 +177,7 @@ def test_criterion_5_scaled_average_dominated():
             blocks = list(block.bob_blocks.values()) + [block.alice_block]
             for blk in blocks:
                 rho_cond = conditioning_state(block, blk)
-                gap = rho_cond - blk.s_cond * blk.cutoff.omega
+                gap = rho_cond - blk.s_cond * cut_average(blk.cutoff)
                 low = float(np.linalg.eigvalsh(0.5 * (gap + gap.conj().T)).min())
                 assert low >= -1e-9, (name, n, blk.cond_seq, low)
 

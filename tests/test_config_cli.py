@@ -1,6 +1,5 @@
 """Configuration, preset, serialization and command-line tests."""
 
-import copy
 import csv
 import json
 import sys
@@ -18,14 +17,10 @@ from povmcast import (
     config_from_dict,
     evaluate_rate_expression,
     load_config,
-    operator_from_json,
-    operator_to_json,
     params_with_axis,
     prepare_scenario,
     resolve_size,
     scenario_rate_environment,
-    vector_from_json,
-    vector_to_json,
 )
 from povmcast.cli import (
     EQUIVALENCE_CSV_COLUMNS,
@@ -36,7 +31,8 @@ from povmcast.cli import (
     load_schema,
     main,
 )
-from povmcast.presets import preset_description, preset_document, preset_names
+from povmcast.config import operator_from_json
+from povmcast.presets import preset_document, preset_names
 
 PRESETS = ("bell-computational", "three-outcome-split", "independent-product", "pure-state")
 
@@ -61,15 +57,12 @@ def minimal_doc(**overrides):
 def test_operator_json_round_trip():
     rng = np.random.default_rng(83)
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    assert np.array_equal(operator_from_json(operator_to_json(m)), m)
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    assert np.array_equal(vector_from_json(vector_to_json(v)), v)
+    doc = {"dim": 3, "re": m.real.tolist(), "im": m.imag.tolist()}
+    assert np.array_equal(operator_from_json(doc), m)
     with pytest.raises(DimensionMismatch):
         operator_from_json({"dim": 2, "re": [[1.0]], "im": [[0.0]]})
     with pytest.raises(DimensionMismatch):
         operator_from_json({"re": [[1.0]], "im": [[0.0]]})
-    with pytest.raises(DimensionMismatch):
-        vector_from_json({"dim": 3, "re": [1.0], "im": [0.0]})
 
 
 def bell_env():
@@ -227,6 +220,29 @@ def test_config_errors_cite_location():
         config_from_dict(minimal_doc(sweep={"axis": "gamma", "values": [1]}))
     with pytest.raises(ConfigError, match=r"sweep.values\[1\]"):
         config_from_dict(minimal_doc(sweep={"axis": "sB", "values": [1, 0]}))
+    # json accepts NaN and Infinity; no scalar may be either, nor an
+    # integer beyond float range
+    for bad in (float("nan"), float("inf"), 10**400):
+        for key in ("delta", "delta2", "eps"):
+            doc = minimal_doc()
+            doc["protocol"][key] = bad
+            with pytest.raises(ConfigError, match=rf"protocol\.{key} must be a finite"):
+                config_from_dict(doc)
+        for key in ("tolerance", "perturb_scale"):
+            with pytest.raises(ConfigError, match=rf"equivalence\.{key} must be finite"):
+                config_from_dict(minimal_doc(equivalence={key: bad}))
+        sweep = {"axis": "delta", "values": [0.5, bad]}
+        with pytest.raises(ConfigError, match=r"sweep.values\[1\] must be finite"):
+            config_from_dict(minimal_doc(sweep=sweep))
+    for bad in (float("nan"), float("inf")):
+        doc = minimal_doc()
+        doc["rho"]["re"][0][0] = bad
+        with pytest.raises(ConfigError, match="rho: operator entries must be finite"):
+            config_from_dict(doc)
+        doc = minimal_doc()
+        doc["povm"][1]["im"][0][1] = bad
+        with pytest.raises(ConfigError, match=r"povm\[1\]: operator entries must be finite"):
+            config_from_dict(doc)
     with pytest.raises(ConfigError, match="rho"):
         config_from_dict(minimal_doc(rho=op_json([[1, 0], [0, 1]])))
     doc = minimal_doc()
@@ -275,7 +291,6 @@ def test_presets_validate_and_are_isolated():
     assert set(preset_names()) == set(PRESETS)
     schema = load_schema("scenario_config")
     for name in PRESETS:
-        assert isinstance(preset_description(name), str)
         doc = preset_document(name)
         jsonschema.validate(instance=doc, schema=schema)
         cfg = config_from_dict(doc, name=name)
@@ -616,7 +631,24 @@ def test_cli_validation_exit_codes(capsys, tmp_path):
     assert main(["rates", "--config", str(bad)]) == 2
     capsys.readouterr()
     assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
-    capsys.readouterr()
+    assert "config file not found" in capsys.readouterr().err
+    # a directory or bytes that are not UTF-8 cannot be read as a config
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"name": "caf\xe9"}')
+    for path in (tmp_path, latin):
+        assert main(["rates", "--config", str(path)]) == 2
+        assert f"cannot read config file {path}" in capsys.readouterr().err
+    # a directory or a path under a missing directory cannot be written
+    for path in (tmp_path, tmp_path / "missing" / "r.json"):
+        argv = ["rates", "--config", "preset:pure-state", "--out", str(path)]
+        assert main(argv) == 2
+        assert f"cannot write output file {path}" in capsys.readouterr().err
+    nan = tmp_path / "nan.json"
+    doc = preset_document("bell-computational")
+    doc["protocol"]["eps"] = float("nan")
+    nan.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(nan)]) == 2
+    assert "protocol.eps must be a finite" in capsys.readouterr().err
     big = tmp_path / "big.json"
     doc = minimal_doc()
     doc["protocol"]["n"] = 13

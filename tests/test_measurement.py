@@ -70,7 +70,7 @@ def test_povm_label_and_sum_checks():
 
 def test_povm_element_lookup_by_label():
     p = Povm(elements=(PLUS, MINUS), labels=("p", "m"))
-    assert np.allclose(p.element("m"), MINUS)
+    assert np.allclose(p.elements[p.labels.index("m")], MINUS)
     assert p.dim == 2
 
 
@@ -163,7 +163,8 @@ def test_measurement_channel_probabilities_and_placeholders():
     povm = Povm(elements=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), labels=(0, 1))
     cq = measurement_channel_with_reference(phi, povm)
     assert np.allclose(cq.probs, [1.0, 0.0])
-    assert cq.placeholder == (False, True)
+    # the zero-probability outcome carries the maximally mixed state
+    assert np.allclose(cq.ref_states[1].mat, np.eye(2) / 2)
     # the weighted blocks always sum to the reference marginal
     rng = np.random.default_rng(31)
     rho = random_density(rng, 3)
@@ -203,7 +204,7 @@ def test_joint_outcome_model_probabilities():
     fine = born_probabilities(rho, povm)
     assert np.isclose(cq.probs[0], fine[0])  # only x=0 maps to (0, 0)
     assert np.isclose(cq.probs[1], 0.0)  # nothing maps to (0, 1)
-    assert cq.placeholder[1]
+    assert np.allclose(cq.ref_states[1].mat, np.eye(2) / 2)
     assert np.isclose(cq.probs[2], fine[1])
     assert np.isclose(cq.probs[3], fine[2])
 

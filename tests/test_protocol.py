@@ -98,6 +98,12 @@ def test_params_validation():
         )
     with pytest.raises(ValueError):
         ProtocolParams(n=1, delta=0.5, delta2=0.1, eps=0.1, s_b=1, m_b=1, seed=-1)
+    for name in ("delta", "delta2", "eps"):
+        for bad in (float("nan"), float("inf")):
+            kwargs = dict(n=1, delta=0.5, delta2=0.1, eps=0.1, s_b=1, m_b=1)
+            kwargs[name] = bad
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                ProtocolParams(**kwargs)
 
 
 def test_prepare_scenario_reconstructs_post_states():
@@ -174,15 +180,15 @@ def test_omega_cutoff_keeps_eigenvalues_above_threshold():
     res = build_omega_and_cutoff(xi_map, probs, 1, 0.1, 0.0, np.log2(10))
     assert np.isclose(res.threshold, 0.01)
     assert np.allclose(res.projector, np.diag([1.0, 1.0, 0.0]))
-    assert np.allclose(res.omega, np.diag([0.5, 0.02, 0.0]))
+    assert np.allclose(oracles.cut_average(res), np.diag([0.5, 0.02, 0.0]))
     assert np.allclose(res.eigenvalues, [0.5, 0.02])
-    assert not res.empty
+    assert res.basis.shape[1] == 2
 
     # everything below threshold: empty cutoff
     res = build_omega_and_cutoff(
         {(0,): _diag_factor([1e-6, 1e-7])}, {(0,): 1.0}, 1, 0.5, 0.0, 0.0
     )
-    assert res.empty
+    assert res.basis.shape[1] == 0
     assert np.allclose(res.projector, np.zeros((2, 2)))
 
     # eps = 0 keeps exactly the positive spectrum
@@ -199,7 +205,7 @@ def test_omega_cutoff_keeps_eigenvalues_above_threshold():
         {(0,): 0.5, (1,): 0.5}, 1, 0.1, 0.0, np.log2(10),
     )
     assert np.allclose(res.projector, u @ u.T)
-    assert np.allclose(res.omega, 0.3 * u @ u.T)
+    assert np.allclose(oracles.cut_average(res), 0.3 * u @ u.T)
     # the dropped member lies outside the kept space
     assert np.allclose(res.basis.conj().T @ v, 0.0)
 
@@ -242,8 +248,8 @@ def _assert_matches_dense_oracle(single, params, sqrt_tol=1e-10):
             continue
         ref = oracles.dense_conditioning_block(*args)
         close(blk.cutoff.projector, ref["projector"])
-        close(blk.cutoff.omega, ref["omega"])
-        assert blk.cutoff.empty == ref["empty"]
+        close(oracles.cut_average(blk.cutoff), ref["omega"])
+        assert (blk.cutoff.basis.shape[1] == 0) == ref["empty"]
         assert blk.cutoff.threshold == ref["threshold"]
         # The dense oracle's whitened operators carry a forward error of
         # about machine epsilon times the condition number of rho_cond
@@ -313,8 +319,7 @@ def _buffer_ids(obj) -> set:
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_cutoff_keeps_only_its_factors(n):
-    # projector and omega are formed from basis and eigenvalues on
-    # request; a block holds its gamma factors (one shared buffer) and
+    # the projector is formed from the basis on request; a block holds its gamma factors (one shared buffer) and
     # the cutoff's basis and eigenvalues, and no other array
     name = "three-outcome-split"
     cfg = config_from_dict(preset_document(name), name=name)
@@ -620,7 +625,7 @@ def test_scaled_average_stays_below_block_state():
         block = build_block_scenario(single, params)
         for blk in list(block.bob_blocks.values()) + [block.alice_block]:
             rho_cond = oracles.conditioning_state(block, blk)
-            gap = rho_cond - blk.s_cond * blk.cutoff.omega
+            gap = rho_cond - blk.s_cond * oracles.cut_average(blk.cutoff)
             assert float(np.linalg.eigvalsh(0.5 * (gap + gap.conj().T)).min()) >= -1e-9
 
 

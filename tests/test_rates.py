@@ -9,12 +9,10 @@ from povmcast import (
     NotPsd,
     OutcomeFunction,
     Povm,
-    RatePoint,
     conditional_rate_quantities,
     evaluate_rate_region,
     holevo_mutual_information,
     joint_outcome_model,
-    rate_point_feasible,
     shannon_entropy,
     von_neumann_entropy,
 )
@@ -112,20 +110,6 @@ def test_rate_region_report_and_feasibility():
     # g_a == g_b: once Alice's outcome is known Bob's is deterministic
     assert abs(q.hXB_given_XA) <= 1e-9
     assert np.isclose(q.hXB, 1.0, atol=1e-12)
-
-    corner1 = RatePoint(rA=q.iXA_R, sA=q.hXA - q.iXA_R,
-                        rB=q.iXAXB_R, sB=0.0)
-    assert rate_point_feasible(corner1, q, option=1)
-    starved = RatePoint(rA=q.iXA_R - 0.1, sA=1.0, rB=1.0, sB=1.0)
-    assert not rate_point_feasible(starved, q, option=1)
-    corner2 = RatePoint(rA=1.0, sA=0.0, rB=q.iXB_RXA,
-                        sB=q.hXB - q.iXB_RXA)
-    assert rate_point_feasible(corner2, q, option=2)
-    short_sb = RatePoint(rA=1.0, sA=0.0, rB=q.iXB_RXA,
-                         sB=q.hXB - q.iXB_RXA - 0.01)
-    assert not rate_point_feasible(short_sb, q, option=2)
-    with pytest.raises(ValueError):
-        rate_point_feasible(corner1, q, option=3)
 
 
 def test_report_serialization_round_trip():
