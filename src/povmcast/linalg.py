@@ -48,6 +48,22 @@ def dimension_cap() -> int:
     return cap
 
 
+def power_exceeds(base: int, n: int, cap: int) -> bool:
+    """base**n > cap for nonnegative integers, without forming base**n.
+
+    Bases 0 and 1 are decided directly; a larger base passes cap within
+    log2(cap) + 1 factors, so a huge n costs no more than a small one.
+    """
+    if base < 2 or n == 0:
+        return (base if n else 1) > cap
+    product = 1
+    for _ in range(n):
+        product *= base
+        if product > cap:
+            return True
+    return False
+
+
 def as_matrix(a) -> np.ndarray:
     """Coerce to a square complex matrix, unwrapping the operator types."""
     if isinstance(a, DensityOperator):
@@ -115,6 +131,13 @@ def spectral_decompose(a) -> SpectralDecomposition:
     a = as_matrix(a)
     if not is_hermitian(a):
         raise NotHermitian("operator is not Hermitian within tolerance")
+    return descending_eigh(a)
+
+
+def descending_eigh(a: np.ndarray) -> SpectralDecomposition:
+    """Eigensystem of the Hermitian part of a, eigenvalues descending, with
+    no Hermitian check: for operators that are Hermitian by construction,
+    such as a Gram matrix, where the check's two SVDs would dominate."""
     w, v = np.linalg.eigh(hermitian_part(a))
     order = np.argsort(w)[::-1]
     w = np.ascontiguousarray(w[order])

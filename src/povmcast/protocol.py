@@ -39,12 +39,13 @@ from .linalg import (
     TAU_PSD,
     DensityOperator,
     _psd_eigenvalues,
+    descending_eigh,
     dimension_cap,
     hermitian_part,
     # unused here, but perfbench/tracing.py wraps these module attributes
     kron_all,  # noqa: F401
     pinv_sqrt_on_support,  # noqa: F401
-    spectral_decompose,
+    power_exceeds,
     sqrt_psd,
 )
 from .measurement import (
@@ -372,7 +373,8 @@ def build_omega_and_cutoff(
     xi_prime_map maps members to compressed-state factors F_x and probs
     to their weights, so xi_bar = G G^dag with G = [sqrt(p_x) F_x]. The
     eigenproblem is solved on the smaller side: the R x R Gram matrix
-    G^dag G when G has fewer columns R than rows, else G G^dag.
+    G^dag G when G has fewer columns R than rows, else G G^dag; either
+    is Hermitian by construction, so it goes to eigh unchecked.
     H is the relevant conditional reference entropy; threshold 0 keeps
     the positive spectrum. Returns the kept eigenvectors and eigenvalues;
     the caller projects the members' factors onto them.
@@ -383,7 +385,7 @@ def build_omega_and_cutoff(
     )
     threshold = eps * 2.0 ** (-n * (h_ref_given_cond + delta))
     gram = g.shape[1] < dim
-    dec = spectral_decompose(g.conj().T @ g if gram else g @ g.conj().T)
+    dec = descending_eigh(g.conj().T @ g if gram else g @ g.conj().T)
     mu = dec.eigenvalues
     floor = CUTOFF_FLOOR_REL * float(mu[0]) if mu.size else 0.0
     keep = mu > max(threshold, floor, 0.0)
@@ -406,6 +408,10 @@ class ConditioningBlock:
     factor w_x = rho_cond^{-1/2} P F_x, where P is the cutoff projector
     and F_x the P_C-compressed state's factor, so that
     rho_cond^{-1/2} xi_x rho_cond^{-1/2} = w_x w_x^dag.
+
+    The geometry is covariant under permuting the n copies, so a block
+    may be built as a permutation of the block of its type's
+    representative, the sorted conditioning sequence (_permuted_block).
     """
 
     cond_seq: tuple
@@ -503,6 +509,41 @@ def _build_conditioning_block(
     )
 
 
+def _permuted_block(rep: ConditioningBlock, cond_seq, dim) -> ConditioningBlock:
+    """rep's block carried to cond_seq, a reordering of rep.cond_seq.
+
+    With order the stable argsort of cond_seq, rep.cond_seq[j] =
+    cond_seq[order[j]]; axes is its inverse, so copy i of cond_seq is copy
+    axes[i] of rep.cond_seq. A rep member x maps to the member y with
+    y[i] = x[axes[i]], and a D x r factor to the transpose of its
+    (dim,) * n row axes by axes, which costs O(D r) and forms no D x D
+    matrix. Probabilities, s_cond and the cutoff's eigenvalues and
+    threshold are rep's, and the members are the mapped ones, sorted.
+    """
+    if cond_seq == rep.cond_seq:
+        return rep
+    n = len(cond_seq)
+    axes = tuple(np.argsort(np.argsort(cond_seq, kind="stable")).tolist())
+
+    def permute(g):
+        shape = (dim,) * n + (g.shape[1],)
+        return g.reshape(shape).transpose(axes + (n,)).reshape(g.shape)
+
+    source = {tuple(x[j] for j in axes): x for x in rep.typical.members}
+    members = tuple(sorted(source))
+    typical = replace(rep.typical, members=members)
+    probs = {y: rep.pruned.probs[source[y]] for y in members}
+    gamma = {y: rep.gamma_factors[source[y]] for y in members}
+    return ConditioningBlock(
+        cond_seq=cond_seq,
+        gamma_factors=_batched(permute, gamma),
+        typical=typical,
+        pruned=PrunedDistribution(base=typical, probs=probs),
+        s_cond=rep.s_cond,
+        cutoff=replace(rep.cutoff, basis=permute(rep.cutoff.basis)),
+    )
+
+
 def _psd_factor(a) -> np.ndarray:
     """Factor F of a PSD operator, a = F F^dag, one column per eigenvalue
     above max(shape) * machine eps * the largest (roundoff counts as
@@ -551,21 +592,24 @@ class BlockScenario:
 def build_block_scenario(
     single: SingleLetterScenario, params: ProtocolParams
 ) -> BlockScenario:
-    """Build the trial-independent geometry for params.n copies."""
+    """Build the trial-independent geometry for params.n copies.
+
+    Bob's geometry is built once per type of x_A^n, along the sorted
+    sequence; every other conditioning of that type gets a permutation of
+    that block, and is dropped with it when its conditional typical set
+    is empty.
+    """
     n = params.n
     delta = params.delta
     eps = params.eps
     dim = single.rho.dim
-    if dim**n > dimension_cap():
-        raise SizeLimitExceeded(
-            f"block dimension {dim}**{n} exceeds cap {dimension_cap()}"
-        )
+    cap = dimension_cap()
+    if power_exceeds(dim, n, cap):
+        raise SizeLimitExceeded(f"block dimension {dim}**{n} exceeds cap {cap}")
     k_a = single.n_alice
     k_b = single.n_bob
-    if k_a**n > dimension_cap() or k_b**n > dimension_cap():
-        raise SizeLimitExceeded(
-            f"outcome sequence count exceeds cap {dimension_cap()}"
-        )
+    if power_exceeds(k_a, n, cap) or power_exceeds(k_b, n, cap):
+        raise SizeLimitExceeded(f"outcome sequence count exceeds cap {cap}")
 
     sqrt_rho = sqrt_psd(single.rho.mat)
     power = (0,) * n
@@ -601,24 +645,29 @@ def build_block_scenario(
     bob_hat = {
         pair: branch_eigensystem(m) for pair, m in single.hat_states.items()
     }
+    by_type = {}
     bob_blocks = {}
     dropped = []
     for cond_seq in alice_block.typical.members:
-        try:
-            block = _build_conditioning_block(
-                cond_seq,
-                bob_eigs,
-                single.p_cond,
-                bob_hat,
-                single.h_r_given_xa,
-                n,
-                delta,
-                eps,
-            )
-        except EmptySupport:
+        rep = tuple(sorted(cond_seq))
+        if rep not in by_type:
+            try:
+                by_type[rep] = _build_conditioning_block(
+                    rep,
+                    bob_eigs,
+                    single.p_cond,
+                    bob_hat,
+                    single.h_r_given_xa,
+                    n,
+                    delta,
+                    eps,
+                )
+            except EmptySupport:
+                by_type[rep] = None
+        if by_type[rep] is None:
             dropped.append(cond_seq)
-            continue
-        bob_blocks[cond_seq] = block
+        else:
+            bob_blocks[cond_seq] = _permuted_block(by_type[rep], cond_seq, dim)
 
     bob_marg_typical = build_typical_set(single.p_b, n, delta)
     bob_marg_pruned = prune(single.p_b, bob_marg_typical)

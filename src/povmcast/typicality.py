@@ -24,6 +24,7 @@ from .linalg import (
     entropy_bits,
     hermitian_part,
     kron_all,
+    power_exceeds,
 )
 
 # float guard on the membership boundary
@@ -78,9 +79,10 @@ def _check_distribution(p) -> np.ndarray:
 
 
 def _guard_enumeration(alphabet: int, n: int):
-    if alphabet**n > dimension_cap():
+    cap = dimension_cap()
+    if power_exceeds(alphabet, n, cap):
         raise SizeLimitExceeded(
-            f"enumeration size {alphabet}^{n} exceeds cap {dimension_cap()}"
+            f"enumeration size {alphabet}^{n} exceeds cap {cap}"
         )
 
 

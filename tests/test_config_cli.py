@@ -666,6 +666,22 @@ def test_cli_validation_exit_codes(capsys, tmp_path):
             assert "--workers" in capsys.readouterr().err
 
 
+def test_cli_huge_block_length_exits_3(capsys, tmp_path):
+    # the size guards stop at the cap instead of forming 3**n
+    eye = np.eye(3)
+    doc = minimal_doc(
+        rho=op_json(eye / 3),
+        povm=[op_json(np.diag(row)) for row in eye],
+        gA=[0, 1, 2],
+        gB=[0, 1, 2],
+    )
+    doc["protocol"]["n"] = 10**6
+    path = tmp_path / "qutrit.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(path)]) == 3
+    assert "block dimension 3**1000000 exceeds cap" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("raw", ["abc", "0"])
 def test_cli_malformed_dim_cap_exits_2(capsys, monkeypatch, raw):
     monkeypatch.setenv("POVMCAST_DIM_CAP", raw)

@@ -22,7 +22,7 @@ from povmcast import (
     support_projector,
     trace_distance,
 )
-from povmcast.linalg import as_matrix, is_hermitian
+from povmcast.linalg import as_matrix, is_hermitian, power_exceeds
 
 from conftest import random_density
 
@@ -118,6 +118,26 @@ def test_kron_all():
     assert np.allclose(kron_all([x] * 3), np.kron(x, np.kron(x, x)))
     with pytest.raises(ValueError):
         kron_all([])
+
+
+class _NoPower(int):
+    """An int that refuses to be raised to a power."""
+
+    def __pow__(self, other):
+        raise AssertionError("power taken")
+
+
+def test_power_exceeds_decides_without_the_power():
+    # at the cap boundary, 2**12 = 4096 is admitted and 2**13 refused
+    assert not power_exceeds(2, 12, 4096)
+    assert power_exceeds(2, 13, 4096)
+    assert power_exceeds(4097, 1, 4096)
+    assert not power_exceeds(7, 0, 1)
+    # bases 0 and 1 are decided directly, the larger ones after a few
+    # factors, so n = 10**12 neither loops n times nor forms the power
+    for base, want in ((0, False), (1, False), (2, True), (3, True)):
+        assert power_exceeds(_NoPower(base), 10**12, 4096) is want
+    assert power_exceeds(_NoPower(1), 10**12, 0)
 
 
 def test_dimension_cap_env_override(monkeypatch):

@@ -29,6 +29,8 @@ from povmcast.presets import preset_document, preset_names
 from povmcast.protocol import (
     BobOperatorSet,
     ProtocolParams,
+    _ProductEigs,
+    _build_conditioning_block,
     _codeword_weights,
     _collapsed_state,
     _kron_halves,
@@ -433,7 +435,9 @@ def test_square_roots_hold_no_dense_block_operator(name):
 
 
 @st.composite
-def rank_two_scenarios(draw):
+def rank_two_scenarios(draw, max_n=(3, 2)):
+    """A random scenario with rank-2 POVM elements and its params; max_n
+    bounds n for a qubit and for a qutrit."""
     dim = draw(st.sampled_from([2, 3]))
     outcomes = draw(st.integers(2, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -451,7 +455,7 @@ def rank_two_scenarios(draw):
         table=tuple(random_surjection(rng, outcomes, image_b)),
     )
     params = ProtocolParams(
-        n=draw(st.integers(1, 3 if dim == 2 else 2)),
+        n=draw(st.integers(1, max_n[0] if dim == 2 else max_n[1])),
         delta=draw(st.floats(0.3, 1.5)),
         delta2=0.25,
         eps=draw(st.sampled_from([0.0, 0.05, 0.3])),
@@ -472,6 +476,121 @@ def test_factored_block_matches_dense_oracle_on_rank_two_scenarios(case):
         _assert_matches_dense_oracle(single, params, sqrt_tol=1e-7)
     except (EmptySupport, NegligibleProbability):
         assume(False)
+
+
+def _assert_blocks_match_per_sequence_route(single, params):
+    """Every Bob block of build_block_scenario, most of them permutations
+    of their type's block, against the block built along its own
+    conditioning. Probabilities are compared to a few ulps, as their
+    products run in another order; operators are compared by the trace
+    norm of their difference, from their factors. The whitened factors
+    of either route carry a forward error of about machine epsilon times
+    the condition number of rho_cond on its support, so that bound joins
+    their tolerance when it is the larger one, as for the dense
+    oracle."""
+    block = build_block_scenario(single, params)
+    eigs = _ProductEigs({a: rho.mat for a, rho in single.post_states.items()})
+    hats = {pair: branch_eigensystem(m) for pair, m in single.hat_states.items()}
+    dropped = []
+    for cond_seq in block.alice_block.typical.members:
+        try:
+            want = _build_conditioning_block(
+                cond_seq, eigs, single.p_cond, hats, single.h_r_given_xa,
+                params.n, params.delta, params.eps,
+            )
+        except EmptySupport:
+            dropped.append(cond_seq)
+            continue
+        got = block.bob_blocks[cond_seq]
+        members = want.typical.members
+        assert got.cond_seq == cond_seq
+        assert got.typical.members == members
+        assert tuple(got.pruned.probs) == members
+        assert tuple(got.gamma_factors) == members
+        for m in members:
+            assert abs(got.pruned.probs[m] - want.pruned.probs[m]) <= 1e-15
+        assert abs(got.s_cond - want.s_cond) <= 1e-15
+        assert got.cutoff.threshold == want.cutoff.threshold
+        top = max(1.0, float(want.cutoff.eigenvalues.max(initial=0.0)))
+        assert got.cutoff.eigenvalues.shape == want.cutoff.eigenvalues.shape
+        assert np.abs(
+            got.cutoff.eigenvalues - want.cutoff.eigenvalues
+        ).max(initial=0.0) <= 1e-12 * top
+        assert _signed_trace_norm(got.cutoff.basis, want.cutoff.basis) <= 1e-12
+        spec = reduce(np.multiply.outer, eigs.eigenvalues(cond_seq)).ravel()
+        support = spec[spec > SUPPORT_CUTOFF_REL * max(spec.max(), 1.0)]
+        tol = max(1e-12, 1e-15 * spec.max() / support.min())
+        for m in members:
+            w = want.gamma_factors[m]
+            scale = max(1.0, float(np.linalg.norm(w)) ** 2)
+            assert _signed_trace_norm(got.gamma_factors[m], w) <= tol * scale
+    assert block.dropped_cond == tuple(dropped)
+    assert len(block.bob_blocks) + len(dropped) == len(
+        block.alice_block.typical.members
+    )
+    return block
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("name", preset_names())
+def test_shared_block_geometry_matches_per_sequence_route_on_presets(name, n):
+    cfg = config_from_dict(preset_document(name), name=name)
+    single = prepare_scenario(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b)
+    _assert_blocks_match_per_sequence_route(single, replace(cfg.params, n=n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rank_two_scenarios(max_n=(4, 3)))
+def test_shared_block_geometry_matches_per_sequence_route(case):
+    single, params = case
+    try:
+        _assert_blocks_match_per_sequence_route(single, params)
+    except (EmptySupport, NegligibleProbability):
+        assume(False)
+
+
+def test_shared_block_geometry_drops_whole_types():
+    # a classical joint law on a ququart: x_A = 0 leaves x_B with law
+    # (0.9, 0.1), whose conditional typical sets at delta = 0.2 are empty
+    # along the types (0, 0, 0, 0) and (0, 0, 0, 1), x_A = 1 leaves x_B
+    # uniform
+    rho = DensityOperator(np.diag([0.45, 0.05, 0.25, 0.25]))
+    povm = Povm(
+        elements=tuple(np.diag(e) for e in np.eye(4)), labels=(0, 1, 2, 3)
+    )
+    single = prepare_scenario(
+        rho, povm,
+        OutcomeFunction(domain_size=4, image_size=2, table=(0, 0, 1, 1)),
+        OutcomeFunction(domain_size=4, image_size=2, table=(0, 1, 0, 1)),
+    )
+    params = ProtocolParams(n=4, delta=0.2, delta2=0.25, eps=0.05, s_b=1, m_b=1)
+    block = _assert_blocks_match_per_sequence_route(single, params)
+    assert len(block.bob_blocks) == 11
+    assert block.dropped_cond == (
+        (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0),
+    )
+
+
+def test_block_geometry_is_built_once_per_type(monkeypatch):
+    # three-outcome-split at n = 5 has 32 typical x_A^n in 6 types: one
+    # build per type, plus Alice's block
+    calls = []
+
+    def counted(cond_seq, *args):
+        calls.append(cond_seq)
+        return _build_conditioning_block(cond_seq, *args)
+
+    monkeypatch.setattr(
+        "povmcast.protocol._build_conditioning_block", counted
+    )
+    name = "three-outcome-split"
+    cfg = config_from_dict(preset_document(name), name=name)
+    single = prepare_scenario(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b)
+    block = build_block_scenario(single, replace(cfg.params, n=5))
+    assert len(block.bob_blocks) == 32
+    types = {tuple(sorted(c)) for c in block.bob_blocks}
+    assert len(types) == 6
+    assert calls == [block.alice_block.cond_seq, *sorted(types)]
 
 
 def test_codebook_case2_semantics():
