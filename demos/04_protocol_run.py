@@ -30,7 +30,7 @@ print()
 
 # the trial-independent geometry: block states, typical sets, cutoffs
 block = build_block_scenario(single, cfg.params)
-print(f"Alice typical sequences: {len(block.alice_sequences)}")
+print(f"Alice typical sequences: {len(block.alice_block.typical.members)}")
 print(f"Bob marginal typical sequences: {len(block.bob_marg_typical.members)}")
 for cond_seq, blk in sorted(block.bob_blocks.items()):
     print(f"  conditioning {cond_seq}: {len(blk.typical.members)} conditional"

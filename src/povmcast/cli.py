@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 the equivalence check judged the measurements
 different, 2 configuration or scenario validation failure, 3 a size cap
-was exceeded. All output is deterministic given (config, seed); worker
+was exceeded or memory could not be allocated, such as for a codebook too
+large to draw. All output is deterministic given (config, seed); worker
 count never changes emitted bytes.
 """
 
@@ -19,7 +20,7 @@ from importlib import resources
 
 import numpy as np
 
-from .config import load_config, params_with_axis
+from .config import load_config, params_to_json, params_with_axis
 from .errors import ConfigError, PovmcastError, SizeLimitExceeded
 from .linalg import canonical_purification
 from .measurement import (
@@ -119,20 +120,13 @@ def _write_text(path: str, text: str):
         raise ConfigError(f"cannot write output file {path}: {exc}") from exc
 
 
-def _params_json(params) -> dict:
-    return {
-        "n": params.n,
-        "delta": params.delta,
-        "delta2": params.delta2,
-        "eps": params.eps,
-        "sA": params.s_a,
-        "sB": params.s_b,
-        "sBprime": params.s_b_prime,
-        "MA": params.m_a,
-        "MB": params.m_b,
-        "case": params.case,
-        "seed": params.seed,
-    }
+# A run too large to hold: a size cap, or an allocation that failed.
+_SIZE_ERRORS = (SizeLimitExceeded, MemoryError)
+
+
+def _error_text(exc) -> str:
+    # a MemoryError raised by the interpreter carries no message
+    return str(exc) or "out of memory"
 
 
 def _trial_json(rec) -> dict:
@@ -308,7 +302,7 @@ def _run_point(args, cfg, single, params, block, where: str) -> dict:
     )
     _warn_if_saturated(records, where)
     return {
-        "params": _params_json(params),
+        "params": params_to_json(params),
         "aggregate": aggregate_records(records),
         "trials": [_trial_json(rec) for rec in records],
     }
@@ -363,7 +357,7 @@ def cmd_sweep(args) -> int:
             if block is None:
                 block = build_block_scenario(single, params)
             point = _run_point(args, cfg, single, params, block, where)
-        except PovmcastError as exc:
+        except (PovmcastError, MemoryError) as exc:
             error = exc
             failed_value = value
             break
@@ -404,7 +398,7 @@ def cmd_sweep(args) -> int:
         "trend": trend,
     }
     if error is not None:
-        doc["error"] = str(error)
+        doc["error"] = _error_text(error)
         doc["failed_value"] = failed_value
     print(_dump_json(doc), end="")
     out, fmt = _emit(args, cfg, "csv", doc, SWEEP_CSV_COLUMNS, rows)
@@ -413,8 +407,11 @@ def cmd_sweep(args) -> int:
         text = _csv_text(TRIAL_CSV_COLUMNS, records)
         _write_text(_trials_sibling(out), text)
     if error is not None:
-        print(f"error: sweep point {failed_value!r}: {error}", file=sys.stderr)
-        return 3 if isinstance(error, SizeLimitExceeded) else 2
+        print(
+            f"error: sweep point {failed_value!r}: {_error_text(error)}",
+            file=sys.stderr,
+        )
+        return 3 if isinstance(error, _SIZE_ERRORS) else 2
     return 0
 
 
@@ -469,8 +466,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SizeLimitExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except _SIZE_ERRORS as exc:
+        print(f"error: {_error_text(exc)}", file=sys.stderr)
         return 3
     except PovmcastError as exc:
         print(f"error: {exc}", file=sys.stderr)

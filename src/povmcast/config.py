@@ -33,21 +33,6 @@ from .rates import (
 
 SWEEP_AXES = ("sB", "MB", "n", "delta")
 
-# Quantity tokens usable inside rate expressions, matched longest-first.
-_QUANTITY_TOKENS = (
-    ("I(X_A,X_B;R)", "iXAXB_R"),
-    ("I(X_B;R|X_A)", "iXB_R_given_XA"),
-    ("I(X_B;R,X_A)", "iXB_RXA"),
-    ("H(X_A,X_B)", "hXAXB"),
-    ("H(X_B|X_A)", "hXB_given_XA"),
-    ("I(X_A;X_B)", "iXA_XB"),
-    ("H(R|X_A)", "hR_given_XA"),
-    ("I(X_A;R)", "iXA_R"),
-    ("I(X_B;R)", "iXB_R"),
-    ("H(X_A)", "hXA"),
-    ("H(X_B)", "hXB"),
-    ("H(R)", "hR"),
-)
 _SCALAR_TOKENS = ("delta2", "delta", "eps", "n")
 
 _SAFE_EXPR = re.compile(r"^[0-9eE+\-*/(). ]*$")
@@ -71,40 +56,42 @@ def operator_from_json(obj: dict) -> np.ndarray:
 
 
 def scenario_rate_environment(single) -> dict:
-    """Numeric values for every token allowed in a rate expression."""
+    """The value of each quantity token a rate expression may use.
+
+    No token is a substring of another, so they may be replaced in any
+    order.
+    """
     joint = joint_outcome_model(
         single.rho, single.povm, single.g_a, single.g_b
     )
     q = conditional_rate_quantities(joint)
     h_joint = shannon_entropy(joint.probs)
-    env = {
-        "iXA_R": q.iXA_R,
-        "iXAXB_R": q.iXAXB_R,
-        "iXB_R_given_XA": q.iXB_R_given_XA,
-        "iXB_RXA": q.iXB_RXA,
-        "iXB_R": holevo_mutual_information(cq_marginal(joint, 1)),
-        "hXA": q.hXA,
-        "hXB": q.hXB,
-        "hXB_given_XA": q.hXB_given_XA,
-        "hXAXB": h_joint,
-        "iXA_XB": q.hXA + q.hXB - h_joint,
-        "hR": single.h_r,
-        "hR_given_XA": single.h_r_given_xa,
+    return {
+        "I(X_A;R)": q.iXA_R,
+        "I(X_A,X_B;R)": q.iXAXB_R,
+        "I(X_B;R|X_A)": q.iXB_R_given_XA,
+        "I(X_B;R,X_A)": q.iXB_RXA,
+        "I(X_B;R)": holevo_mutual_information(cq_marginal(joint, 1)),
+        "H(X_A)": q.hXA,
+        "H(X_B)": q.hXB,
+        "H(X_B|X_A)": q.hXB_given_XA,
+        "H(X_A,X_B)": h_joint,
+        "I(X_A;X_B)": q.hXA + q.hXB - h_joint,
+        "H(R)": single.h_r,
+        "H(R|X_A)": single.h_r_given_xa,
     }
-    return env
 
 
 def evaluate_rate_expression(expr: str, env: dict, scalars: dict) -> float:
     """Evaluate a rate-expression string against scenario quantities.
 
-    Tokens from the documented list are replaced by their numeric values;
+    Each token of env and each scalar is replaced by its numeric value;
     whatever remains must be plain arithmetic. Raises ConfigError on
     unknown tokens or malformed arithmetic.
     """
     text = expr
-    for token, key in _QUANTITY_TOKENS:
-        if token in text:
-            text = text.replace(token, f"({env[key]!r})")
+    for token, value in env.items():
+        text = text.replace(token, f"({value!r})")
     for name in _SCALAR_TOKENS:
         text = re.sub(
             rf"\b{name}\b", f"({float(scalars[name])!r})", text
@@ -126,9 +113,7 @@ def resolve_size(value, n: int, env: dict, scalars: dict, field: str) -> int:
 
     Expressions become ceil(2^(n * rate)), floored at 1.
     """
-    if isinstance(value, bool):
-        raise ConfigError(f"{field} must be an integer or expression string")
-    if isinstance(value, int):
+    if _is_int(value):
         if value < 1:
             raise ConfigError(f"{field} must be >= 1, got {value}")
         return value
@@ -184,19 +169,50 @@ class ScenarioConfig:
             raise ConfigError(f"{self.name}: invalid seed {seed!r}: {exc}") from exc
 
 
-_PROTOCOL_KEYS = {
-    "n",
-    "delta",
-    "delta2",
-    "eps",
-    "sA",
-    "sB",
-    "sBprime",
-    "MA",
-    "MB",
-    "case",
-    "seed",
+# Top-level keys of a scenario document.
+_DOCUMENT_KEYS = (
+    "name",
+    "rho",
+    "povm",
+    "gA",
+    "gB",
+    "protocol",
+    "mode",
+    "trials",
+    "equivalence",
+    "sweep",
+    "output",
+)
+
+# Each protocol key of a scenario document: its ProtocolParams field and
+# its default, in the order reports echo them.
+_PROTOCOL_FIELDS = {
+    "n": ("n", 1),
+    "delta": ("delta", 0.5),
+    "delta2": ("delta2", 0.25),
+    "eps": ("eps", 0.1),
+    "sA": ("s_a", 1),
+    "sB": ("s_b", 1),
+    "sBprime": ("s_b_prime", 0),
+    "MA": ("m_a", 1),
+    "MB": ("m_b", 1),
+    "case": ("case", 2),
+    "seed": ("seed", 0),
 }
+_SIZE_KEYS = ("sA", "sB", "sBprime", "MA", "MB")
+
+
+def params_to_json(params: ProtocolParams) -> dict:
+    """params under the document's protocol keys, as reports echo them."""
+    return {
+        key: getattr(params, field)
+        for key, (field, _) in _PROTOCOL_FIELDS.items()
+    }
+
+
+def _is_int(v) -> bool:
+    """True for a JSON integer, not a boolean."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _finite_number(v) -> bool:
@@ -216,10 +232,20 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _section(doc: dict, key: str, where: str, allowed) -> dict:
+    """doc[key], or {} when absent, checked to be an object whose keys
+    are all in allowed."""
+    section = doc.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where}.{key} must be an object")
+    for k in section:
+        if k not in allowed:
+            raise ConfigError(f"{where}.{key} has unknown key {k!r}")
+    return section
+
+
 def _outcome_function(raw, n_outcomes: int, where: str) -> OutcomeFunction:
-    if not isinstance(raw, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in raw
-    ):
+    if not isinstance(raw, list) or not all(_is_int(v) for v in raw):
         raise ConfigError(f"{where} must be a list of integers")
     if len(raw) != n_outcomes:
         raise ConfigError(
@@ -250,21 +276,8 @@ def config_from_dict(doc: dict, name: str = "config") -> ScenarioConfig:
     element index that failed."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{name} must be a JSON object")
-    known = {
-        "name",
-        "rho",
-        "povm",
-        "gA",
-        "gB",
-        "protocol",
-        "mode",
-        "trials",
-        "equivalence",
-        "sweep",
-        "output",
-    }
     for key in doc:
-        if key not in known:
+        if key not in _DOCUMENT_KEYS:
             raise ConfigError(f"{name} has unknown key {key!r}")
     label = doc.get("name", name)
     if not isinstance(label, str):
@@ -304,76 +317,47 @@ def config_from_dict(doc: dict, name: str = "config") -> ScenarioConfig:
         _require(doc, "gB", name), povm.n_outcomes, f"{name}.gB"
     )
 
-    raw_proto = _require(doc, "protocol", name)
-    if not isinstance(raw_proto, dict):
-        raise ConfigError(f"{name}.protocol must be an object")
-    for key in raw_proto:
-        if key not in _PROTOCOL_KEYS:
-            raise ConfigError(f"{name}.protocol has unknown key {key!r}")
-    n = raw_proto.get("n", 1)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ConfigError(f"{name}.protocol.n must be a positive integer")
-    scalars = {
-        "n": n,
-        "delta": raw_proto.get("delta", 0.5),
-        "delta2": raw_proto.get("delta2", 0.25),
-        "eps": raw_proto.get("eps", 0.1),
+    _require(doc, "protocol", name)
+    raw_proto = _section(doc, "protocol", name, _PROTOCOL_FIELDS)
+    where = f"{name}.protocol"
+    proto = {
+        key: raw_proto.get(key, default)
+        for key, (_, default) in _PROTOCOL_FIELDS.items()
     }
+    n = proto["n"]
+    if not _is_int(n) or n < 1:
+        raise ConfigError(f"{where}.n must be a positive integer")
     for key in ("delta", "delta2", "eps"):
-        v = scalars[key]
+        v = proto[key]
         if not _finite_number(v) or v < 0:
             raise ConfigError(
-                f"{name}.protocol.{key} must be a finite nonnegative number"
+                f"{where}.{key} must be a finite nonnegative number"
             )
+        proto[key] = float(v)
 
-    sizes = {}
-    needs_env = any(
-        isinstance(raw_proto.get(k), str)
-        for k in ("sA", "sB", "sBprime", "MA", "MB")
-    )
-    env = None
-    if needs_env:
-        single = prepare_scenario(rho, povm, g_a, g_b)
-        env = scenario_rate_environment(single)
-    for key, default in (
-        ("sA", 1),
-        ("sB", 1),
-        ("sBprime", 0),
-        ("MA", 1),
-        ("MB", 1),
-    ):
-        raw_val = raw_proto.get(key, default)
+    env = {}
+    if any(isinstance(proto[key], str) for key in _SIZE_KEYS):
+        env = scenario_rate_environment(prepare_scenario(rho, povm, g_a, g_b))
+    for key in _SIZE_KEYS:
+        raw_val = proto[key]
         if key == "sBprime" and raw_val == 0 and not isinstance(raw_val, bool):
-            sizes[key] = 0
+            proto[key] = 0
             continue
-        sizes[key] = resolve_size(
-            raw_val, n, env or {}, scalars, f"{name}.protocol.{key}"
-        )
+        proto[key] = resolve_size(raw_val, n, env, proto, f"{where}.{key}")
 
-    case = raw_proto.get("case", 2)
+    case = proto["case"]
     if case not in (1, 2):
-        raise ConfigError(f"{name}.protocol.case must be 1 or 2")
-    seed = raw_proto.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"{name}.protocol.seed must be a nonnegative integer")
-    if case == 1 and sizes["sBprime"] == 0:
-        sizes["sBprime"] = sizes["sB"]
+        raise ConfigError(f"{where}.case must be 1 or 2")
+    seed = proto["seed"]
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError(f"{where}.seed must be a nonnegative integer")
+    if case == 1 and proto["sBprime"] == 0:
+        proto["sBprime"] = proto["sB"]
+    fields = {field: proto[key] for key, (field, _) in _PROTOCOL_FIELDS.items()}
     try:
-        params = ProtocolParams(
-            n=n,
-            delta=float(scalars["delta"]),
-            delta2=float(scalars["delta2"]),
-            eps=float(scalars["eps"]),
-            s_a=sizes["sA"],
-            s_b=sizes["sB"],
-            s_b_prime=sizes["sBprime"],
-            m_a=sizes["MA"],
-            m_b=sizes["MB"],
-            case=case,
-            seed=seed,
-        )
+        params = ProtocolParams(**fields)
     except ValueError as exc:
-        raise ConfigError(f"{name}.protocol: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
     mode = doc.get("mode", "with_alice_randomness")
     if mode not in MODES:
@@ -386,24 +370,17 @@ def config_from_dict(doc: dict, name: str = "config") -> ScenarioConfig:
         )
 
     trials = doc.get("trials", 1)
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+    if not _is_int(trials) or trials < 1:
         raise ConfigError(f"{name}.trials must be a positive integer")
 
-    eq_doc = doc.get("equivalence", {})
-    if not isinstance(eq_doc, dict):
-        raise ConfigError(f"{name}.equivalence must be an object")
-    for key in eq_doc:
-        if key not in ("tolerance", "perturb_element", "perturb_scale"):
-            raise ConfigError(f"{name}.equivalence has unknown key {key!r}")
+    eq_doc = _section(
+        doc, "equivalence", name, ("tolerance", "perturb_element", "perturb_scale")
+    )
     tol = eq_doc.get("tolerance", 1e-7)
     if not _finite_number(tol) or tol <= 0:
         raise ConfigError(f"{name}.equivalence.tolerance must be finite and positive")
     pe = eq_doc.get("perturb_element")
-    if pe is not None and (
-        not isinstance(pe, int)
-        or isinstance(pe, bool)
-        or not 0 <= pe < g_b.image_size
-    ):
+    if pe is not None and (not _is_int(pe) or not 0 <= pe < g_b.image_size):
         raise ConfigError(
             f"{name}.equivalence.perturb_element must be a Bob outcome index "
             f"in [0, {g_b.image_size})"
@@ -419,9 +396,7 @@ def config_from_dict(doc: dict, name: str = "config") -> ScenarioConfig:
 
     sweep = None
     if "sweep" in doc:
-        sw = doc["sweep"]
-        if not isinstance(sw, dict):
-            raise ConfigError(f"{name}.sweep must be an object")
+        sw = _section(doc, "sweep", name, ("axis", "values"))
         axis = _require(sw, "axis", f"{name}.sweep")
         if axis not in SWEEP_AXES:
             raise ConfigError(
@@ -431,37 +406,25 @@ def config_from_dict(doc: dict, name: str = "config") -> ScenarioConfig:
         if not isinstance(values, list) or not values:
             raise ConfigError(f"{name}.sweep.values must be a nonempty list")
         for i, v in enumerate(values):
-            if axis == "delta":
-                if not _finite_number(v) or v < 0:
-                    raise ConfigError(
-                        f"{name}.sweep.values[{i}] must be finite and nonnegative"
-                    )
-            else:
-                if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                    raise ConfigError(
-                        f"{name}.sweep.values[{i}] must be a positive integer"
-                    )
+            if axis == "delta" and (not _finite_number(v) or v < 0):
+                raise ConfigError(
+                    f"{name}.sweep.values[{i}] must be finite and nonnegative"
+                )
+            if axis != "delta" and (not _is_int(v) or v < 1):
+                raise ConfigError(
+                    f"{name}.sweep.values[{i}] must be a positive integer"
+                )
         sweep = SweepSettings(axis=axis, values=tuple(values))
 
-    out_path = None
-    out_format = None
-    if "output" in doc:
-        out_doc = doc["output"]
-        if not isinstance(out_doc, dict):
-            raise ConfigError(f"{name}.output must be an object")
-        for key in out_doc:
-            if key not in ("path", "format"):
-                raise ConfigError(f"{name}.output has unknown key {key!r}")
-        if "path" in out_doc:
-            out_path = out_doc["path"]
-            if not isinstance(out_path, str) or not out_path:
-                raise ConfigError(f"{name}.output.path must be a nonempty string")
-        if "format" in out_doc:
-            out_format = out_doc["format"]
-            if out_format not in ("json", "csv"):
-                raise ConfigError(
-                    f"{name}.output.format must be json or csv, got {out_format!r}"
-                )
+    out_doc = _section(doc, "output", name, ("path", "format"))
+    out_path = out_doc.get("path")
+    if "path" in out_doc and (not isinstance(out_path, str) or not out_path):
+        raise ConfigError(f"{name}.output.path must be a nonempty string")
+    out_format = out_doc.get("format")
+    if "format" in out_doc and out_format not in ("json", "csv"):
+        raise ConfigError(
+            f"{name}.output.format must be json or csv, got {out_format!r}"
+        )
 
     return ScenarioConfig(
         name=label,
@@ -500,16 +463,15 @@ def load_config(source: str) -> ScenarioConfig:
 
 
 def params_with_axis(params: ProtocolParams, axis: str, value) -> ProtocolParams:
-    """New params with one sweep axis replaced."""
+    """New params with one sweep axis replaced.
+
+    Sweeping sB raises s_b_prime to at least the new s_b, so a case-1
+    selection pool still covers its target.
+    """
+    if axis not in SWEEP_AXES:
+        raise ConfigError(f"unknown sweep axis {axis!r}")
+    value = float(value) if axis == "delta" else int(value)
+    changes = {_PROTOCOL_FIELDS[axis][0]: value}
     if axis == "sB":
-        v = int(value)
-        return replace(
-            params, s_b=v, s_b_prime=max(params.s_b_prime, v)
-        )
-    if axis == "MB":
-        return replace(params, m_b=int(value))
-    if axis == "n":
-        return replace(params, n=int(value))
-    if axis == "delta":
-        return replace(params, delta=float(value))
-    raise ConfigError(f"unknown sweep axis {axis!r}")
+        changes["s_b_prime"] = max(params.s_b_prime, value)
+    return replace(params, **changes)

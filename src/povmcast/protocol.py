@@ -584,10 +584,6 @@ class BlockScenario:
     sqrt_lambda_a_n: dict
     lambda_ref_b: dict
 
-    @property
-    def alice_sequences(self) -> tuple:
-        return self.alice_block.typical.members
-
 
 def build_block_scenario(
     single: SingleLetterScenario, params: ProtocolParams
@@ -844,10 +840,6 @@ class BobOperatorSet:
     def cond_seq(self):
         return self.block.cond_seq
 
-    @property
-    def fallback_rate(self) -> float:
-        return _share(self.fallback_applied.values())
-
     def pooled_counts(self) -> dict:
         """Member -> count over the bins that did not fall back."""
         pooled = {}
@@ -898,19 +890,17 @@ def _apply_root(root, g) -> np.ndarray:
 
 
 def build_gamma(
-    block: ConditioningBlock,
-    codebook: Codebook,
-    *,
-    size,
-    m_count,
-    eps,
+    block: ConditioningBlock, codebook: Codebook, *, eps
 ) -> BobOperatorSet:
     """Count the drawn codewords of each bin against the block's factors.
 
     Each codeword's operator gets weight scale = s_cond / ((1 + eps) *
-    size * m_count); the sum over a bin then concentrates near identity /
-    (m_count) on the cut support when the codebook is large enough.
+    size * m_count), size and m_count being the codebook's; the sum over
+    a bin then concentrates near identity / (m_count) on the cut support
+    when the codebook is large enough.
     """
+    size = codebook.size
+    m_count = codebook.m_count
     gamma = {}
     bin_counts = {}
     for m in range(m_count):
@@ -1021,9 +1011,7 @@ def build_alice_measurement(
             trivial=True,
         )
 
-    opset = build_gamma(
-        ab, codebook, size=params.s_a, m_count=params.m_a, eps=params.eps
-    )
+    opset = build_gamma(ab, codebook, eps=params.eps)
     validate_subpovm(opset, codebook)
 
     lambda_tilde = {}
@@ -1139,13 +1127,7 @@ def build_protocol_instance(
     )
     bob_sets = {}
     for cond_seq, blk in block.bob_blocks.items():
-        opset = build_gamma(
-            blk,
-            bob_codebook,
-            size=params.s_b,
-            m_count=params.m_b,
-            eps=params.eps,
-        )
+        opset = build_gamma(blk, bob_codebook, eps=params.eps)
         validate_subpovm(opset, bob_codebook)
         bob_sets[cond_seq] = opset
 

@@ -233,13 +233,20 @@ def conditional_quantum_typical_projector(
 def sample_sequences(
     pd: PrunedDistribution, rng: np.random.Generator, count: int
 ) -> list:
-    """count exact draws by cumulative inversion over the sorted member list."""
+    """count exact draws by cumulative inversion over the sorted member list.
+
+    Raises SizeLimitExceeded when numpy cannot hold count draws.
+    """
     if count < 0:
         raise ValueError("count must be >= 0")
     if count == 0:
         return []
     cum = np.cumsum(pd.prob_vector())
-    u = rng.random(count)
+    try:
+        u = rng.random(count)
+    except (MemoryError, ValueError) as exc:
+        # numpy refuses a count whose array it cannot allocate or index
+        raise SizeLimitExceeded(f"cannot draw {count} sequences: {exc}") from None
     idxs = np.minimum(
         np.searchsorted(cum, u, side="right"), len(pd.base.members) - 1
     )

@@ -21,6 +21,7 @@ from povmcast import (
     prepare_scenario,
     resolve_size,
     scenario_rate_environment,
+    simulate_trials,
 )
 from povmcast.cli import (
     EQUIVALENCE_CSV_COLUMNS,
@@ -31,8 +32,15 @@ from povmcast.cli import (
     load_schema,
     main,
 )
-from povmcast.config import operator_from_json
+from povmcast.config import (
+    _DOCUMENT_KEYS,
+    _PROTOCOL_FIELDS,
+    SWEEP_AXES,
+    operator_from_json,
+    params_to_json,
+)
 from povmcast.presets import preset_document, preset_names
+from povmcast.protocol import MODES
 
 PRESETS = ("bell-computational", "three-outcome-split", "independent-product", "pure-state")
 
@@ -74,14 +82,14 @@ def bell_env():
 
 def test_rate_environment_frozen_bell_values():
     env = bell_env()
-    assert np.isclose(env["iXA_R"], 1.0, atol=1e-12)
-    assert np.isclose(env["hXA"], 1.0, atol=1e-12)
-    assert np.isclose(env["hXB"], 1.0, atol=1e-12)
-    assert abs(env["hXB_given_XA"]) <= 1e-12
-    assert np.isclose(env["iXA_XB"], 1.0, atol=1e-12)
-    assert np.isclose(env["hR"], 1.0, atol=1e-12)
-    assert abs(env["hR_given_XA"]) <= 1e-12
-    assert np.isclose(env["hXAXB"], 1.0, atol=1e-12)
+    assert np.isclose(env["I(X_A;R)"], 1.0, atol=1e-12)
+    assert np.isclose(env["H(X_A)"], 1.0, atol=1e-12)
+    assert np.isclose(env["H(X_B)"], 1.0, atol=1e-12)
+    assert abs(env["H(X_B|X_A)"]) <= 1e-12
+    assert np.isclose(env["I(X_A;X_B)"], 1.0, atol=1e-12)
+    assert np.isclose(env["H(R)"], 1.0, atol=1e-12)
+    assert abs(env["H(R|X_A)"]) <= 1e-12
+    assert np.isclose(env["H(X_A,X_B)"], 1.0, atol=1e-12)
 
 
 def test_rate_expression_evaluation():
@@ -90,11 +98,11 @@ def test_rate_expression_evaluation():
     assert np.isclose(evaluate_rate_expression("I(X_A;R)", env, scalars), 1.0)
     assert np.isclose(
         evaluate_rate_expression("I(X_B;R|X_A) + 3*delta2", env, scalars),
-        env["iXB_R_given_XA"] + 0.75,
+        env["I(X_B;R|X_A)"] + 0.75,
     )
     assert np.isclose(
         evaluate_rate_expression("H(X_A,X_B) - H(X_B|X_A) + delta", env, scalars),
-        env["hXAXB"] - env["hXB_given_XA"] + 0.5,
+        env["H(X_A,X_B)"] - env["H(X_B|X_A)"] + 0.5,
     )
     assert np.isclose(evaluate_rate_expression("(1 + eps) / n", env, scalars), 0.55)
 
@@ -218,6 +226,8 @@ def test_config_errors_cite_location():
         )
     with pytest.raises(ConfigError, match="sweep.axis"):
         config_from_dict(minimal_doc(sweep={"axis": "gamma", "values": [1]}))
+    with pytest.raises(ConfigError, match="sweep has unknown key 'step'"):
+        config_from_dict(minimal_doc(sweep={"axis": "n", "values": [1], "step": 2}))
     with pytest.raises(ConfigError, match=r"sweep.values\[1\]"):
         config_from_dict(minimal_doc(sweep={"axis": "sB", "values": [1, 0]}))
     # json accepts NaN and Infinity; no scalar may be either, nor an
@@ -268,6 +278,33 @@ def test_params_with_axis():
     assert p.s_b_prime == 8  # prime pool grows with the selection target
     with pytest.raises(ConfigError):
         params_with_axis(base, "gamma", 1)
+
+
+def test_document_vocabulary_matches_schemas_and_reports():
+    schema = load_schema("scenario_config")["properties"]
+    assert tuple(schema) == _DOCUMENT_KEYS
+    assert tuple(schema["protocol"]["properties"]) == tuple(_PROTOCOL_FIELDS)
+    for kind in ("simulate_report", "sweep_report"):
+        required = load_schema(kind)["$defs"]["params"]["required"]
+        assert tuple(required) == tuple(_PROTOCOL_FIELDS)
+    assert tuple(schema["sweep"]["properties"]["axis"]["enum"]) == SWEEP_AXES
+    assert tuple(schema["mode"]["enum"]) == MODES
+    # the report echo gives back each protocol value a preset sets
+    for preset in preset_names():
+        doc = preset_document(preset)
+        echo = params_to_json(config_from_dict(doc, name=preset).params)
+        assert tuple(echo) == tuple(_PROTOCOL_FIELDS)
+        for key, value in doc["protocol"].items():
+            assert echo[key] == value, (preset, key)
+    # each sweep axis changes its own field; sB also lifts s_b_prime
+    base = config_from_dict(minimal_doc()).params
+    for axis, value in zip(SWEEP_AXES, (8, 4, 3, 0.9)):
+        moved = params_to_json(params_with_axis(base, axis, value))
+        changed = {
+            key for key, v in params_to_json(base).items() if moved[key] != v
+        }
+        assert changed == ({"sB", "sBprime"} if axis == "sB" else {axis})
+        assert moved[axis] == value
 
 
 def test_load_config_sources(tmp_path):
@@ -680,6 +717,52 @@ def test_cli_huge_block_length_exits_3(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     assert main(["simulate", "--config", str(path)]) == 3
     assert "block dimension 3**1000000 exceeds cap" in capsys.readouterr().err
+
+
+def test_cli_undrawable_codebook_exits_3(tmp_path):
+    import subprocess
+
+    # sB = ceil(2^(2 * 40)) = 2^80 codewords: numpy refuses the draw
+    # before it allocates anything
+    doc = preset_document("pure-state")
+    doc["protocol"]["sB"] = "40"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "povmcast", "simulate", "--config", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    assert f"cannot draw {2**80} sequences" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_memory_error_exits_3(capsys, monkeypatch, tmp_path):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr("povmcast.cli.simulate_trials", out_of_memory)
+    assert main(["simulate", "--config", "preset:pure-state"]) == 3
+    assert capsys.readouterr().err == "error: out of memory\n"
+    # a sweep still reports the points it finished
+    calls = []
+    real = simulate_trials
+
+    def fail_second(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise MemoryError()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("povmcast.cli.simulate_trials", fail_second)
+    assert main(["sweep", "--config", "preset:bell-computational"]) == 3
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert out["values"] == [1]
+    assert out["failed_value"] == 2
+    assert out["error"] == "out of memory"
+    assert "error: sweep point 2: out of memory" in captured.err
 
 
 @pytest.mark.parametrize("raw", ["abc", "0"])

@@ -666,9 +666,7 @@ def test_build_gamma_scaling():
     )
     cond_seq = next(iter(block.bob_blocks))
     blk = block.bob_blocks[cond_seq]
-    opset = build_gamma(
-        blk, cb, size=BELL_PARAMS.s_b, m_count=BELL_PARAMS.m_b, eps=BELL_PARAMS.eps
-    )
+    opset = build_gamma(blk, cb, eps=BELL_PARAMS.eps)
     factor = blk.s_cond / ((1.0 + BELL_PARAMS.eps) * BELL_PARAMS.s_b * BELL_PARAMS.m_b)
     dim = block.rho_n.shape[0]
     for m in range(BELL_PARAMS.m_b):
@@ -718,7 +716,6 @@ def test_validate_subpovm_leak_and_selection_failure():
     validate_subpovm(leaky, fake_codebook({}))
     assert leaky.is_valid_subpovm == {0: False, 1: True}
     assert leaky.fallback_applied == {0: True, 1: False}
-    assert leaky.fallback_rate == 0.5
 
     # a selection failure forces fallback even when the sum is fine
     ok = opset({0: {(0,): 1}, 1: {(0,): 1}}, 0.6)
@@ -768,7 +765,7 @@ def test_alice_trivial_when_single_letter():
     w = alice.opset.block.gamma_factors[only]
     assert np.allclose(alice.opset.scale * (w @ w.conj().T), np.eye(4) / 6)
     assert len(alice.opset.gamma) == params.s_a * params.m_a
-    assert alice.opset.fallback_rate == 0.0
+    assert alice.opset.fallback_applied == {0: False, 1: False}
 
 
 def test_assemble_keeps_members_without_columns():

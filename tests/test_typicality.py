@@ -183,6 +183,9 @@ def test_sampling_is_deterministic_and_consistent():
     assert sample_sequences(pd, np.random.default_rng(61), 0) == []
     with pytest.raises(ValueError):
         sample_sequences(pd, np.random.default_rng(61), -1)
+    # numpy refuses this many draws before it allocates anything
+    with pytest.raises(SizeLimitExceeded, match=f"cannot draw {2**63}"):
+        sample_sequences(pd, np.random.default_rng(61), 2**63)
     # empirical frequencies approach the pruned law
     draws = sample_sequences(pd, np.random.default_rng(67), 4000)
     freq = sum(1 for d in draws if d == (0, 0, 0)) / 4000
