@@ -93,9 +93,13 @@ def evaluate_rate_expression(expr: str, env: dict, scalars: dict) -> float:
     for token, value in env.items():
         text = text.replace(token, f"({value!r})")
     for name in _SCALAR_TOKENS:
-        text = re.sub(
-            rf"\b{name}\b", f"({float(scalars[name])!r})", text
-        )
+        try:
+            value = float(scalars[name])
+        except OverflowError:
+            raise ConfigError(
+                f"rate expression {expr!r} failed: {name} is beyond float range"
+            ) from None
+        text = re.sub(rf"\b{name}\b", f"({value!r})", text)
     # ** is refused: a tower such as 9**9**9 would build a huge integer
     if "**" in text or not _SAFE_EXPR.match(text):
         raise ConfigError(
@@ -346,7 +350,7 @@ def config_from_dict(doc: dict, name: str = "config") -> ScenarioConfig:
         proto[key] = resolve_size(raw_val, n, env, proto, f"{where}.{key}")
 
     case = proto["case"]
-    if case not in (1, 2):
+    if not _is_int(case) or case not in (1, 2):
         raise ConfigError(f"{where}.case must be 1 or 2")
     seed = proto["seed"]
     if not _is_int(seed) or seed < 0:

@@ -409,8 +409,10 @@ class ConditioningBlock:
     and F_x the P_C-compressed state's factor, so that
     rho_cond^{-1/2} xi_x rho_cond^{-1/2} = w_x w_x^dag.
 
-    The geometry is covariant under permuting the n copies, so a block
-    may be built as a permutation of the block of its type's
+    The geometry is covariant under permuting the n copies. Members that
+    differ by a permutation fixing cond_seq share one built factor, the
+    others holding it with permuted row axes, all in one D x K buffer;
+    and a block may be built as a permutation of the block of its type's
     representative, the sorted conditioning sequence (_permuted_block).
     """
 
@@ -452,6 +454,54 @@ def _pinv_sqrt_product(eigs: _ProductEigs, cond_seq) -> np.ndarray:
     )
 
 
+def _permute_copies(g, axes, dim) -> np.ndarray:
+    """A D x r factor with its (dim,) * n row axes transposed by axes, so
+    that copy i of the result is copy axes[i] of g; costs O(D r) and
+    forms no D x D matrix."""
+    n = len(axes)
+    shape = (dim,) * n + (g.shape[1],)
+    return g.reshape(shape).transpose(tuple(axes) + (n,)).reshape(g.shape)
+
+
+def _member_orbits(cond_seq, members) -> dict:
+    """Map each member x to (rep, axes), where rep is x sorted within the
+    positions of each conditioning symbol and x[i] = rep[axes[i]].
+
+    The copy permutations that fix cond_seq permute positions that carry
+    the same symbol, so the members of one orbit share their rep.
+    """
+    groups = {}
+    for i, sym in enumerate(cond_seq):
+        groups.setdefault(sym, []).append(i)
+    carries = {}
+    for x in members:
+        rep = list(x)
+        axes = list(range(len(x)))
+        for pos in groups.values():
+            order = sorted(range(len(pos)), key=lambda k: x[pos[k]])
+            for j, k in enumerate(order):
+                rep[pos[j]] = x[pos[k]]
+                axes[pos[k]] = pos[j]
+        carries[x] = (tuple(rep), tuple(axes))
+    return carries
+
+
+def _carried(factors, carries, dim) -> dict:
+    """Each member's factor, its rep's factor carried by its axes, as
+    views of one D x K buffer in member order."""
+    widths = [factors[rep].shape[1] for rep, _ in carries.values()]
+    first = next(iter(factors.values()))
+    buf = np.empty((first.shape[0], sum(widths)), dtype=first.dtype)
+    out = {}
+    start = 0
+    for (x, (rep, axes)), width in zip(carries.items(), widths):
+        stop = start + width
+        buf[:, start:stop] = _permute_copies(factors[rep], axes, dim)
+        out[x] = buf[:, start:stop]
+        start = stop
+    return out
+
+
 def _build_conditioning_block(
     cond_seq,
     eigs,
@@ -466,32 +516,44 @@ def _build_conditioning_block(
     conditioning states, hat_eigs maps each (conditioning, output) pair
     to the branch eigensystem of its hat state. The product state along
     cond_seq has eigenbasis B, so P_C = B diag(m) B^dag, m masking its
-    typical branches, and rho_cond^{-1/2} = B diag(inv) B^dag. P_C, and
-    then the cutoff projection with rho_cond^{-1/2}, are applied to the
-    stacked factors of all members at once, B as Kronecker
-    half-products. Raises EmptySupport when the conditional typical set
-    along cond_seq is empty."""
+    typical branches, and rho_cond^{-1/2} = B diag(inv) B^dag.
+
+    The copy permutations that fix cond_seq commute with B, m, inv and
+    the averaged compressed state, so factors are built only for one
+    representative per orbit of members (_member_orbits): its compressed
+    state, P_C, and then the cutoff projection with rho_cond^{-1/2}, are
+    applied to the stacked representatives' factors, B as Kronecker
+    half-products, and every member gets its representative's factor
+    with the row axes permuted. The cutoff still averages the carried
+    factors of all members. Raises EmptySupport when the conditional
+    typical set along cond_seq is empty."""
     typical = conditional_typical_set(p_cond_rows, cond_seq, n, delta)
     pruned = prune_conditional(p_cond_rows, cond_seq, typical)
+    dim = eigs.values[cond_seq[0]].size
+    carries = _member_orbits(cond_seq, typical.members)
 
-    xi_prime = {}
-    for member in typical.members:
-        pair_seq = tuple(zip(cond_seq, member))
-        for pair in pair_seq:
+    xi_rep = {}
+    for member, (rep, _) in carries.items():
+        if rep in xi_rep:
+            continue
+        # an orbit's members share their pairs; name its first member
+        for pair in zip(cond_seq, member):
             if pair not in hat_eigs:
                 raise NegligibleProbability(
                     f"typical sequence {member} uses pair {pair} whose "
                     "probability is below tolerance"
                 )
-        xi_prime[member] = build_xi_prime(
-            [hat_eigs[pair] for pair in pair_seq], delta
+        xi_rep[rep] = build_xi_prime(
+            [hat_eigs[pair] for pair in zip(cond_seq, rep)], delta
         )
     basis = eigs.basis(cond_seq)
     _, mask = _typical_mask(eigs.eigenvalues(cond_seq), delta)
-    xi_prime = _batched(lambda g: _in_basis(basis, mask, g), xi_prime)
+    xi_rep = _batched(lambda g: _in_basis(basis, mask, g), xi_rep)
 
+    # the carried factors of all members, freed once the cutoff is found
     cutoff = build_omega_and_cutoff(
-        xi_prime, pruned.probs, n, eps, h_ref_given_cond, delta
+        _carried(xi_rep, carries, dim), pruned.probs, n, eps,
+        h_ref_given_cond, delta,
     )
     vecs = cutoff.basis
     inv = _pinv_sqrt_product(eigs, cond_seq)
@@ -501,7 +563,7 @@ def _build_conditioning_block(
 
     return ConditioningBlock(
         cond_seq=cond_seq,
-        gamma_factors=_batched(whiten, xi_prime),
+        gamma_factors=_carried(_batched(whiten, xi_rep), carries, dim),
         typical=typical,
         pruned=pruned,
         s_cond=float(typical.total_prob),
@@ -515,19 +577,16 @@ def _permuted_block(rep: ConditioningBlock, cond_seq, dim) -> ConditioningBlock:
     With order the stable argsort of cond_seq, rep.cond_seq[j] =
     cond_seq[order[j]]; axes is its inverse, so copy i of cond_seq is copy
     axes[i] of rep.cond_seq. A rep member x maps to the member y with
-    y[i] = x[axes[i]], and a D x r factor to the transpose of its
-    (dim,) * n row axes by axes, which costs O(D r) and forms no D x D
-    matrix. Probabilities, s_cond and the cutoff's eigenvalues and
-    threshold are rep's, and the members are the mapped ones, sorted.
+    y[i] = x[axes[i]], and a D x r factor to _permute_copies by axes.
+    Probabilities, s_cond and the cutoff's eigenvalues and threshold are
+    rep's, and the members are the mapped ones, sorted.
     """
     if cond_seq == rep.cond_seq:
         return rep
-    n = len(cond_seq)
     axes = tuple(np.argsort(np.argsort(cond_seq, kind="stable")).tolist())
 
     def permute(g):
-        shape = (dim,) * n + (g.shape[1],)
-        return g.reshape(shape).transpose(axes + (n,)).reshape(g.shape)
+        return _permute_copies(g, axes, dim)
 
     source = {tuple(x[j] for j in axes): x for x in rep.typical.members}
     members = tuple(sorted(source))
@@ -590,10 +649,13 @@ def build_block_scenario(
 ) -> BlockScenario:
     """Build the trial-independent geometry for params.n copies.
 
-    Bob's geometry is built once per type of x_A^n, along the sorted
-    sequence; every other conditioning of that type gets a permutation of
-    that block, and is dropped with it when its conditional typical set
-    is empty.
+    Within each block, compressed states are built once per orbit of
+    members under the copy permutations that fix the conditioning: for
+    Alice the permutations of all n copies, for a sorted Bob type those
+    within each run. Bob's geometry is built once per type of x_A^n,
+    along the sorted sequence; every other conditioning of that type
+    gets a permutation of that block, and is dropped with it when its
+    conditional typical set is empty.
     """
     n = params.n
     delta = params.delta

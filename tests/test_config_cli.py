@@ -208,6 +208,12 @@ def test_config_errors_cite_location():
     doc["protocol"]["n"] = 0
     with pytest.raises(ConfigError, match="protocol.n"):
         config_from_dict(doc)
+    # case is a JSON integer: True == 1 and 1.0 == 1 are not enough
+    for bad in (True, 1.0):
+        doc = minimal_doc()
+        doc["protocol"]["case"] = bad
+        with pytest.raises(ConfigError, match="protocol.case must be 1 or 2"):
+            config_from_dict(doc)
     doc = minimal_doc()
     doc["protocol"]["sBprime"] = False
     with pytest.raises(ConfigError, match="protocol.sBprime"):
@@ -735,6 +741,26 @@ def test_cli_undrawable_codebook_exits_3(tmp_path):
     )
     assert proc.returncode == 3
     assert f"cannot draw {2**80} sequences" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_block_length_beyond_float_range_exits_2(tmp_path):
+    import subprocess
+
+    # a rate-expression size substitutes n as a float, which 10**400 is not
+    doc = preset_document("bell-computational")
+    doc["protocol"]["n"] = 10**400
+    doc["protocol"]["sB"] = "I(X_B;R|X_A)"
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "povmcast", "simulate", "--config", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "n is beyond float range" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

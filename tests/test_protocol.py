@@ -34,6 +34,7 @@ from povmcast.protocol import (
     _codeword_weights,
     _collapsed_state,
     _kron_halves,
+    _permute_copies,
     _signed_trace_norm,
     assemble_bob_povm,
     build_alice_measurement,
@@ -591,6 +592,88 @@ def test_block_geometry_is_built_once_per_type(monkeypatch):
     types = {tuple(sorted(c)) for c in block.bob_blocks}
     assert len(types) == 6
     assert calls == [block.alice_block.cond_seq, *sorted(types)]
+
+
+def _orbit_count(blk) -> int:
+    """Member orbits under the copy permutations that fix the conditioning:
+    two members share one exactly when their multisets of (conditioning,
+    output) pairs agree."""
+    return len({tuple(sorted(zip(blk.cond_seq, x))) for x in blk.typical.members})
+
+
+def _assert_members_carry_their_representative(blk, dim):
+    # each member x's factor is, bit for bit, the factor of rep, x sorted
+    # within each conditioning symbol's positions, with its row axes
+    # permuted by axes, where x[i] = rep[axes[i]] and axes follows the
+    # stable sort
+    cond = np.array(blk.cond_seq)
+    for x in blk.typical.members:
+        x = np.array(x)
+        rep = x.copy()
+        axes = np.arange(x.size)
+        for sym in np.unique(cond):
+            pos = np.flatnonzero(cond == sym)
+            order = np.argsort(x[pos], kind="stable")
+            rep[pos] = x[pos][order]
+            axes[pos[order]] = pos
+        assert np.array_equal(rep[axes], x)
+        want = _permute_copies(blk.gamma_factors[tuple(rep)], axes, dim)
+        assert np.array_equal(blk.gamma_factors[tuple(x)], want)
+
+
+def _count_xi_prime(monkeypatch) -> list:
+    """A list that gets one entry per build_xi_prime call."""
+    calls = []
+
+    def counted(pair_eigs, delta):
+        calls.append(len(pair_eigs))
+        return build_xi_prime(pair_eigs, delta)
+
+    monkeypatch.setattr("povmcast.protocol.build_xi_prime", counted)
+    return calls
+
+
+def _three_outcome_split_at(n):
+    name = "three-outcome-split"
+    cfg = config_from_dict(preset_document(name), name=name)
+    single = prepare_scenario(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b)
+    return single, replace(cfg.params, n=n)
+
+
+def test_block_factors_are_built_once_per_member_orbit(monkeypatch):
+    # three-outcome-split at n = 5: Alice's 32 members fall into 6
+    # orbits under S_5, and the Bob type with k ones into k + 1 orbits,
+    # so 6 + (1 + 2 + ... + 6) = 27 compressed states are built
+    calls = _count_xi_prime(monkeypatch)
+    single, params = _three_outcome_split_at(5)
+    block = build_block_scenario(single, params)
+    types = {tuple(sorted(c)): blk for c, blk in block.bob_blocks.items()}
+    want = _orbit_count(block.alice_block) + sum(map(_orbit_count, types.values()))
+    assert len(calls) == want == 27
+    for blk in [block.alice_block, *block.bob_blocks.values()]:
+        _assert_members_carry_their_representative(blk, single.rho.dim)
+
+
+@pytest.mark.parametrize(
+    "cond_seq", [(0, 1, 1, 0, 1), (1, 0, 0, 1, 0), (1, 1, 0, 0, 1)]
+)
+def test_unsorted_conditioning_builds_once_per_member_orbit(
+    monkeypatch, cond_seq
+):
+    # a block built straight along an unsorted conditioning: its orbits
+    # permute the positions of each symbol, which are not runs
+    calls = _count_xi_prime(monkeypatch)
+    single, params = _three_outcome_split_at(5)
+    eigs = _ProductEigs({a: rho.mat for a, rho in single.post_states.items()})
+    hats = {pair: branch_eigensystem(m) for pair, m in single.hat_states.items()}
+    blk = _build_conditioning_block(
+        cond_seq, eigs, single.p_cond, hats, single.h_r_given_xa,
+        params.n, params.delta, params.eps,
+    )
+    ones = sum(cond_seq)
+    assert len(blk.typical.members) == 2**ones
+    assert len(calls) == _orbit_count(blk) == ones + 1
+    _assert_members_carry_their_representative(blk, single.rho.dim)
 
 
 def test_codebook_case2_semantics():
