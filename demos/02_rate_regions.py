@@ -12,13 +12,11 @@ Bob gains nothing from conditioning on Alice.
 """
 
 from povmcast import (
-    conditional_rate_quantities,
-    cq_marginal,
     evaluate_rate_region,
-    holevo_mutual_information,
-    joint_outcome_model,
     load_config,
+    prepare_scenario,
     preset_names,
+    scenario_rate_environment,
 )
 
 for name in preset_names():
@@ -47,9 +45,9 @@ print()
 
 # independent values: conditioning on Alice's outcome buys Bob nothing
 cfg = load_config("preset:independent-product")
-joint = joint_outcome_model(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b)
-q = conditional_rate_quantities(joint)
-i_xb_r = holevo_mutual_information(cq_marginal(joint, 1))
+q = evaluate_rate_region(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b)
+single = prepare_scenario(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b)
+i_xb_r = scenario_rate_environment(single)["I(X_B;R)"]
 print("independent-product has X_A independent of X_B, so")
 print(f"  I(X_B;R,X_A) = {q.iXB_RXA:.6f}")
 print(f"  I(X_B;R)     = {i_xb_r:.6f}")

@@ -36,8 +36,6 @@ from .errors import (
 )
 from .linalg import (
     DensityOperator,
-    PureState,
-    canonical_purification,
     dimension_cap,
     hermitian_part,
     kron_all,
@@ -48,19 +46,15 @@ from .linalg import (
     trace_distance,
 )
 from .measurement import (
-    CqState,
     EquivalenceResult,
     OutcomeFunction,
     Povm,
     born_probabilities,
     coarse_grain,
     conditional_povm,
-    cq_conditional,
-    cq_marginal,
-    joint_outcome_model,
-    measurement_channel_with_reference,
     measurements_equivalent,
     post_measurement_state,
+    reference_blocks,
     sequential_composition,
 )
 from .presets import preset_document, preset_names
@@ -84,9 +78,7 @@ from .protocol import (
 )
 from .rates import (
     RateQuantities,
-    conditional_rate_quantities,
     evaluate_rate_region,
-    holevo_mutual_information,
     shannon_entropy,
     von_neumann_entropy,
 )

@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import load_config, params_to_json, params_with_axis
 from .errors import ConfigError, PovmcastError, SizeLimitExceeded
-from .linalg import canonical_purification
+from .linalg import dimension_cap
 from .measurement import (
     Povm,
     coarse_grain,
@@ -267,9 +267,8 @@ def cmd_equivalence(args) -> int:
     direct = coarse_grain(cfg.povm, cfg.g_b)
     sequential = sequential_composition(cfg.povm, cfg.g_a, cfg.g_b)
     sequential, perturbed = _perturbed_povm(sequential, cfg.equivalence)
-    phi = canonical_purification(cfg.rho)
     res = measurements_equivalent(
-        phi, direct, sequential, tol=cfg.equivalence.tolerance
+        cfg.rho, direct, sequential, tol=cfg.equivalence.tolerance
     )
     doc = {
         "schema": "povmcast/equivalence-v1",
@@ -465,6 +464,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        # every command refuses a malformed POVMCAST_DIM_CAP, whether or
+        # not it reaches a size guard
+        dimension_cap()
         return args.func(args)
     except _SIZE_ERRORS as exc:
         print(f"error: {_error_text(exc)}", file=sys.stderr)

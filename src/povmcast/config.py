@@ -18,18 +18,9 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, PovmcastError
 from .linalg import DensityOperator
-from .measurement import (
-    OutcomeFunction,
-    Povm,
-    cq_marginal,
-    joint_outcome_model,
-)
+from .measurement import OutcomeFunction, Povm
 from .protocol import MODES, ProtocolParams, prepare_scenario
-from .rates import (
-    conditional_rate_quantities,
-    holevo_mutual_information,
-    shannon_entropy,
-)
+from .rates import joint_entropies, rate_quantities
 
 SWEEP_AXES = ("sB", "MB", "n", "delta")
 
@@ -38,20 +29,35 @@ _SCALAR_TOKENS = ("delta2", "delta", "eps", "n")
 _SAFE_EXPR = re.compile(r"^[0-9eE+\-*/(). ]*$")
 
 
-def operator_from_json(obj: dict) -> np.ndarray:
-    """Decode {"dim": d, "re": [[...]], "im": [[...]]} into a complex matrix."""
+def operator_from_json(obj) -> np.ndarray:
+    """Decode {"dim": d, "re": [[...]], "im": [[...]]} into a complex matrix.
+
+    dim is a positive JSON integer, and re and im are each d rows of d
+    JSON numbers: no boolean or string passes for a number.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError("operator must be an object with keys dim, re, im")
+    for key in obj:
+        if key not in ("dim", "re", "im"):
+            raise ConfigError(f"operator has unknown key {key!r}")
     try:
-        dim = int(obj["dim"])
-        re = np.asarray(obj["re"], dtype=np.float64)
-        im = np.asarray(obj["im"], dtype=np.float64)
-    except (KeyError, TypeError) as exc:
-        raise DimensionMismatch(f"malformed operator object: {exc}") from exc
-    if re.shape != (dim, dim) or im.shape != (dim, dim):
-        raise DimensionMismatch(
-            f"operator entries have shape {re.shape}/{im.shape}, expected ({dim}, {dim})"
-        )
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise ConfigError("operator entries must be finite")
+        dim, parts = obj["dim"], (obj["re"], obj["im"])
+    except KeyError as exc:
+        raise DimensionMismatch(f"malformed operator object: missing {exc}") from None
+    if not _is_int(dim) or dim < 1:
+        raise ConfigError(f"operator dim must be a positive integer, got {dim!r}")
+    for rows in parts:
+        if not isinstance(rows, list) or len(rows) != dim or not all(
+            isinstance(row, list) and len(row) == dim for row in rows
+        ):
+            raise DimensionMismatch(f"operator entries must be {dim} rows of {dim}")
+        for row in rows:
+            for v in row:
+                if not _finite_number(v):
+                    raise ConfigError(
+                        f"operator entries must be finite numbers, got {v!r}"
+                    )
+    re, im = (np.array(rows, dtype=np.float64) for rows in parts)
     return re + 1j * im
 
 
@@ -61,22 +67,19 @@ def scenario_rate_environment(single) -> dict:
     No token is a substring of another, so they may be replaced in any
     order.
     """
-    joint = joint_outcome_model(
-        single.rho, single.povm, single.g_a, single.g_b
-    )
-    q = conditional_rate_quantities(joint)
-    h_joint = shannon_entropy(joint.probs)
+    h = joint_entropies(single.rho, single.povm, single.g_a, single.g_b)
+    q = rate_quantities(h)
     return {
         "I(X_A;R)": q.iXA_R,
         "I(X_A,X_B;R)": q.iXAXB_R,
         "I(X_B;R|X_A)": q.iXB_R_given_XA,
         "I(X_B;R,X_A)": q.iXB_RXA,
-        "I(X_B;R)": holevo_mutual_information(cq_marginal(joint, 1)),
+        "I(X_B;R)": h["B"] + h["R"] - h["BR"],
         "H(X_A)": q.hXA,
         "H(X_B)": q.hXB,
         "H(X_B|X_A)": q.hXB_given_XA,
-        "H(X_A,X_B)": h_joint,
-        "I(X_A;X_B)": q.hXA + q.hXB - h_joint,
+        "H(X_A,X_B)": h["AB"],
+        "I(X_A;X_B)": q.hXA + q.hXB - h["AB"],
         "H(R)": single.h_r,
         "H(R|X_A)": single.h_r_given_xa,
     }
@@ -261,11 +264,13 @@ def _outcome_function(raw, n_outcomes: int, where: str) -> OutcomeFunction:
         if v < 0:
             raise ConfigError(f"{where}[{i}] = {v} is negative")
     seen = set(raw)
-    missing = [k for k in range(image) if k not in seen]
-    if missing:
+    if image > len(seen):
+        # some index below image is missing, so one of the first
+        # len(seen) + 1 is: the search never runs up to a huge image
+        missing = next(k for k in range(len(seen) + 1) if k not in seen)
         raise ConfigError(
             f"{where} image indices must be contiguous from 0; missing "
-            f"{missing[0]}"
+            f"{missing}"
         )
     try:
         return OutcomeFunction(

@@ -65,11 +65,9 @@ def power_exceeds(base: int, n: int, cap: int) -> bool:
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce to a square complex matrix, unwrapping the operator types."""
+    """Coerce to a square complex matrix, unwrapping a DensityOperator."""
     if isinstance(a, DensityOperator):
         return a.mat
-    if isinstance(a, PureState):
-        return a.projector()
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
@@ -84,14 +82,17 @@ def operator_scale(a: np.ndarray) -> float:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    a = as_matrix(a)
-    return 0.5 * (a + a.conj().T)
+    """(a + a^dag) / 2, halved before the sum so that entries near the
+    float limit do not overflow."""
+    half = 0.5 * as_matrix(a)
+    return half + half.conj().T
 
 
 def hermitian_deviation(a) -> float:
-    """Spectral norm of the anti-Hermitian part, ||a - a^dag||_2."""
-    a = as_matrix(a)
-    return float(np.linalg.norm(a - a.conj().T, 2))
+    """Spectral norm of the anti-Hermitian part, ||a - a^dag||_2, halved
+    before the difference as in hermitian_part."""
+    half = 0.5 * as_matrix(a)
+    return 2.0 * float(np.linalg.norm(half - half.conj().T, 2))
 
 
 def is_hermitian(a) -> bool:
@@ -255,49 +256,3 @@ class DensityOperator:
 
     def __repr__(self):
         return f"DensityOperator(dim={self.dim})"
-
-
-class PureState:
-    """Validated unit vector."""
-
-    __slots__ = ("vec",)
-
-    def __init__(self, vec):
-        v = np.asarray(vec, dtype=np.complex128).reshape(-1).copy()
-        nrm = float(np.linalg.norm(v))
-        if abs(nrm - 1.0) > TAU_TRACE:
-            raise NotNormalized(
-                f"state vector norm {nrm!r} is not 1 within {TAU_TRACE:.1e}"
-            )
-        v.setflags(write=False)
-        object.__setattr__(self, "vec", v)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PureState is immutable")
-
-    @property
-    def dim(self) -> int:
-        return self.vec.shape[0]
-
-    def projector(self) -> np.ndarray:
-        return np.outer(self.vec, self.vec.conj())
-
-    def __repr__(self):
-        return f"PureState(dim={self.dim})"
-
-
-def canonical_purification(rho) -> PureState:
-    """Purify rho on R (x) C as sum_i sqrt(l_i) |i>_R |v_i>_C.
-
-    The reference system R comes first, with the computational basis
-    indexing the eigenbranches of rho. Tracing out R recovers rho.
-    """
-    rho = DensityOperator.coerce(rho)
-    dec = _psd_eigenvalues(rho.mat)
-    d = rho.dim
-    amps = np.sqrt(dec.eigenvalues)[:, None] * dec.eigenvectors.T
-    vec = np.zeros(d * d, dtype=np.complex128)
-    for i in range(d):
-        vec[i * d : (i + 1) * d] = amps[i]
-    nrm = float(np.linalg.norm(vec))
-    return PureState(vec / nrm)

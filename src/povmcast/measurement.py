@@ -3,8 +3,10 @@
 A central measurement {L_x} is split between two receivers through
 outcome functions g_A and g_B. This module provides coarse graining,
 post-measurement states, the conditional POVM a server would apply after
-announcing g_A(x), and equivalence checks at the level of a purifying
-reference system.
+announcing g_A(x), and the reference blocks sqrt(rho) L_x sqrt(rho): the
+d x d operators that stand for what measuring L_x leaves in a system
+purifying rho. The equivalence check compares two measurements by these
+blocks, and the rate region is computed from them.
 """
 
 from __future__ import annotations
@@ -28,10 +30,8 @@ from .linalg import (
     TAU_PSD,
     TAU_SPEC,
     DensityOperator,
-    PureState,
     as_matrix,
     below_psd_floor,
-    canonical_purification,
     hermitian_deviation,
     hermitian_part,
     is_hermitian,
@@ -147,43 +147,6 @@ class OutcomeFunction:
         return cls(domain_size=k, image_size=1, table=(0,) * k)
 
 
-@dataclass(frozen=True, eq=False)
-class CqState:
-    """Classical-quantum output: outcome labels, probabilities, reference states.
-
-    Outcomes with probability at or below TAU_PROB carry a maximally mixed
-    placeholder state; entropy code skips them by their probability.
-    """
-
-    outcome_labels: tuple
-    probs: np.ndarray
-    ref_states: tuple
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=np.float64).copy()
-        if p.shape != (len(self.outcome_labels),):
-            raise SizeMismatch("probs length does not match labels")
-        if len(self.ref_states) != len(self.outcome_labels):
-            raise SizeMismatch("ref_states length does not match labels")
-        if float(p.min(initial=0.0)) < -TAU_PROB:
-            raise NotPsd(f"negative outcome probability {p.min():.3e}")
-        if abs(float(p.sum()) - 1.0) > 1e-9:
-            raise NotPsd(f"outcome probabilities sum to {p.sum()!r}")
-        p = np.clip(p, 0.0, None)
-        p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
-        object.__setattr__(self, "outcome_labels", tuple(self.outcome_labels))
-        object.__setattr__(self, "ref_states", tuple(self.ref_states))
-
-    @property
-    def dim_ref(self) -> int:
-        return self.ref_states[0].dim
-
-    def weighted_state(self, idx: int) -> np.ndarray:
-        """p(x) * rho_x, the unnormalized reference block for outcome idx."""
-        return float(self.probs[idx]) * self.ref_states[idx].mat
-
-
 class EquivalenceResult(NamedTuple):
     equivalent: bool
     max_deviation: float
@@ -289,120 +252,44 @@ def sequential_composition(povm: Povm, g_a: OutcomeFunction, g_b: OutcomeFunctio
     return Povm(elements=elements, labels=tuple(range(g_b.image_size)), complete=povm.complete)
 
 
-def measurement_channel_with_reference(phi: PureState, povm: Povm) -> CqState:
-    """Measure the C side of a purification, keeping the reference system.
+def reference_blocks(rho, operators) -> np.ndarray:
+    """sqrt(rho) E sqrt(rho) for each operator E of a stack of d x d ones.
 
-    Outcome x gets probability <phi|(I (x) L_x)|phi> and reference state
-    Tr_C[(I (x) L_x) |phi><phi|] / p(x).
+    Purifying rho and measuring E_x on the system leaves the purifying
+    reference system in the unnormalized block p(x) rho^R_x, which is
+    unitarily equivalent to the transpose of sqrt(rho) E_x sqrt(rho).
+    Every entropy and trace norm of the reference blocks is therefore
+    one of these d x d blocks', whichever purification is taken. The
+    result has the stack's shape; its traces are the Born probabilities.
     """
-    d_c = povm.dim
-    if phi.dim % d_c != 0:
+    r = DensityOperator.coerce(rho)
+    ops = np.asarray(operators, dtype=np.complex128)
+    if ops.ndim < 2 or ops.shape[-2:] != (r.dim, r.dim):
         raise DimensionMismatch(
-            f"purification dim {phi.dim} is not a multiple of POVM dim {d_c}"
+            f"state dim {r.dim} does not match operators of shape {ops.shape}"
         )
-    d_r = phi.dim // d_c
-    psi = phi.vec.reshape(d_r, d_c)
-    probs = []
-    states = []
-    for e in povm.elements:
-        unnorm = psi @ e.T @ psi.conj().T
-        p = float(np.real(np.trace(unnorm)))
-        p = max(p, 0.0)
-        probs.append(p)
-        if p <= TAU_PROB:
-            states.append(DensityOperator.maximally_mixed(d_r))
-        else:
-            states.append(DensityOperator(hermitian_part(unnorm) / p))
-    return CqState(
-        outcome_labels=povm.labels,
-        probs=np.asarray(probs),
-        ref_states=tuple(states),
-    )
+    root = sqrt_psd(r.mat)
+    # the Hermitian part of each block, as hermitian_part takes it
+    half = 0.5 * (root @ ops @ root)
+    return half + half.conj().swapaxes(-1, -2)
 
 
 def measurements_equivalent(
-    phi: PureState, povm_a: Povm, povm_b: Povm, tol: float
+    rho, povm_a: Povm, povm_b: Povm, tol: float
 ) -> EquivalenceResult:
-    """Compare two POVMs through the joint reference-outcome state.
+    """Compare two POVMs on the state rho through its purifying reference.
 
-    For every outcome label the unnormalized reference blocks
-    p(x) rho^R_x must agree in trace norm within tol. Returns the verdict
-    together with the worst per-outcome deviation.
+    For every outcome label x the deviation is
+    ||sqrt(rho) (A_x - B_x) sqrt(rho)||_1, the trace norm between the
+    unnormalized reference blocks the two measurements leave; it is the
+    same for every purification of rho. Returns the verdict together
+    with the worst per-label deviation.
     """
     if set(povm_a.labels) != set(povm_b.labels):
         raise LabelMismatch("POVMs carry different outcome label sets")
-    cq_a = measurement_channel_with_reference(phi, povm_a)
-    cq_b = measurement_channel_with_reference(phi, povm_b)
-    blocks_b = {lab: cq_b.weighted_state(i) for i, lab in enumerate(cq_b.outcome_labels)}
-    worst = 0.0
-    for i, lab in enumerate(cq_a.outcome_labels):
-        dev = trace_distance(cq_a.weighted_state(i), blocks_b[lab])
-        worst = max(worst, dev)
-    return EquivalenceResult(equivalent=worst <= tol, max_deviation=worst)
-
-
-def joint_outcome_model(
-    rho, povm: Povm, g_a: OutcomeFunction, g_b: OutcomeFunction
-) -> CqState:
-    """Classical-quantum state of (x_a, x_b) with the purifying reference.
-
-    Labels are (x_a, x_b) pairs over the full product range; pairs no fine
-    outcome maps to appear with probability zero and a maximally mixed
-    placeholder state.
-    """
-    if g_a.domain_size != povm.n_outcomes or g_b.domain_size != povm.n_outcomes:
-        raise SizeMismatch("outcome function domains must match POVM outcome count")
-    rho = DensityOperator.coerce(rho)
-    if rho.dim != povm.dim:
-        raise DimensionMismatch(f"state dim {rho.dim} != POVM dim {povm.dim}")
-    dim = povm.dim
-    pairs = [(a, b) for a in range(g_a.image_size) for b in range(g_b.image_size)]
-    elements = []
-    for a, b in pairs:
-        e = np.zeros((dim, dim), dtype=np.complex128)
-        for x in range(povm.n_outcomes):
-            if g_a(x) == a and g_b(x) == b:
-                e = e + povm.elements[x]
-        elements.append(e)
-    joint = Povm(elements=tuple(elements), labels=tuple(pairs), complete=povm.complete)
-    phi = canonical_purification(rho)
-    return measurement_channel_with_reference(phi, joint)
-
-
-def cq_marginal(cq: CqState, component: int) -> CqState:
-    """Marginalize a pair-labeled CqState onto one label component."""
-    values = sorted({lab[component] for lab in cq.outcome_labels})
-    probs = []
-    states = []
-    d = cq.dim_ref
-    for v in values:
-        idxs = [i for i, lab in enumerate(cq.outcome_labels) if lab[component] == v]
-        p = float(sum(cq.probs[i] for i in idxs))
-        probs.append(p)
-        if p <= TAU_PROB:
-            states.append(DensityOperator.maximally_mixed(d))
-        else:
-            avg = sum(cq.weighted_state(i) for i in idxs) / p
-            states.append(DensityOperator(hermitian_part(avg)))
-    return CqState(
-        outcome_labels=tuple(values),
-        probs=np.asarray(probs),
-        ref_states=tuple(states),
+    b_elements = [povm_b.elements[povm_b.labels.index(x)] for x in povm_a.labels]
+    pairs = zip(
+        reference_blocks(rho, povm_a.elements), reference_blocks(rho, b_elements)
     )
-
-
-def cq_conditional(cq: CqState, component: int, value) -> CqState:
-    """Condition a pair-labeled CqState on one label component's value."""
-    idxs = [i for i, lab in enumerate(cq.outcome_labels) if lab[component] == value]
-    if not idxs:
-        raise LabelMismatch(f"no outcomes with component {component} == {value!r}")
-    total = float(sum(cq.probs[i] for i in idxs))
-    if total <= TAU_PROB:
-        raise NegligibleProbability(
-            f"conditioning mass {total:.3e} at or below {TAU_PROB:.1e}"
-        )
-    other = 1 - component
-    labels = tuple(cq.outcome_labels[i][other] for i in idxs)
-    probs = np.asarray([float(cq.probs[i]) / total for i in idxs])
-    states = tuple(cq.ref_states[i] for i in idxs)
-    return CqState(outcome_labels=labels, probs=probs, ref_states=states)
+    worst = max(trace_distance(a, b) for a, b in pairs)
+    return EquivalenceResult(equivalent=worst <= tol, max_deviation=worst)

@@ -1,9 +1,13 @@
 """Entropies and the achievable communication/randomness rate region.
 
-All logarithms are base 2. Mutual informations involving the reference
-system are Holevo quantities of classical-quantum ensembles; the one
-conditioned jointly on the reference and Alice's outcome is evaluated on
-explicitly assembled block-diagonal hybrid density operators.
+All logarithms are base 2. Every rate quantity is a signed sum of seven
+joint entropies of the outcomes X_A, X_B and the reference system R that
+purifies the state. They come from one table of d x d reference blocks
+B_ab = sqrt(rho) Lambda_ab sqrt(rho), where Lambda_ab sums the elements
+with g_A(x) = a and g_B(x) = b: the traces of the blocks are the joint
+law of (X_A, X_B), and a state that is classical on some outcomes and
+quantum on R is block diagonal, so its entropy is that of the blocks
+summed over the outcomes it forgets.
 """
 
 from __future__ import annotations
@@ -12,24 +16,15 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import NotPsd, SizeLimitExceeded
+from .errors import NotPsd, SizeMismatch
 from .linalg import (
-    TAU_PROB,
     DensityOperator,
     as_matrix,
     below_psd_floor,
-    dimension_cap,
     entropy_bits,
     hermitian_part,
 )
-from .measurement import (
-    CqState,
-    OutcomeFunction,
-    Povm,
-    cq_conditional,
-    cq_marginal,
-    joint_outcome_model,
-)
+from .measurement import OutcomeFunction, Povm, reference_blocks
 from .typicality import _check_distribution
 
 
@@ -47,23 +42,6 @@ def von_neumann_entropy(rho) -> float:
     return entropy_bits(w)
 
 
-def _active(cq: CqState):
-    return [i for i in range(len(cq.outcome_labels)) if cq.probs[i] > TAU_PROB]
-
-
-def holevo_mutual_information(cq: CqState) -> float:
-    """S(sum_x p_x rho_x) - sum_x p_x S(rho_x).
-
-    Outcomes at or below the probability floor contribute nothing.
-    """
-    idxs = _active(cq)
-    if not idxs:
-        return 0.0
-    avg = sum(cq.weighted_state(i) for i in idxs)
-    cond = sum(float(cq.probs[i]) * von_neumann_entropy(cq.ref_states[i]) for i in idxs)
-    return von_neumann_entropy(avg) - cond
-
-
 @dataclass(frozen=True)
 class RateQuantities:
     """The seven entropic quantities the rate region is built from."""
@@ -77,77 +55,59 @@ class RateQuantities:
     hXB_given_XA: float
 
 
-def _pair_marginals(joint: CqState):
-    a_vals = sorted({lab[0] for lab in joint.outcome_labels})
-    b_vals = sorted({lab[1] for lab in joint.outcome_labels})
-    p_ab = {lab: float(joint.probs[i]) for i, lab in enumerate(joint.outcome_labels)}
-    p_a = np.array([sum(p_ab.get((a, b), 0.0) for b in b_vals) for a in a_vals])
-    p_b = np.array([sum(p_ab.get((a, b), 0.0) for a in a_vals) for b in b_vals])
-    return a_vals, b_vals, p_a, p_b, p_ab
-
-
 def _block_diag_entropy(blocks) -> float:
-    """Entropy of a block-diagonal PSD operator given its weighted blocks."""
-    total = 0.0
-    for blk in blocks:
-        total += entropy_bits(np.linalg.eigvalsh(hermitian_part(blk)))
-    return total
+    """Entropy of a block-diagonal PSD operator given a stack of its
+    unnormalized blocks."""
+    return entropy_bits(np.linalg.eigvalsh(blocks).ravel())
 
 
-def conditional_rate_quantities(joint: CqState) -> RateQuantities:
-    """Entropic quantities of a pair-labeled broadcast outcome model.
+def joint_entropies(
+    rho, povm: Povm, g_a: OutcomeFunction, g_b: OutcomeFunction
+) -> dict:
+    """H(X_A), H(X_B), H(X_A X_B), S(R), S(X_A R), S(X_B R) and
+    S(X_A X_B R) in bits, keyed "A", "B", "AB", "R", "AR", "BR", "ABR"."""
+    if g_a.domain_size != povm.n_outcomes or g_b.domain_size != povm.n_outcomes:
+        raise SizeMismatch("outcome function domains must match POVM outcome count")
+    d = povm.dim
+    joint = np.zeros((g_a.image_size, g_b.image_size, d, d), dtype=np.complex128)
+    for x, e in enumerate(povm.elements):
+        joint[g_a(x), g_b(x)] += e
+    blocks = reference_blocks(rho, joint)
+    p = np.trace(blocks, axis1=-2, axis2=-1).real
+    return {
+        "A": shannon_entropy(p.sum(axis=1)),
+        "B": shannon_entropy(p.sum(axis=0)),
+        "AB": shannon_entropy(p),
+        "R": _block_diag_entropy(blocks.sum(axis=(0, 1))),
+        "AR": _block_diag_entropy(blocks.sum(axis=1)),
+        "BR": _block_diag_entropy(blocks.sum(axis=0)),
+        "ABR": _block_diag_entropy(blocks),
+    }
 
-    I(X_B; R | X_A) comes from the chain rule I(X_A X_B; R) - I(X_A; R);
-    holevo_conditional_direct provides the independent route for
-    cross-checking. I(X_B; R X_A) is S(X_B) + S(R X_A) - S(X_B R X_A)
-    on explicit block-diagonal hybrid operators.
+
+def rate_quantities(h: dict) -> RateQuantities:
+    """The seven rate quantities from joint_entropies' table.
+
+    I(X_B; R | X_A) is the chain-rule difference I(X_A X_B; R) - I(X_A; R).
     """
-    a_vals, b_vals, p_a, p_b, p_ab = _pair_marginals(joint)
-    h_xa = shannon_entropy(p_a)
-    h_xb = shannon_entropy(p_b)
-    h_xab = shannon_entropy(np.array(list(p_ab.values())))
-    h_xb_given_xa = h_xab - h_xa
-
-    i_xaxb_r = holevo_mutual_information(joint)
-    marg_a = cq_marginal(joint, 0)
-    i_xa_r = holevo_mutual_information(marg_a)
-    i_xb_r_given_xa = i_xaxb_r - i_xa_r
-
-    d = joint.dim_ref
-    if len(a_vals) * len(b_vals) * d > dimension_cap():
-        raise SizeLimitExceeded("hybrid operator would exceed the dimension cap")
-    s_rxa = _block_diag_entropy(marg_a.weighted_state(i) for i in _active(marg_a))
-    s_xbrxa = _block_diag_entropy(joint.weighted_state(i) for i in _active(joint))
-    i_xb_rxa = h_xb + s_rxa - s_xbrxa
-
+    i_xa_r = h["A"] + h["R"] - h["AR"]
+    i_xaxb_r = h["AB"] + h["R"] - h["ABR"]
     return RateQuantities(
         iXA_R=i_xa_r,
         iXAXB_R=i_xaxb_r,
-        iXB_R_given_XA=i_xb_r_given_xa,
-        iXB_RXA=i_xb_rxa,
-        hXA=h_xa,
-        hXB=h_xb,
-        hXB_given_XA=h_xb_given_xa,
+        iXB_R_given_XA=i_xaxb_r - i_xa_r,
+        iXB_RXA=h["B"] + h["AR"] - h["ABR"],
+        hXA=h["A"],
+        hXB=h["B"],
+        hXB_given_XA=h["AB"] - h["A"],
     )
-
-
-def holevo_conditional_direct(joint: CqState) -> float:
-    """I(X_B; R | X_A) summed directly over conditional ensembles."""
-    marg_a = cq_marginal(joint, 0)
-    total = 0.0
-    for i, a in enumerate(marg_a.outcome_labels):
-        p = float(marg_a.probs[i])
-        if p <= TAU_PROB:
-            continue
-        total += p * holevo_mutual_information(cq_conditional(joint, 0, a))
-    return total
 
 
 def evaluate_rate_region(
     rho, povm: Povm, g_a: OutcomeFunction, g_b: OutcomeFunction
 ) -> RateQuantities:
     """Rate floors for faithful simulation of the (g_a, g_b) broadcast."""
-    return conditional_rate_quantities(joint_outcome_model(rho, povm, g_a, g_b))
+    return rate_quantities(joint_entropies(rho, povm, g_a, g_b))
 
 
 RATE_CSV_COLUMNS = (

@@ -52,6 +52,76 @@ def outcome_blocks(rho, povm_elements):
     return blocks
 
 
+def canonical_purification(rho):
+    """Purification sum_i sqrt(l_i) |i>_R |v_i>_C of rho as a d^2 vector.
+
+    The reference R comes first, its computational basis indexing the
+    eigenvectors v_i of rho.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    d = rho.shape[0]
+    w, v = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+    vec = np.zeros(d * d, dtype=complex)
+    for i in range(d):
+        ket = np.zeros(d, dtype=complex)
+        ket[i] = 1.0
+        vec = vec + math.sqrt(max(float(w[i]), 0.0)) * np.kron(ket, v[:, i])
+    return vec / np.linalg.norm(vec)
+
+
+def purified_reference_blocks(rho, povm_elements):
+    """Unnormalized reference state Tr_C[(I (x) E_x) |phi><phi|] per outcome.
+
+    phi is the canonical purification, and the partial trace is taken on
+    the full d^2 x d^2 operator.
+    """
+    phi = canonical_purification(rho)
+    d = int(round(math.sqrt(phi.size)))
+    proj = np.outer(phi, phi.conj())
+    blocks = []
+    for e in povm_elements:
+        full = np.kron(np.eye(d), np.asarray(e, dtype=complex)) @ proj
+        blk = np.einsum("icjc->ij", full.reshape(d, d, d, d))
+        blocks.append(0.5 * (blk + blk.conj().T))
+    return blocks
+
+
+def purified_trace_norms(rho, elements_a, elements_b):
+    """||rho^R_x(A) - rho^R_x(B)||_1 per outcome, on the purified blocks."""
+    blocks_a = purified_reference_blocks(rho, elements_a)
+    blocks_b = purified_reference_blocks(rho, elements_b)
+    return [
+        float(np.abs(np.linalg.eigvalsh(a - b)).sum())
+        for a, b in zip(blocks_a, blocks_b)
+    ]
+
+
+def holevo_conditional_direct(rho, povm_elements, g_a, g_b):
+    """I(X_B; R | X_A) as sum_a p(a) I(X_B; R | X_A = a), each term the
+    Holevo quantity of the normalized purified reference states of the
+    pairs (a, b). Masses at or below 1e-12 are skipped."""
+    blocks = purified_reference_blocks(rho, povm_elements)
+    d = blocks[0].shape[0]
+    pair_blocks = {}
+    for x, blk in enumerate(blocks):
+        lab = (g_a[x], g_b[x])
+        pair_blocks[lab] = pair_blocks.get(lab, np.zeros((d, d), dtype=complex)) + blk
+    total = 0.0
+    for a in sorted({lab[0] for lab in pair_blocks}):
+        branch = [blk for (aa, _), blk in pair_blocks.items() if aa == a]
+        p_a = sum(float(np.trace(blk).real) for blk in branch)
+        if p_a <= 1e-12:
+            continue
+        avg = sum(branch) / p_a
+        cond = 0.0
+        for blk in branch:
+            p_ab = float(np.trace(blk).real)
+            if p_ab > 1e-12:
+                cond += (p_ab / p_a) * matrix_entropy_bits(blk / p_ab)
+        total += p_a * (matrix_entropy_bits(avg) - cond)
+    return total
+
+
 def joint_information_oracle(rho, povm_elements, g_a, g_b):
     """All four mutual informations from explicit joint density matrices.
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import sys
 
 import jsonschema
@@ -71,6 +72,72 @@ def test_operator_json_round_trip():
         operator_from_json({"dim": 2, "re": [[1.0]], "im": [[0.0]]})
     with pytest.raises(DimensionMismatch):
         operator_from_json({"re": [[1.0]], "im": [[0.0]]})
+
+
+def _string_entry(op):
+    op["re"][0][0] = "x"
+
+
+def _ragged_row(op):
+    op["re"][1] = op["re"][1][:1]
+
+
+def _numeric_string(op):
+    op["re"][0][0] = str(op["re"][0][0])
+
+
+def _boolean_entry(op):
+    op["im"][0][1] = False
+
+
+def _unknown_key(op):
+    op["scale"] = 1
+
+
+MALFORMED_OPERATORS = {
+    "string-entry": _string_entry,
+    "ragged-row": _ragged_row,
+    "dim-string": lambda op: op.update(dim="x"),
+    "dim-fraction": lambda op: op.update(dim=2.5),
+    "dim-boolean": lambda op: op.update(dim=True),
+    "boolean-entry": _boolean_entry,
+    "numeric-string": _numeric_string,
+    "unknown-key": _unknown_key,
+}
+
+
+@pytest.mark.parametrize("where", ["rho", "povm[1]"])
+@pytest.mark.parametrize("fault", sorted(MALFORMED_OPERATORS))
+def test_malformed_operator_exits_2(capsys, tmp_path, where, fault):
+    # each of these is outside the scenario schema's operator object; the
+    # error names the operator, and the CLI exits 2 without a traceback
+    doc = preset_document("three-outcome-split")
+    op = doc["rho"] if where == "rho" else doc["povm"][1]
+    MALFORMED_OPERATORS[fault](op)
+    with pytest.raises(ConfigError, match=re.escape(f"config.{where}: ")):
+        config_from_dict(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["rates", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [1e308, -1e308])
+@pytest.mark.parametrize("where", ["rho", "povm[1]"])
+def test_entry_near_float_limit_exits_2(capsys, tmp_path, where, value):
+    # a finite entry this large must not overflow while the operator is
+    # validated: the filterwarnings setting turns any RuntimeWarning into
+    # a failure here
+    doc = preset_document("independent-product")
+    op = doc["rho"] if where == "rho" else doc["povm"][1]
+    op["re"][1][1] = value
+    with pytest.raises(ConfigError, match=r"config\.(rho|povm)"):
+        config_from_dict(doc)
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(doc))
+    assert main(["rates", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def bell_env():
@@ -198,6 +265,9 @@ def test_config_errors_cite_location():
         config_from_dict(minimal_doc(gA=[0, 1, 1]))
     with pytest.raises(ConfigError, match="missing 1"):
         config_from_dict(minimal_doc(gA=[0, 2]))
+    # the search for a missing index stops after len(set(gB)) + 1 values
+    with pytest.raises(ConfigError, match=r"gB image indices .* missing 1"):
+        config_from_dict(minimal_doc(gB=[0, 10**30]))
     with pytest.raises(ConfigError, match="gB must be a list of integers"):
         config_from_dict(minimal_doc(gB=[0, "x"]))
     doc = minimal_doc()

@@ -10,9 +10,7 @@ from povmcast import (
     NotHermitian,
     NotNormalized,
     NotPsd,
-    PureState,
     SizeLimitExceeded,
-    canonical_purification,
     dimension_cap,
     hermitian_part,
     kron_all,
@@ -23,8 +21,6 @@ from povmcast import (
     trace_distance,
 )
 from povmcast.linalg import as_matrix, is_hermitian, power_exceeds
-
-from conftest import random_density
 
 
 def random_hermitian(rng, dim):
@@ -42,8 +38,6 @@ def test_as_matrix_rejects_non_square():
 def test_as_matrix_unwraps_operator_types():
     rho = DensityOperator.maximally_mixed(3)
     assert np.allclose(as_matrix(rho), np.eye(3) / 3)
-    psi = PureState([1.0, 0.0])
-    assert np.allclose(as_matrix(psi), [[1, 0], [0, 0]])
 
 
 def test_hermitian_part_and_check():
@@ -167,26 +161,3 @@ def test_density_operator_validation():
     with pytest.raises(AttributeError):
         rho.mat = np.eye(4)
     assert DensityOperator.coerce(rho) is rho
-
-
-def test_pure_state_validation():
-    with pytest.raises(NotNormalized):
-        PureState([1.0, 1.0])
-    psi = PureState([0.6, 0.8j])
-    assert psi.dim == 2
-    proj = psi.projector()
-    assert np.allclose(proj @ proj, proj)
-
-
-def test_canonical_purification_marginals():
-    rng = np.random.default_rng(23)
-    rho = random_density(rng, 3)
-    phi = canonical_purification(rho)
-    assert phi.dim == 9
-    joint = phi.projector().reshape(3, 3, 3, 3)
-    # tracing out the reference recovers the input state
-    assert np.allclose(np.einsum("ijik->jk", joint), rho, atol=1e-12)
-    # the reference marginal is diagonal with the eigenvalues of rho
-    ref = np.einsum("ijkj->ik", joint)
-    w = np.sort(np.linalg.eigvalsh(rho))[::-1]
-    assert np.allclose(ref, np.diag(w), atol=1e-12)

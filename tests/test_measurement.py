@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from povmcast import (
-    DensityOperator,
+    DimensionMismatch,
     EmptyBranch,
     LabelMismatch,
     NegligibleProbability,
@@ -14,20 +14,17 @@ from povmcast import (
     Povm,
     SizeMismatch,
     born_probabilities,
-    canonical_purification,
     coarse_grain,
     conditional_povm,
-    cq_conditional,
-    cq_marginal,
-    joint_outcome_model,
-    measurement_channel_with_reference,
     measurements_equivalent,
     post_measurement_state,
+    reference_blocks,
     sequential_composition,
     support_projector,
 )
 
-from conftest import random_density, random_scenario
+import oracles
+from conftest import random_density, random_povm, random_scenario
 
 PLUS = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]])
 MINUS = 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -152,76 +149,55 @@ def test_sequential_composition_matches_direct_coarse_graining():
         fb = OutcomeFunction(domain_size=outcomes, image_size=max(g_b) + 1, table=tuple(g_b))
         seq = sequential_composition(povm, fa, fb)
         direct = coarse_grain(povm, fb)
-        phi = canonical_purification(DensityOperator(rho))
-        verdict = measurements_equivalent(phi, seq, direct, tol=1e-7)
+        verdict = measurements_equivalent(rho, seq, direct, tol=1e-7)
         assert verdict.equivalent, verdict.max_deviation
 
 
-def test_measurement_channel_probabilities_and_placeholders():
-    rho = DensityOperator(np.diag([1.0, 0.0]))
-    phi = canonical_purification(rho)
-    povm = Povm(elements=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), labels=(0, 1))
-    cq = measurement_channel_with_reference(phi, povm)
-    assert np.allclose(cq.probs, [1.0, 0.0])
-    # the zero-probability outcome carries the maximally mixed state
-    assert np.allclose(cq.ref_states[1].mat, np.eye(2) / 2)
-    # the weighted blocks always sum to the reference marginal
+def test_reference_blocks_match_purified_route():
+    # the d x d sandwich sqrt(rho) E sqrt(rho) stands for the reference
+    # block of a literal purification: same spectrum, Born traces, and a
+    # sum equal to rho; the equivalence check agrees with trace norms of
+    # the purified blocks
     rng = np.random.default_rng(31)
-    rho = random_density(rng, 3)
-    phi = canonical_purification(DensityOperator(rho))
-    elems = (np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0]))
-    povm = Povm(elements=elems, labels=(0, 1, 2))
-    cq = measurement_channel_with_reference(phi, povm)
-    assert np.allclose(cq.probs, born_probabilities(rho, povm))
-    total = sum(cq.weighted_state(i) for i in range(3))
-    w = np.sort(np.linalg.eigvalsh(rho))[::-1]
-    assert np.allclose(total, np.diag(w), atol=1e-10)
+    for _ in range(10):
+        dim = int(rng.integers(2, 4))
+        outcomes = int(rng.integers(2, 6))
+        rho, elems, _, _ = random_scenario(rng, dim, outcomes)
+        phi = oracles.canonical_purification(rho)
+        joint = np.outer(phi, phi.conj()).reshape(dim, dim, dim, dim)
+        assert np.allclose(np.einsum("ijik->jk", joint), rho, atol=1e-12)
+        povm = Povm(elements=tuple(elems), labels=tuple(range(outcomes)))
+        blocks = reference_blocks(rho, povm.elements)
+        purified = oracles.purified_reference_blocks(rho, elems)
+        for blk, ref in zip(blocks, purified):
+            assert np.allclose(
+                np.linalg.eigvalsh(blk), np.linalg.eigvalsh(ref), atol=1e-12
+            )
+        traces = np.trace(blocks, axis1=1, axis2=2)
+        assert np.allclose(traces, born_probabilities(rho, povm), atol=1e-12)
+        assert np.allclose(blocks.sum(axis=0), rho, atol=1e-12)
+        other = Povm(
+            elements=tuple(random_povm(rng, dim, outcomes)),
+            labels=tuple(range(outcomes)),
+        )
+        for b in (povm, other):
+            got = measurements_equivalent(rho, povm, b, tol=1e-7).max_deviation
+            ref = max(oracles.purified_trace_norms(rho, elems, b.elements))
+            assert abs(got - ref) <= 1e-12, (got, ref)
 
 
 def test_measurements_equivalent_detects_differences():
     rng = np.random.default_rng(37)
     rho = random_density(rng, 2)
-    phi = canonical_purification(DensityOperator(rho))
     a = Povm(elements=(PLUS, MINUS), labels=(0, 1))
-    same = measurements_equivalent(phi, a, a, tol=1e-12)
+    same = measurements_equivalent(rho, a, a, tol=1e-12)
     assert same.equivalent and same.max_deviation <= 1e-14
     b = Povm(elements=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), labels=(0, 1))
-    diff = measurements_equivalent(phi, a, b, tol=1e-7)
+    diff = measurements_equivalent(rho, a, b, tol=1e-7)
     assert not diff.equivalent
     assert diff.max_deviation > 0.1
     c = Povm(elements=(PLUS, MINUS), labels=(0, 2))
     with pytest.raises(LabelMismatch):
-        measurements_equivalent(phi, a, c, tol=1e-7)
-
-
-def test_joint_outcome_model_probabilities():
-    rho = np.diag([0.6, 0.4])
-    povm = trine_povm()
-    g_a = OutcomeFunction(domain_size=3, image_size=2, table=(0, 1, 1))
-    g_b = OutcomeFunction(domain_size=3, image_size=2, table=(0, 0, 1))
-    cq = joint_outcome_model(rho, povm, g_a, g_b)
-    assert cq.outcome_labels == ((0, 0), (0, 1), (1, 0), (1, 1))
-    fine = born_probabilities(rho, povm)
-    assert np.isclose(cq.probs[0], fine[0])  # only x=0 maps to (0, 0)
-    assert np.isclose(cq.probs[1], 0.0)  # nothing maps to (0, 1)
-    assert np.allclose(cq.ref_states[1].mat, np.eye(2) / 2)
-    assert np.isclose(cq.probs[2], fine[1])
-    assert np.isclose(cq.probs[3], fine[2])
-
-
-def test_cq_marginal_and_conditional():
-    rho = np.diag([0.6, 0.4])
-    povm = trine_povm()
-    g_a = OutcomeFunction(domain_size=3, image_size=2, table=(0, 1, 1))
-    g_b = OutcomeFunction(domain_size=3, image_size=2, table=(0, 0, 1))
-    cq = joint_outcome_model(rho, povm, g_a, g_b)
-    marg_a = cq_marginal(cq, 0)
-    coarse = coarse_grain(povm, g_a)
-    assert np.allclose(marg_a.probs, born_probabilities(rho, coarse))
-    marg_b = cq_marginal(cq, 1)
-    assert np.isclose(marg_b.probs.sum(), 1.0)
-    cond = cq_conditional(cq, 0, 1)
-    assert np.isclose(cond.probs.sum(), 1.0)
-    assert cond.outcome_labels == (0, 1)
-    with pytest.raises(LabelMismatch):
-        cq_conditional(cq, 0, 9)
+        measurements_equivalent(rho, a, c, tol=1e-7)
+    with pytest.raises(DimensionMismatch):
+        measurements_equivalent(random_density(rng, 3), a, b, tol=1e-7)

@@ -9,18 +9,13 @@ from povmcast import (
     NotPsd,
     OutcomeFunction,
     Povm,
-    conditional_rate_quantities,
     evaluate_rate_region,
-    holevo_mutual_information,
-    joint_outcome_model,
+    prepare_scenario,
+    scenario_rate_environment,
     shannon_entropy,
     von_neumann_entropy,
 )
-from povmcast.rates import (
-    RATE_CSV_COLUMNS,
-    holevo_conditional_direct,
-    report_to_json,
-)
+from povmcast.rates import RATE_CSV_COLUMNS, report_to_json
 
 import oracles
 from conftest import random_scenario
@@ -62,8 +57,7 @@ def test_rate_quantities_match_oracle_on_random_scenarios():
         outcomes = int(rng.integers(2, 6))
         rho, elems, g_a, g_b = random_scenario(rng, dim, outcomes)
         povm, fa, fb = scenario_objects(rho, elems, g_a, g_b)
-        joint = joint_outcome_model(rho, povm, fa, fb)
-        q = conditional_rate_quantities(joint)
+        q = evaluate_rate_region(rho, povm, fa, fb)
         ref = oracles.joint_information_oracle(rho, elems, g_a, g_b)
         assert np.isclose(q.iXA_R, ref["iXA_R"], atol=1e-8)
         assert np.isclose(q.iXAXB_R, ref["iXAXB_R"], atol=1e-8)
@@ -73,7 +67,10 @@ def test_rate_quantities_match_oracle_on_random_scenarios():
         assert np.isclose(q.hXB, ref["hXB"], atol=1e-8)
         assert np.isclose(q.hXB_given_XA, ref["hXB_given_XA"], atol=1e-8)
         # independent route to the conditional Holevo information
-        assert np.isclose(q.iXB_R_given_XA, holevo_conditional_direct(joint), atol=1e-8)
+        direct = oracles.holevo_conditional_direct(rho, elems, g_a, g_b)
+        assert np.isclose(q.iXB_R_given_XA, direct, atol=1e-8)
+        env = scenario_rate_environment(prepare_scenario(rho, povm, fa, fb))
+        assert np.isclose(env["I(X_B;R)"], ref["iXB_R"], atol=1e-8)
 
 
 def test_chain_rule_holds():
@@ -81,8 +78,7 @@ def test_chain_rule_holds():
     for _ in range(10):
         rho, elems, g_a, g_b = random_scenario(rng, 2, 4)
         povm, fa, fb = scenario_objects(rho, elems, g_a, g_b)
-        joint = joint_outcome_model(rho, povm, fa, fb)
-        q = conditional_rate_quantities(joint)
+        q = evaluate_rate_region(rho, povm, fa, fb)
         assert np.isclose(q.iXAXB_R, q.iXA_R + q.iXB_R_given_XA, atol=1e-9)
 
 
@@ -92,12 +88,10 @@ def test_holevo_of_pure_state_ensemble():
     rho = DensityOperator.maximally_mixed(2)
     povm = Povm(elements=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), labels=(0, 1))
     g = OutcomeFunction.identity(2)
-    joint = joint_outcome_model(rho, povm, g, g)
-    q = conditional_rate_quantities(joint)
+    q = evaluate_rate_region(rho, povm, g, g)
     assert np.isclose(q.iXA_R, 1.0, atol=1e-12)
-    from povmcast.measurement import cq_marginal
-
-    assert np.isclose(holevo_mutual_information(cq_marginal(joint, 0)), 1.0, atol=1e-12)
+    env = scenario_rate_environment(prepare_scenario(rho, povm, g, g))
+    assert np.isclose(env["I(X_B;R)"], 1.0, atol=1e-12)
 
 
 def test_rate_region_report_and_feasibility():
