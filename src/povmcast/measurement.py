@@ -47,7 +47,7 @@ SUPPORT_CUTOFF_REL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """POVM as a tuple of PSD elements with hashable outcome labels.
+    """POVM as a tuple of elements 0 <= E <= I with hashable outcome labels.
 
     complete=True asserts the elements sum to the identity (checked);
     complete=False only requires the sum to stay below the identity.
@@ -73,6 +73,12 @@ class Povm:
             w = np.linalg.eigvalsh(hermitian_part(e))
             if below_psd_floor(w):
                 raise NotPsd(f"POVM element {idx}: eigenvalue {w.min():.3e}")
+            # 0 <= E <= I, to an absolute tolerance: an element near the
+            # float limit must not pass a test relative to its own size
+            if not w.max() <= 1.0 + TAU_SPEC:
+                raise NotPsd(
+                    f"POVM element {idx}: eigenvalue {w.max():.3e} exceeds 1"
+                )
         if len(self.labels) != len(elements):
             raise LabelMismatch(
                 f"{len(self.labels)} labels for {len(elements)} elements"
@@ -80,6 +86,8 @@ class Povm:
         if len(set(self.labels)) != len(self.labels):
             raise LabelMismatch("outcome labels must be distinct")
         total = sum(elements)
+        if not np.isfinite(total).all():
+            raise NotPsd("POVM elements have a non-finite sum")
         gap = np.eye(dim) - total
         if self.complete:
             dev = float(np.linalg.norm(gap, 2))

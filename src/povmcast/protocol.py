@@ -914,7 +914,8 @@ class BobOperatorSet:
 
     def columns(self, counts) -> list:
         """Column blocks sqrt(scale * n_x) w_x of a member -> count dict;
-        stacked into G, G G^dag is the operator sum of those codewords."""
+        stacked into G, G G^dag is the operator sum of those codewords.
+        validate_subpovm hands each bin's blocks to _top_eigenvalues."""
         factors = self.block.gamma_factors
         return [
             math.sqrt(self.scale * count) * factors[seq]
@@ -922,27 +923,94 @@ class BobOperatorSet:
         ]
 
 
-def _top_eigenvalue(cols) -> float:
-    """Largest eigenvalue of G G^dag, G = hstack(cols), from the smaller of
-    G G^dag and the Gram matrix G^dag G; 0 when G has no column."""
-    g = np.hstack(cols) if cols else np.zeros((0, 0))
-    if g.shape[1] == 0:
-        return 0.0
-    gram = g.conj().T @ g if g.shape[1] < g.shape[0] else g @ g.conj().T
-    return float(np.linalg.eigvalsh(gram)[-1])
+# Byte size of the largest stack one batched LAPACK call gets: a shape
+# group of more bytes is cut into chunks, and a matrix larger than this
+# (any Bell n >= 10 Alice bin, 1024 x ~1020) goes alone. Small chunks
+# keep a stack and its copies in cache and in the allocator's heap: with
+# 4 MiB chunks the Bell n = 6 sweep benchmark (2 vCPUs, one BLAS thread)
+# ran no faster and peaked 2 MB higher.
+STACK_BYTES = 1 << 16
 
 
-def _root(w) -> tuple:
+def _by_shape(column_lists, kernel, tags=None) -> list:
+    """kernel's value for the hstack of each item's column blocks.
+
+    Items with the same rows, columns, dtype and tag are stacked into
+    one (N, rows, K) array per chunk of at most STACK_BYTES, and kernel
+    runs once on it, returning N values; a chunk of one gets the plain
+    (rows, K) matrix and returns its value. Shapes are never padded, and
+    an item without columns is left as None for the caller.
+    """
+    tags = [None] * len(column_lists) if tags is None else tags
+    groups = {}
+    for i, (cols, tag) in enumerate(zip(column_lists, tags)):
+        width = sum(c.shape[1] for c in cols)
+        if width:
+            key = (cols[0].shape[0], width, np.result_type(*cols), tag)
+            groups.setdefault(key, []).append(i)
+    out = [None] * len(column_lists)
+    for (rows, width, dtype, tag), idx in groups.items():
+        per = max(1, STACK_BYTES // (rows * width * dtype.itemsize))
+        for start in range(0, len(idx), per):
+            chunk = idx[start : start + per]
+            if len(chunk) == 1:
+                out[chunk[0]] = kernel(np.hstack(column_lists[chunk[0]]), tag)
+                continue
+            stack = np.empty((len(chunk), rows, width), dtype=dtype)
+            for row, i in zip(stack, chunk):
+                np.concatenate(column_lists[i], axis=1, out=row)
+            for i, value in zip(chunk, kernel(stack, tag)):
+                out[i] = value
+    return out
+
+
+def _adjoint(a) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _top_eigenvalue_kernel(g, _):
+    """Largest eigenvalue of G G^dag, from the smaller of G G^dag and the
+    Gram matrix G^dag G, for a matrix or a stack of them."""
+    gram = _adjoint(g) @ g if g.shape[-1] < g.shape[-2] else g @ _adjoint(g)
+    return np.linalg.eigvalsh(gram)[..., -1]
+
+
+def _top_eigenvalues(column_lists) -> list:
+    """Largest eigenvalue of G G^dag for each G = hstack(cols) of
+    column_lists; 0 for a G without columns. One eigvalsh per chunk of a
+    shape group (_by_shape)."""
+    tops = _by_shape(column_lists, _top_eigenvalue_kernel)
+    return [0.0 if top is None else float(top) for top in tops]
+
+
+def _root_kernel(w, _):
     """(w w^dag)^{1/2} = U diag(s) U^dag as the thin pair (U, s), from the
-    thin SVD w = U diag(s) V^dag.
+    thin SVD w = U diag(s) V^dag, for a matrix or each of a stack.
 
-    w can be rank-deficient after the cutoff, so singular values at or
-    below max(shape) * machine eps * s_max (numpy's matrix_rank
-    tolerance) count as zero.
+    w can be rank-deficient after the cutoff, so per matrix the singular
+    values at or below max(shape) * machine eps * s_max (numpy's
+    matrix_rank tolerance) count as zero.
     """
     u, s, _ = np.linalg.svd(w, full_matrices=False)
-    keep = s > max(w.shape) * np.finfo(float).eps * s.max(initial=0.0)
-    return u[:, keep], s[keep]
+    tol = max(w.shape[-2:]) * np.finfo(float).eps * s.max(
+        axis=-1, initial=0.0, keepdims=True
+    )
+    keep = s > tol
+    if w.ndim == 2:
+        return u[:, keep], s[keep]
+    return [(ui[:, k], si[k]) for ui, si, k in zip(u, s, keep)]
+
+
+def _thin_roots(factors) -> list:
+    """(w w^dag)^{1/2} of each factor w as a thin pair (U, s), one stacked
+    SVD per chunk of a shape group (_by_shape); a factor without columns
+    gets its own."""
+    roots = _by_shape([[w] for w in factors], _root_kernel)
+    return [
+        _root_kernel(w, None) if root is None else root
+        for w, root in zip(factors, roots)
+    ]
 
 
 def _apply_root(root, g) -> np.ndarray:
@@ -994,8 +1062,13 @@ def validate_subpovm(opset: BobOperatorSet, codebook: Codebook) -> BobOperatorSe
     served by the trivial measurement {I} downstream, so their codewords
     are ignored there.
     """
-    for m in range(codebook.m_count):
-        top = _top_eigenvalue(opset.columns(opset.bin_counts.get(m, {})))
+    tops = _top_eigenvalues(
+        [
+            opset.columns(opset.bin_counts.get(m, {}))
+            for m in range(codebook.m_count)
+        ]
+    )
+    for m, top in enumerate(tops):
         valid = top <= 1.0 + TAU_PSD
         failed = bool(
             codebook.failure_flags.get((opset.cond_seq, m), False)
@@ -1078,10 +1151,11 @@ def build_alice_measurement(
 
     lambda_tilde = {}
     sqrt_lambda_tilde = {}
-    for seq, count in opset.pooled_counts().items():
-        w = ab.gamma_factors[seq]
+    pooled = opset.pooled_counts()
+    factors = [ab.gamma_factors[seq] for seq in pooled]
+    roots = _thin_roots(factors)
+    for (seq, count), w, (u, s) in zip(pooled.items(), factors, roots):
         weight = math.sqrt(count * opset.scale)
-        u, s = _root(w)
         lambda_tilde[seq] = weight * w
         sqrt_lambda_tilde[seq] = (u, weight * s)
     return AliceMeasurement(
@@ -1214,7 +1288,7 @@ def faithfulness_distance(reference, approx, rho_n):
     count as zero, and rho_n is the dense block state. Returns
     sum_x || sqrt(rho_n) (approx_x - ref_x) sqrt(rho_n) ||_1 by one
     D x D SVD per key. instance_report scores its factor tables with
-    _signed_trace_norm instead.
+    _signed_trace_norms instead.
     """
     sqrt_rho = sqrt_psd(np.asarray(rho_n))
     keys = set(reference) | set(approx)
@@ -1230,37 +1304,46 @@ def faithfulness_distance(reference, approx, rho_n):
     return total
 
 
-def _signed_trace_norm(plus, minus) -> float:
-    """||P P^dag - M M^dag||_1 for factors P and M with the same rows.
+def _signed_trace_norm_kernel(a, k_plus):
+    """||P P^dag - M M^dag||_1 for A = [P, M], P being A's first k_plus
+    columns, for a matrix or each of a stack.
 
-    With A = [P, M] = Q R and J = diag(+1 on P's columns, -1 on M's),
+    With A = Q R and J = diag(+1 on P's columns, -1 on M's),
     P P^dag - M M^dag = A J A^dag = Q (R J R^dag) Q^dag, so the trace
     norm is the sum of |eigenvalues| of the Hermitian R J R^dag. R is
     min(D, K) x K for K stacked columns, so this holds for K >= D too.
     """
-    stacked = np.hstack([plus, minus])
-    if stacked.shape[1] == 0:
-        return 0.0
-    r = np.linalg.qr(stacked, mode="r")
+    r = np.linalg.qr(a, mode="r")
     signed = r.copy()
-    signed[:, plus.shape[1] :] *= -1.0
-    return float(np.abs(np.linalg.eigvalsh(signed @ r.conj().T)).sum())
+    signed[..., k_plus:] *= -1.0
+    return np.abs(np.linalg.eigvalsh(signed @ _adjoint(r))).sum(axis=-1)
 
 
-def _reference_distance(reference, probs, approx, keys):
-    """Sum over keys of ||sqrt(rho^n) (approx_x - Lambda_x) sqrt(rho^n)||_1,
-    both tables holding sandwiched factors sqrt(rho^n) F. A key approx
-    lacks scores tr(rho^n Lambda_x) = prod_i probs[x_i], as Lambda_x is a
-    PSD product."""
+def _signed_trace_norms(pairs) -> list:
+    """||P P^dag - M M^dag||_1 for each (P, M) of pairs, factors with the
+    same rows; 0 when neither has a column. Pairs are grouped by rows,
+    both column counts and dtype, with one stacked qr(mode="r") and one
+    eigvalsh per chunk of a group (_by_shape)."""
+    norms = _by_shape(
+        [[plus, minus] for plus, minus in pairs],
+        _signed_trace_norm_kernel,
+        [plus.shape[1] for plus, _ in pairs],
+    )
+    return [0.0 if norm is None else float(norm) for norm in norms]
+
+
+def _reference_terms(reference, probs, approx, keys) -> tuple:
+    """The terms of sum over keys of ||sqrt(rho^n) (approx_x - Lambda_x)
+    sqrt(rho^n)||_1, both tables holding sandwiched factors
+    sqrt(rho^n) F. A key approx lacks scores tr(rho^n Lambda_x) =
+    prod_i probs[x_i], as Lambda_x is a PSD product; these are summed
+    into the first item. The second lists the (approx_x, Lambda_x) pairs
+    of the other keys, in key order, for _signed_trace_norms."""
     unused = sum(
         math.prod(probs[x] for x in key) for key in keys if key not in approx
     )
-    drawn = sum(
-        _signed_trace_norm(approx[key], reference[key])
-        for key in keys
-        if key in approx
-    )
-    return unused + drawn
+    drawn = [(approx[key], reference[key]) for key in keys if key in approx]
+    return unused, drawn
 
 
 @dataclass(frozen=True)
@@ -1332,11 +1415,12 @@ def instance_report(instance: ProtocolInstance) -> FaithfulnessReport:
 
     d_bob is the atypical part plus the typical part over the x_B^n
     marginal typical set; d2 and d3 split the typical part. Every
-    operator is a factor, sandwiched by sqrt(rho^n) and scored by
-    _signed_trace_norm. A table of factors is sandwiched in one pass
-    through the Kronecker halves of sqrt(rho^n); the reference of a
-    drawn key is the product of its halves with those of sqrt(rho^n),
-    formed densely only then."""
+    operator is a factor, sandwiched by sqrt(rho^n); the drawn keys of
+    all five quantities are scored in one _signed_trace_norms call, and
+    each quantity is summed in key order. A table of factors is
+    sandwiched in one pass through the Kronecker halves of sqrt(rho^n);
+    the reference of a drawn key is the product of its halves with those
+    of sqrt(rho^n), formed densely only then."""
     block = instance.block
     single = block.single
     sqrt_rho = block.sqrt_rho_n
@@ -1357,23 +1441,38 @@ def instance_report(instance: ProtocolInstance) -> FaithfulnessReport:
         (typ if seq in members else atyp).append(seq)
 
     def bob(approx, keys):
-        return _reference_distance(ref_b, single.p_b, approx, keys)
+        return _reference_terms(ref_b, single.p_b, approx, keys)
 
-    atypical = bob(tilde, atyp)
-    d_bob = atypical + bob(tilde, typ)
-    d2 = bob(prime, typ)
-    d3 = sum(
-        _signed_trace_norm(prime.get(seq, empty), tilde.get(seq, empty))
-        for seq in typ
-        if seq in prime or seq in tilde
-    )
     alice_tilde = sandwiched(instance.alice.lambda_tilde)
-    d_alice = _reference_distance(
-        references(block.lambda_a_n, alice_tilde),
-        single.p_a,
-        alice_tilde,
-        list(itertools.product(range(single.n_alice), repeat=block.n)),
+    terms = {
+        "atypical": bob(tilde, atyp),
+        "typical": bob(tilde, typ),
+        "d2": bob(prime, typ),
+        "d3": (
+            0,
+            [
+                (prime.get(seq, empty), tilde.get(seq, empty))
+                for seq in typ
+                if seq in prime or seq in tilde
+            ],
+        ),
+        "d_alice": _reference_terms(
+            references(block.lambda_a_n, alice_tilde),
+            single.p_a,
+            alice_tilde,
+            list(itertools.product(range(single.n_alice), repeat=block.n)),
+        ),
+    }
+    # every drawn key scored at once, then each quantity summed in key
+    # order as unused + drawn
+    norms = iter(
+        _signed_trace_norms([p for _, drawn in terms.values() for p in drawn])
     )
+    score = {
+        name: unused + sum(next(norms) for _ in drawn)
+        for name, (unused, drawn) in terms.items()
+    }
+    atypical = score["atypical"]
     conditionals = {
         cond_seq: blk.pruned for cond_seq, blk in block.bob_blocks.items()
     }
@@ -1382,11 +1481,11 @@ def instance_report(instance: ProtocolInstance) -> FaithfulnessReport:
     )
     opsets = instance.bob_sets.values()
     return FaithfulnessReport(
-        d_bob=float(d_bob),
-        d_alice=float(d_alice),
+        d_bob=float(atypical + score["typical"]),
+        d_alice=float(score["d_alice"]),
         atypical=float(atypical),
-        d2=float(d2),
-        d3=float(d3),
+        d2=float(score["d2"]),
+        d3=float(score["d3"]),
         subpovm_failure_rate=_share(
             not v for o in opsets for v in o.is_valid_subpovm.values()
         ),

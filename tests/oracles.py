@@ -349,6 +349,38 @@ def dense_roots(roots):
     return {key: (u * s) @ u.conj().T for key, (u, s) in roots.items()}
 
 
+def signed_trace_norm(plus, minus):
+    """||P P^dag - M M^dag||_1 for factors P and M with the same rows, one
+    pair at a time: the sum of |eigenvalues| of R J R^dag, R from a QR of
+    [P, M] and J = +1 on P's columns, -1 on M's; 0 without columns."""
+    stacked = np.hstack([plus, minus])
+    if stacked.shape[1] == 0:
+        return 0.0
+    r = np.linalg.qr(stacked, mode="r")
+    signed = r.copy()
+    signed[:, plus.shape[1]:] *= -1.0
+    return float(np.abs(np.linalg.eigvalsh(signed @ r.conj().T)).sum())
+
+
+def top_eigenvalue(cols):
+    """Largest eigenvalue of G G^dag, G = hstack(cols), one bin at a time,
+    from the smaller of G G^dag and G^dag G; 0 when G has no column."""
+    g = np.hstack(cols) if cols else np.zeros((0, 0))
+    if g.shape[1] == 0:
+        return 0.0
+    gram = g.conj().T @ g if g.shape[1] < g.shape[0] else g @ g.conj().T
+    return float(np.linalg.eigvalsh(gram)[-1])
+
+
+def thin_root(w):
+    """(w w^dag)^{1/2} as the thin pair (U, s) of one factor, from its
+    thin SVD, singular values at or below max(shape) * eps * s_max
+    counting as zero."""
+    u, s, _ = np.linalg.svd(w, full_matrices=False)
+    keep = s > max(w.shape) * np.finfo(float).eps * s.max(initial=0.0)
+    return u[:, keep], s[keep]
+
+
 def dense_instance_scores(block, instance):
     """d_bob, d_alice, atypical, d2 and d3 of an instance by the literal sum.
 
@@ -413,9 +445,11 @@ def dense_trial_operators(block, params, seed_seq):
     Alice's operator. With a single Alice letter her operators are
     I / (m_a s_a).
 
-    Returns a dict with alice_fallback (bin -> flag), bob_fallback
-    ((conditioning, bin) -> flag), bob_bin_sums ((conditioning, bin) ->
-    dense sum), lambda_tilde, sqrt_lambda_tilde, lambda_tilde_b,
+    Returns a dict with alice_valid and alice_fallback (bin -> flag),
+    bob_valid and bob_fallback ((conditioning, bin) -> flag), a bin being
+    valid when its eigvalsh top is at most 1 + TAU_PSD, bob_bin_sums
+    ((conditioning, bin) -> dense sum), lambda_tilde, sqrt_lambda_tilde,
+    lambda_tilde_b,
     lambda_prime_b, alice_weights (bin -> list) and bob_weights
     ((m_a, j_a, m_b) -> list).
     """
@@ -440,7 +474,7 @@ def dense_trial_operators(block, params, seed_seq):
 
     def operators(blk, codebook, size, m_count):
         c = blk.s_cond / ((1.0 + params.eps) * size * m_count)
-        gamma, sums, fallback = {}, {}, {}
+        gamma, sums, valid, fallback = {}, {}, {}, {}
         for m in range(m_count):
             total = np.zeros((dim, dim), dtype=complex)
             for j, seq in enumerate(codebook.codewords(blk.cond_seq, m)):
@@ -450,8 +484,9 @@ def dense_trial_operators(block, params, seed_seq):
             sums[m] = hermitian_part(total)
             top = float(np.linalg.eigvalsh(sums[m])[-1])
             failed = codebook.failure_flags.get((blk.cond_seq, m), False)
-            fallback[m] = top > 1.0 + TAU_PSD or bool(failed)
-        return gamma, sums, fallback
+            valid[m] = top <= 1.0 + TAU_PSD
+            fallback[m] = not valid[m] or bool(failed)
+        return gamma, sums, valid, fallback
 
     def summed(gamma, fallback, codebook, cond_seq, m_count):
         out = {}
@@ -469,11 +504,12 @@ def dense_trial_operators(block, params, seed_seq):
             (j, m): eye / (params.m_a * params.s_a)
             for j in range(params.s_a) for m in range(params.m_a)
         }
+        alice_valid = dict.fromkeys(range(params.m_a), True)
         alice_fallback = dict.fromkeys(range(params.m_a), False)
         lambda_tilde = {only: eye}
         sqrt_lambda_tilde = {only: eye}
     else:
-        alice_gamma, _, alice_fallback = operators(
+        alice_gamma, _, alice_valid, alice_fallback = operators(
             ab, alice_cb, params.s_a, params.m_a
         )
         lambda_tilde = summed(
@@ -484,12 +520,15 @@ def dense_trial_operators(block, params, seed_seq):
         }
 
     alice_elems = block.single.alice_povm.elements
-    bob_gamma, bob_fallback, bob_bin_sums = {}, {}, {}
+    bob_gamma, bob_valid, bob_fallback, bob_bin_sums = {}, {}, {}, {}
     lambda_tilde_b, lambda_prime_b = {}, {}
     for cond_seq, blk in block.bob_blocks.items():
-        gamma, sums, fallback = operators(blk, bob_cb, params.s_b, params.m_b)
+        gamma, sums, valid, fallback = operators(
+            blk, bob_cb, params.s_b, params.m_b
+        )
         bob_gamma[cond_seq] = gamma
         for m in range(params.m_b):
+            bob_valid[(cond_seq, m)] = valid[m]
             bob_fallback[(cond_seq, m)] = fallback[m]
             bob_bin_sums[(cond_seq, m)] = sums[m]
         sqrt_true = kron_all([sqrt_psd(alice_elems[a]) for a in cond_seq])
@@ -535,7 +574,9 @@ def dense_trial_operators(block, params, seed_seq):
                     bob_gamma[cond_seq], m_b, count, params.m_b, post
                 )
     return {
+        "alice_valid": alice_valid,
         "alice_fallback": alice_fallback,
+        "bob_valid": bob_valid,
         "bob_fallback": bob_fallback,
         "bob_bin_sums": bob_bin_sums,
         "lambda_tilde": lambda_tilde,

@@ -123,21 +123,48 @@ def test_malformed_operator_exits_2(capsys, tmp_path, where, fault):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("value", [1e308, -1e308])
-@pytest.mark.parametrize("where", ["rho", "povm[1]"])
-def test_entry_near_float_limit_exits_2(capsys, tmp_path, where, value):
+# (preset, [(operator, row, column, value), ...]): one entry near the
+# float limit, and documents whose elements each pass the Hermitian and
+# PSD checks while their sum overflows
+NEAR_FLOAT_LIMIT = {
+    f"{where}-{value:g}": (
+        "independent-product", [(where, 1, 1, value)]
+    )
+    for where in ("rho", "povm[1]")
+    for value in (1e308, -1e308)
+}
+NEAR_FLOAT_LIMIT["split-two-diagonal"] = (
+    "three-outcome-split",
+    [("povm[1]", 0, 0, 1.79e308), ("povm[2]", 0, 0, 1.79e308)],
+)
+NEAR_FLOAT_LIMIT["product-off-diagonal"] = (
+    "independent-product",
+    [
+        ("povm[1]", 1, 3, 1.79e308),
+        ("povm[1]", 3, 1, 1.79e308),
+        ("povm[1]", 3, 3, 1e308),
+    ],
+)
+
+
+@pytest.mark.parametrize("case", sorted(NEAR_FLOAT_LIMIT))
+def test_entry_near_float_limit_exits_2(capsys, tmp_path, case):
     # a finite entry this large must not overflow while the operator is
     # validated: the filterwarnings setting turns any RuntimeWarning into
     # a failure here
-    doc = preset_document("independent-product")
-    op = doc["rho"] if where == "rho" else doc["povm"][1]
-    op["re"][1][1] = value
+    preset, edits = NEAR_FLOAT_LIMIT[case]
+    doc = preset_document(preset)
+    for where, row, col, value in edits:
+        op = doc["rho"] if where == "rho" else doc["povm"][int(where[5:-1])]
+        op["re"][row][col] = value
     with pytest.raises(ConfigError, match=r"config\.(rho|povm)"):
         config_from_dict(doc)
     path = tmp_path / "large.json"
     path.write_text(json.dumps(doc))
-    assert main(["rates", "--config", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    for command in ("rates", "simulate"):
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def bell_env():

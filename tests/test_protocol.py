@@ -2,6 +2,7 @@
 
 from dataclasses import fields, is_dataclass, replace
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,11 +32,14 @@ from povmcast.protocol import (
     ProtocolParams,
     _ProductEigs,
     _build_conditioning_block,
+    _by_shape,
     _codeword_weights,
     _collapsed_state,
     _kron_halves,
     _permute_copies,
-    _signed_trace_norm,
+    _signed_trace_norms,
+    _thin_roots,
+    _top_eigenvalues,
     assemble_bob_povm,
     build_alice_measurement,
     build_gamma,
@@ -517,14 +521,16 @@ def _assert_blocks_match_per_sequence_route(single, params):
         assert np.abs(
             got.cutoff.eigenvalues - want.cutoff.eigenvalues
         ).max(initial=0.0) <= 1e-12 * top
-        assert _signed_trace_norm(got.cutoff.basis, want.cutoff.basis) <= 1e-12
+        assert oracles.signed_trace_norm(
+            got.cutoff.basis, want.cutoff.basis
+        ) <= 1e-12
         spec = reduce(np.multiply.outer, eigs.eigenvalues(cond_seq)).ravel()
         support = spec[spec > SUPPORT_CUTOFF_REL * max(spec.max(), 1.0)]
         tol = max(1e-12, 1e-15 * spec.max() / support.min())
         for m in members:
             w = want.gamma_factors[m]
             scale = max(1.0, float(np.linalg.norm(w)) ** 2)
-            assert _signed_trace_norm(got.gamma_factors[m], w) <= tol * scale
+            assert oracles.signed_trace_norm(got.gamma_factors[m], w) <= tol * scale
     assert block.dropped_cond == tuple(dropped)
     assert len(block.bob_blocks) + len(dropped) == len(
         block.alice_block.typical.members
@@ -1070,7 +1076,9 @@ def test_trial_operators_match_dense_oracle_on_rank_two_scenarios(
 def test_instance_invariants_on_presets(name, n):
     # what the construction guarantees for every trial: d in [0, 2], the
     # split bounds d, and every Bob bin that serves outcomes sums below
-    # the identity (the sums rebuilt densely by the oracle)
+    # the identity (the sums rebuilt densely by the oracle); and the
+    # shape-grouped bin checks decide every bin as the dense route's one
+    # eigvalsh per bin sum does
     cfg = config_from_dict(preset_document(name), name=name)
     single = prepare_scenario(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b)
     params = replace(cfg.params, n=n)
@@ -1089,6 +1097,19 @@ def test_instance_invariants_on_presets(name, n):
             if instance.bob_sets[cond_seq].fallback_applied[m]:
                 continue
             assert np.linalg.eigvalsh(total)[-1] <= 1.0 + TAU_PSD
+        alice = instance.alice.opset
+        assert alice.is_valid_subpovm == want["alice_valid"]
+        assert alice.fallback_applied == want["alice_fallback"]
+        for flags, key in (
+            ("is_valid_subpovm", "bob_valid"),
+            ("fallback_applied", "bob_fallback"),
+        ):
+            got = {
+                (cond_seq, m): flag
+                for cond_seq, opset in instance.bob_sets.items()
+                for m, flag in getattr(opset, flags).items()
+            }
+            assert got == want[key]
 
 
 def test_instance_modes_and_seeding():
@@ -1123,8 +1144,118 @@ def test_signed_trace_norm_matches_dense_svd(dim, k_plus, k_minus):
     p, m = factor(k_plus), factor(k_minus)
     diff = p @ p.conj().T - m @ m.conj().T
     want = np.linalg.svd(diff, compute_uv=False).sum()
-    assert abs(_signed_trace_norm(p, m) - want) <= 1e-12 * max(1.0, want)
-    assert _signed_trace_norm(p, p) <= 1e-12 * max(1.0, want)
+    got, same = _signed_trace_norms([(p, m), (p, p)])
+    assert abs(got - want) <= 1e-12 * max(1.0, want)
+    assert same <= 1e-12 * max(1.0, want)
+    assert abs(oracles.signed_trace_norm(p, m) - want) <= 1e-12 * max(1.0, want)
+
+
+@st.composite
+def factor_mixes(draw):
+    """(pairs, cap): factor pairs (P, M) of a few shapes, each shape used
+    once or repeated, with zero-column sides, more columns than rows,
+    real and complex entries, rank-deficient factors, and a stack byte
+    cap small enough that a group may span several chunks."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shapes = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([1, 2, 3, 4, 8]),
+                st.integers(0, 9),
+                st.integers(0, 9),
+                st.booleans(),
+                st.integers(1, 7),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+
+    def factor(rows, cols, complex_):
+        inner = int(rng.integers(1, max(rows, cols, 1) + 1))
+        mats = [rng.normal(size=(rows, inner)), rng.normal(size=(inner, cols))]
+        if complex_:
+            mats = [a + 1j * rng.normal(size=a.shape) for a in mats]
+        return mats[0] @ mats[1]
+
+    pairs = [
+        (factor(rows, k_plus, cplx), factor(rows, k_minus, cplx))
+        for rows, k_plus, k_minus, cplx, count in shapes
+        for _ in range(count)
+    ]
+    order = rng.permutation(len(pairs))
+    cap = draw(st.sampled_from([1, 100, 1000, 10000, 1 << 22]))
+    return [pairs[i] for i in order], cap
+
+
+def _drift_ok(got, want):
+    return abs(got - want) <= 1e-15 * max(1.0, abs(want))
+
+
+@settings(max_examples=80, deadline=None)
+@given(factor_mixes())
+def test_batched_kernels_match_per_item_oracles(mix):
+    # item by item, the shape-grouped kernels against the one-item
+    # routes, whatever the grouping and chunking of the mix
+    pairs, cap = mix
+    with mock.patch("povmcast.protocol.STACK_BYTES", cap):
+        norms = _signed_trace_norms(pairs)
+        bins = [[p, m] for p, m in pairs] + [[]]
+        tops = _top_eigenvalues(bins)
+        factors = [np.hstack([p, m]) for p, m in pairs]
+        roots = _thin_roots(factors)
+    assert len(norms) == len(pairs) and len(tops) == len(bins)
+    for (p, m), norm in zip(pairs, norms):
+        assert _drift_ok(norm, oracles.signed_trace_norm(p, m))
+    for cols, top in zip(bins, tops):
+        assert _drift_ok(top, oracles.top_eigenvalue(cols))
+    for w, (u, s) in zip(factors, roots):
+        want_u, want_s = oracles.thin_root(w)
+        assert s.shape == want_s.shape
+        got = oracles.dense_roots({0: (u, s)})[0]
+        want = oracles.dense_roots({0: (want_u, want_s)})[0]
+        scale = max(1.0, float(want_s.max(initial=0.0)))
+        assert np.abs(got - want).max(initial=0.0) <= 1e-15 * scale
+
+
+def test_by_shape_groups_without_padding_and_chunks_by_bytes():
+    # what the kernel is handed: one stack per chunk of a (rows, columns,
+    # dtype, tag) group, at most STACK_BYTES each, a lone matrix as a
+    # plain 2-D array, distinct shapes never padded together, and an
+    # item without columns left out
+    rng = np.random.default_rng(7)
+    small = [[rng.normal(size=(4, 1)), rng.normal(size=(4, 2))] for _ in range(5)]
+    other = [[rng.normal(size=(4, 2))]]
+    big = [[rng.normal(size=(4, 40)) + 0j]]
+    items = small + other + big + [[np.zeros((4, 0))], []]
+    seen = []
+
+    def kernel(a, tag):
+        seen.append((a.shape, a.dtype, tag))
+        if a.ndim == 2:
+            return a.sum().real
+        return list(a.sum(axis=(1, 2)).real)
+
+    with mock.patch("povmcast.protocol.STACK_BYTES", 2 * 4 * 3 * 8):
+        out = _by_shape(items, kernel)
+    f8, c16 = np.dtype(float), np.dtype(complex)
+    assert seen == [
+        ((2, 4, 3), f8, None),
+        ((2, 4, 3), f8, None),
+        ((4, 3), f8, None),
+        ((4, 2), f8, None),
+        ((4, 40), c16, None),
+    ]
+    for cols, value in zip(items[:7], out[:7]):
+        assert value == pytest.approx(sum(c.sum().real for c in cols))
+    assert out[7:] == [None, None]
+    # the tag splits a group: one (4, 3) stack per tag
+    seen.clear()
+    _by_shape(small[:2] * 2, kernel, [1, 1, 2, 2])
+    assert [(shape, tag) for shape, _, tag in seen] == [
+        ((2, 4, 3), 1),
+        ((2, 4, 3), 2),
+    ]
 
 
 def test_faithfulness_distance_identity_and_split():
