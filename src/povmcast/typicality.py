@@ -7,7 +7,7 @@ and quantum projectors are assembled symbol-wise from eigenbranch products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -44,10 +44,27 @@ class TypicalSet:
 
 @dataclass(frozen=True, eq=False)
 class PrunedDistribution:
-    """Typical set with its renormalized (pruned) probabilities."""
+    """Typical set with its renormalized (pruned) probabilities.
+
+    cum, the cumulative probabilities in member order that sampling
+    inverts, and min_prob, the smallest probability, are set when the law
+    is built.
+    """
 
     base: TypicalSet
     probs: dict
+    cum: np.ndarray = field(init=False, repr=False)
+    min_prob: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        members = self.base.members
+        vector = np.fromiter(
+            map(self.probs.__getitem__, members), float, len(members)
+        )
+        object.__setattr__(self, "cum", vector.cumsum())
+        object.__setattr__(
+            self, "min_prob", min(self.probs.values(), default=np.inf)
+        )
 
     def prob(self, seq) -> float:
         return self.probs.get(tuple(seq), 0.0)
@@ -241,7 +258,7 @@ def sample_sequences(
         raise ValueError("count must be >= 0")
     if count == 0:
         return []
-    cum = np.cumsum(pd.prob_vector())
+    cum = pd.cum
     try:
         u = rng.random(count)
     except (MemoryError, ValueError) as exc:

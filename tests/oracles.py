@@ -372,6 +372,42 @@ def top_eigenvalue(cols):
     return float(np.linalg.eigvalsh(gram)[-1])
 
 
+def member_norms(w):
+    """Squared Frobenius norm and largest squared column norm of a factor
+    w, column by column; (0, 0) without columns."""
+    cols = [float(np.vdot(c, c).real) for c in np.asarray(w).T]
+    return sum(cols), max(cols, default=0.0)
+
+
+def e0_check(codebook, conditionals, eps):
+    """(ok, violation, draw_counts) of the occupancy check by the literal
+    member loop: every member of every conditional law is visited, an
+    undrawn one with frequency 0, against the codewords of the cells
+    whose selection did not fail; no draw at all is a violation of inf."""
+    ok = True
+    worst = 0.0
+    draw_counts = {}
+    for cond_seq in sorted(conditionals):
+        law = conditionals[cond_seq]
+        draws = []
+        for m in range(codebook.m_count):
+            if not codebook.failure_flags.get((cond_seq, m), False):
+                draws.extend(codebook.codewords(cond_seq, m))
+        total = len(draws)
+        draw_counts[cond_seq] = total
+        if total == 0:
+            ok = False
+            worst = float("inf")
+            continue
+        for seq in law.support():
+            p = law.prob(seq)
+            freq = draws.count(seq) / total
+            worst = max(worst, abs(freq / p - 1.0))
+            if not ((1.0 - eps) * p <= freq <= (1.0 + eps) * p):
+                ok = False
+    return ok, worst, draw_counts
+
+
 def thin_root(w):
     """(w w^dag)^{1/2} as the thin pair (U, s) of one factor, from its
     thin SVD, singular values at or below max(shape) * eps * s_max

@@ -1,12 +1,15 @@
 """Protocol construction tests: scenario prep, codebooks, operators, trials."""
 
+import collections
+import itertools
 from dataclasses import fields, is_dataclass, replace
 from functools import reduce
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from povmcast import (
@@ -28,6 +31,11 @@ from povmcast.config import config_from_dict
 from povmcast.errors import EmptySupport, NegligibleProbability
 from povmcast.presets import preset_document, preset_names
 from povmcast.protocol import (
+    STAGE_COLUMN,
+    STAGE_EXACT,
+    STAGE_NORMS,
+    STAGE_PADDED,
+    STAGE_TRACE,
     BobOperatorSet,
     ProtocolParams,
     _ProductEigs,
@@ -37,6 +45,7 @@ from povmcast.protocol import (
     _collapsed_state,
     _kron_halves,
     _permute_copies,
+    _settle_bins,
     _signed_trace_norms,
     _thin_roots,
     _top_eigenvalues,
@@ -326,8 +335,10 @@ def _buffer_ids(obj) -> set:
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_cutoff_keeps_only_its_factors(n):
-    # the projector is formed from the basis on request; a block holds its gamma factors (one shared buffer) and
-    # the cutoff's basis and eigenvalues, and no other array
+    # the projector is formed from the basis on request; a block holds
+    # its gamma factors (one shared buffer), the cutoff's basis and
+    # eigenvalues, its member norms and its law's cumulative
+    # probabilities, and no other array
     name = "three-outcome-split"
     cfg = config_from_dict(preset_document(name), name=name)
     single = prepare_scenario(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b)
@@ -340,7 +351,10 @@ def test_cutoff_keeps_only_its_factors(n):
         assert cut.eigenvalues.shape == (rank,)
         gamma = {id(_owner(w)) for w in blk.gamma_factors.values()}
         assert len(gamma) == 1
-        want = gamma | {id(_owner(cut.basis)), id(_owner(cut.eigenvalues))}
+        want = gamma | {
+            id(_owner(a))
+            for a in (cut.basis, cut.eigenvalues, blk.norms, blk.pruned.cum)
+        }
         assert _buffer_ids(blk) == want
 
 
@@ -531,6 +545,9 @@ def _assert_blocks_match_per_sequence_route(single, params):
             w = want.gamma_factors[m]
             scale = max(1.0, float(np.linalg.norm(w)) ** 2)
             assert oracles.signed_trace_norm(got.gamma_factors[m], w) <= tol * scale
+        # the carried member norms are the ones built along cond_seq
+        scale = np.maximum(1.0, want.norms)
+        assert np.all(np.abs(got.norms - want.norms) <= tol * scale)
     assert block.dropped_cond == tuple(dropped)
     assert len(block.bob_blocks) + len(dropped) == len(
         block.alice_block.typical.members
@@ -730,6 +747,8 @@ def test_codebook_case1_selection_semantics():
             assert cb.failure_flags[(cond_seq, m)] == (len(picked) < cb.size)
             words = cb.codewords(cond_seq, m)
             assert words == tuple(cb.entries[m][j] for j in picked)
+            # each cell's codewords are built once, when it is drawn
+            assert cb.codewords(cond_seq, m) is words
             if not cb.failure_flags[(cond_seq, m)]:
                 assert cb.selected_index(cond_seq, m, 0) == picked[0]
 
@@ -777,8 +796,14 @@ def test_build_gamma_scaling():
 def test_validate_subpovm_leak_and_selection_failure():
     eye = np.eye(2)
     unit = np.array([[0.8], [0.6]])
+    factors = {(0,): eye, (1,): unit}
     blk_stub = type(
-        "Blk", (), {"cond_seq": (0,), "gamma_factors": {(0,): eye, (1,): unit}}
+        "Blk", (), {
+            "cond_seq": (0,),
+            "gamma_factors": factors,
+            "typical": type("Typ", (), {"members": tuple(factors)})(),
+            "norms": np.array([oracles.member_norms(w) for w in factors.values()]),
+        }
     )()
 
     def fake_codebook(flags):
@@ -820,6 +845,144 @@ def test_validate_subpovm_leak_and_selection_failure():
     rank_one = opset({0: {(1,): 1}, 1: {}}, 0.6)
     validate_subpovm(rank_one, fake_codebook({}))
     assert rank_one.is_valid_subpovm == {0: True, 1: True}
+
+
+def _stub_opset(factors, bin_counts, scale):
+    """A BobOperatorSet over a stub block that holds only what the
+    sub-POVM pass reads: the factors, the sorted members and their
+    norms, recomputed column by column."""
+    members = tuple(sorted(factors))
+    block = SimpleNamespace(
+        cond_seq=(0,),
+        gamma_factors={x: factors[x] for x in members},
+        typical=SimpleNamespace(members=members),
+        norms=np.array([oracles.member_norms(factors[x]) for x in members]),
+    )
+    return BobOperatorSet(
+        block=block, gamma={}, bin_counts=bin_counts, scale=scale,
+        is_valid_subpovm={}, fallback_applied={},
+    )
+
+
+def _spec_opset(spec, m_count):
+    """An opset of random factors from (D, members, complex, basis, seed,
+    target). basis factors hold distinct unit columns of D, scaled, so
+    that ||G||_1 ||G||_inf is the top eigenvalue; the others are
+    Gaussian. A member may have no column and a bin no member. target
+    (sign, e) puts the top eigenvalue of the first bin with a column at
+    thr (1 + sign 10^e); None draws the scale at random."""
+    dim, k, complex_, basis, seed, target = spec
+    rng = np.random.default_rng(seed)
+    if basis:
+        rows = rng.permutation(dim)[: rng.integers(0, dim + 1)]
+        parts = np.split(rows, np.sort(rng.integers(0, rows.size + 1, k - 1)))
+        mats = [np.eye(dim)[:, part] * rng.uniform(0.5, 1.0) for part in parts]
+        if complex_:
+            mats = [a * np.exp(1j * rng.uniform(0, 2 * np.pi)) for a in mats]
+    else:
+        shapes = [(dim, rng.integers(0, dim + 1)) for _ in range(k)]
+        mats = [rng.normal(size=shape) for shape in shapes]
+        if complex_:
+            mats = [a + 1j * rng.normal(size=a.shape) for a in mats]
+    factors = {(x,): a for x, a in enumerate(mats)}
+    bin_counts = {
+        m: {x: int(rng.integers(1, 3)) for x in factors if rng.random() < 0.6}
+        for m in range(m_count)
+    }
+    scale = 10.0 ** rng.uniform(-3, 2)
+    opset = _stub_opset(factors, bin_counts, 1.0)
+    tops = [oracles.top_eigenvalue(opset.columns(c)) for c in bin_counts.values()]
+    tops = [top for top in tops if top > 0]
+    if target is not None and tops:
+        sign, e = target
+        scale = (1.0 + TAU_PSD) * (1.0 + sign * 10.0**e) / tops[0]
+    return _stub_opset(factors, bin_counts, scale)
+
+
+opset_specs = st.tuples(
+    st.sampled_from([2, 3, 4, 6, 8]),
+    st.integers(1, 5),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+    st.one_of(
+        st.none(),
+        st.tuples(st.sampled_from([-1, 1]), st.floats(-12.0, -6.0)),
+    ),
+)
+
+
+def test_settled_bins_match_the_exact_route():
+    # every flag of the staged pass against the top eigenvalue of the
+    # bin's operator sum, one bin at a time; the explicit examples make
+    # each stage decide at least one bin
+    decided = collections.Counter()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4), st.lists(opset_specs, min_size=1, max_size=3))
+    @example(2, [(4, 3, False, False, 12, None)])
+    @example(2, [(8, 3, True, True, 1, (-1, -7.0))])
+    @example(1, [(6, 2, True, False, 0, (1, -11.0))])
+    @example(3, [(8, 3, False, False, 4, (1, -7.0)), (6, 2, True, False, 5, None)])
+    def check(m_count, specs):
+        opsets = [_spec_opset(spec, m_count) for spec in specs]
+        valid, stage = _settle_bins(opsets, m_count)
+        assert valid.shape == stage.shape == (len(opsets), m_count)
+        for opset, row in zip(opsets, valid.tolist()):
+            for m, ok in enumerate(row):
+                cols = opset.columns(opset.bin_counts[m])
+                assert ok == (oracles.top_eigenvalue(cols) <= 1.0 + TAU_PSD)
+        decided.update(stage.ravel().tolist())
+
+    check()
+    assert set(decided) == {
+        STAGE_TRACE, STAGE_COLUMN, STAGE_NORMS, STAGE_PADDED, STAGE_EXACT
+    }
+
+
+def _assert_blocks_carry_their_member_norms(block):
+    """Alice's block and every Bob block, most of them permutations of
+    their type's block, hold the norms of their own factors in member
+    order; row permutations only reorder the sums."""
+    for blk in [block.alice_block, *block.bob_blocks.values()]:
+        want = np.array(
+            [oracles.member_norms(blk.gamma_factors[x]) for x in blk.typical.members]
+        )
+        assert blk.norms.shape == want.shape == (len(blk.typical.members), 2)
+        assert np.allclose(blk.norms, want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", preset_names())
+def test_blocks_carry_their_member_norms(name, n):
+    cfg = config_from_dict(preset_document(name), name=name)
+    single = prepare_scenario(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b)
+    block = build_block_scenario(single, replace(cfg.params, n=n))
+    _assert_blocks_carry_their_member_norms(block)
+    if n > 1 and name in ("bell-computational", "three-outcome-split"):
+        assert any(c != tuple(sorted(c)) for c in block.bob_blocks)
+
+
+def test_permuted_blocks_carry_norms_in_their_member_order():
+    # a classical scenario with three Bob outcomes, where members of one
+    # type have different norms and a permuted block lists its members
+    # in another order than its type's block: on the presets every
+    # member of a type has the same norms, so an unpermuted copy of the
+    # type's norms would pass there
+    rho = DensityOperator(np.diag([0.4, 0.3, 0.2, 0.1]))
+    povm = Povm(
+        elements=tuple(np.diag(e) for e in np.eye(4)), labels=(0, 1, 2, 3)
+    )
+    single = prepare_scenario(
+        rho, povm,
+        OutcomeFunction(domain_size=4, image_size=2, table=(0, 0, 1, 1)),
+        OutcomeFunction(domain_size=4, image_size=3, table=(0, 1, 2, 0)),
+    )
+    params = ProtocolParams(n=3, delta=1.0, delta2=0.25, eps=0.05, s_b=1, m_b=1)
+    block = build_block_scenario(single, params)
+    _assert_blocks_carry_their_member_norms(block)
+    rep = block.bob_blocks[(0, 0, 1)]
+    assert not np.allclose(block.bob_blocks[(1, 0, 0)].norms, rep.norms)
 
 
 def test_scaled_average_stays_below_block_state():
@@ -1365,6 +1528,85 @@ def test_empirical_e0_check_hand_counts():
     rep = empirical_e0_check(partial, {cond: law}, eps=0.1)
     assert rep.draw_counts == {cond: 2}
     assert rep.ok
+
+
+def _e0_laws(n):
+    """Three pruned laws over binary sequences of length n: all of them
+    typical, a strict typical subset, and a skewed law over all."""
+    return [
+        prune(p, build_typical_set(p, n, delta))
+        for p, delta in (([0.5, 0.5], 0.3), ([0.7, 0.3], 0.3), ([0.7, 0.3], 2.0))
+    ]
+
+
+cell_specs = st.tuples(st.lists(st.integers(0, 7), max_size=6), st.booleans())
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from([2, 3]),
+    st.one_of(st.sampled_from([0.0, 0.1, 1.0, 1.5]), st.floats(0.0, 2.0)),
+    st.sampled_from([1, 2]),
+    st.lists(st.lists(st.integers(0, 7), max_size=8), min_size=3, max_size=3),
+    st.lists(
+        st.tuples(st.integers(0, 2), st.lists(cell_specs, min_size=3, max_size=3)),
+        min_size=1, max_size=3,
+    ),
+)
+# a conditioning without draws; every member drawn, evenly; eps >= 1,
+# where an undrawn member is in band; a case-1 codebook
+@example(2, 0.1, 2, [[]] * 3, [(0, [([], False)] * 3), (1, [([1, 2], False)] * 3)])
+@example(
+    2, 0.5, 2, [[]] * 3,
+    [(0, [([0, 1, 2, 3], False), ([3, 2, 1, 0], True), ([2, 0, 3, 1], False)])],
+)
+@example(3, 1.0, 2, [[]] * 3, [(1, [([3], False), ([0], True), ([5, 6], False)])])
+@example(3, 1.5, 2, [[]] * 3, [(1, [([3], False), ([3], False), ([], False)])])
+@example(
+    3, 0.2, 1, [[0, 3, 5, 6], [3, 3], []],
+    [(1, [([], False)] * 3), (2, [([], True)] * 3)],
+)
+def test_e0_check_matches_the_member_loop(n, eps, case, pools, conds):
+    # the check over drawn codewords against the literal loop over every
+    # member; a codeword outside the law counts in the total only
+    laws = _e0_laws(n)
+    seqs = list(itertools.product(range(2), repeat=n))
+    conditionals = {(c,): laws[law] for c, (law, _) in enumerate(conds)}
+    flags = {
+        ((c,), m): failed
+        for c, (_, cells) in enumerate(conds)
+        for m, (_, failed) in enumerate(cells)
+    }
+    if case == 2:
+        entries = {
+            ((c,), m): tuple(seqs[i % len(seqs)] for i in idx)
+            for c, (_, cells) in enumerate(conds)
+            for m, (idx, _) in enumerate(cells)
+        }
+        cb = Codebook(
+            case=2, size=2, m_count=3, size_prime=0,
+            entries=entries, selection={}, failure_flags=flags,
+        )
+    else:
+        entries = {
+            m: tuple(seqs[i % len(seqs)] for i in pool)
+            for m, pool in enumerate(pools)
+        }
+        selection = {
+            (cond, m): tuple(
+                j for j, seq in enumerate(entries[m]) if seq in law.probs
+            )[:2]
+            for cond, law in conditionals.items()
+            for m in range(3)
+        }
+        cb = Codebook(
+            case=1, size=2, m_count=3, size_prime=8,
+            entries=entries, selection=selection, failure_flags=flags,
+        )
+    rep = empirical_e0_check(cb, conditionals, eps)
+    assert (rep.ok, rep.violation, rep.draw_counts) == oracles.e0_check(
+        cb, conditionals, eps
+    )
 
 
 def test_bell_conditionals_make_e0_exact():

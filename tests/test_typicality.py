@@ -99,6 +99,9 @@ def test_prune_renormalizes():
     assert np.isclose(pd.prob((0, 0)), (9 / 16) / (15 / 16))
     assert pd.prob((1, 1)) == 0.0
     assert pd.support() == ts.members
+    # the sampler's cumulative vector is set when the law is built
+    assert np.array_equal(pd.cum, np.cumsum(vec))
+    assert pd.min_prob == vec.min()
     with pytest.raises(SizeMismatch):
         prune([0.2, 0.3, 0.5], ts)
 
