@@ -1005,8 +1005,8 @@ def _top_eigenvalues(column_lists) -> list:
     """Largest eigenvalue of G G^dag for each G = hstack(cols) of
     column_lists; 0 for a G without columns. One eigvalsh per chunk of a
     shape group (_by_shape). This is the exact route of the sub-POVM
-    check, which _settle_bins takes only for a bin whose bounds and
-    padded eigensolve leave it within SETTLE_MARGIN of the threshold."""
+    check, which _settle_bins takes for every bin that its norm bounds
+    leave undecided."""
     tops = _by_shape(column_lists, _top_eigenvalue_kernel)
     return [0.0 if top is None else float(top) for top in tops]
 
@@ -1081,16 +1081,16 @@ def build_gamma(
     )
 
 
-# Relative margin around the sub-POVM threshold 1 + TAU_PSD: a bound or
-# a padded eigensolve settles a bin only from outside it, and the bins
-# inside go to the exact route. It sits far above eigvalsh's backward
-# error, about D * machine eps ~ 9e-13 relative at the 4096 dimension
-# cap, so a value outside it lies on the same side of the threshold as
-# the exact route's eigenvalue.
+# Relative margin around the sub-POVM threshold 1 + TAU_PSD: a norm
+# bound settles a bin only from outside it, and the bins inside go to
+# the exact route. It sits far above eigvalsh's backward error, about
+# D * machine eps ~ 9e-13 relative at the 4096 dimension cap, so a bound
+# outside it lies on the same side of the threshold as the exact
+# route's eigenvalue.
 SETTLE_MARGIN = 1e-9
 
 # The stage of _settle_bins that decided a bin.
-STAGE_TRACE, STAGE_COLUMN, STAGE_NORMS, STAGE_PADDED, STAGE_EXACT = range(1, 6)
+STAGE_TRACE, STAGE_COLUMN, STAGE_NORMS, STAGE_EXACT = range(1, 5)
 
 
 def _settle_bins(opsets, m_count) -> tuple:
@@ -1107,11 +1107,8 @@ def _settle_bins(opsets, m_count) -> tuple:
        blocks' member norms, without touching a factor;
     3. a wide bin (K > D / 2 columns) is valid when
        ||G||_1 ||G||_inf <= lo;
-    4. each narrow bin's Gram matrix G^dag G, zero-padded to a
-       power-of-two width, goes through one stacked eigvalsh per width
-       and chunk of at most STACK_BYTES, and a top eigenvalue outside
-       [lo, hi] decides;
-    5. the rest get _top_eigenvalues.
+    4. the rest, the narrow bins among them, get _top_eigenvalues, one
+       eigvalsh per chunk of each exact shape.
     A member's norms are found by bisecting its block's sorted members.
     """
     thr = 1.0 + TAU_PSD
@@ -1143,47 +1140,23 @@ def _settle_bins(opsets, m_count) -> tuple:
         opset = opsets[b // m_count]
         return opset, opset.bin_counts.get(b % m_count, {})
 
-    grams = {}
     exact = []
-
-    def settle_padded(width):
-        items = grams.pop(width)
-        stack = np.zeros(
-            (len(items), width, width), np.result_type(*(g for _, g in items))
-        )
-        for pad, (_, gram) in zip(stack, items):
-            pad[: gram.shape[0], : gram.shape[1]] = gram
-        for (b, _), top in zip(items, np.linalg.eigvalsh(stack)[:, -1]):
-            if top <= lo or top > hi:
-                valid[b], stage[b] = top <= lo, STAGE_PADDED
-            else:
-                exact.append(b)
-
     for b in np.flatnonzero(stage == 0).tolist():
         opset, counts = counts_of(b)
         factors = [opset.block.gamma_factors[seq] for seq in counts]
         widths = [f.shape[1] for f in factors]
-        if 2 * sum(widths) > factors[0].shape[0]:
-            # ||G||_1 and ||G||_inf from |w_x|, each column of member x
-            # weighted by sqrt(scale n_x)
-            a = np.abs(np.concatenate(factors, axis=1))
-            root = np.sqrt(
-                opset.scale * np.repeat(list(counts.values()), widths)
-            )
-            rows = (a * root).sum(axis=1).max()
-            if float(rows * (a.sum(axis=0) * root).max()) <= lo:
-                valid[b], stage[b] = True, STAGE_NORMS
-            else:
-                exact.append(b)
+        if 2 * sum(widths) <= factors[0].shape[0]:
+            exact.append(b)
+            continue
+        # ||G||_1 and ||G||_inf from |w_x|, each column of member x
+        # weighted by sqrt(scale n_x)
+        a = np.abs(np.concatenate(factors, axis=1))
+        root = np.sqrt(opset.scale * np.repeat(list(counts.values()), widths))
+        rows = (a * root).sum(axis=1).max()
+        if float(rows * (a.sum(axis=0) * root).max()) <= lo:
+            valid[b], stage[b] = True, STAGE_NORMS
         else:
-            g = np.concatenate(opset.columns(counts), axis=1)
-            width = 1 << (g.shape[1] - 1).bit_length()
-            items = grams.setdefault(width, [])
-            items.append((b, _adjoint(g) @ g))
-            if len(items) * width * width * g.itemsize >= STACK_BYTES:
-                settle_padded(width)
-    for width in list(grams):
-        settle_padded(width)
+            exact.append(b)
     tops = _top_eigenvalues(
         [opset.columns(counts) for opset, counts in map(counts_of, exact)]
     )
@@ -1212,11 +1185,10 @@ def validate_subpovm(opset: BobOperatorSet, codebook: Codebook) -> BobOperatorSe
     TAU_PSD, or when its case-1 codeword selection failed. Fallback bins are
     served by the trivial measurement {I} downstream, so their codewords
     are ignored there. The one-opset case of the staged pass
-    (_settle_bins): certified norm bounds decide most bins, a padded
-    eigensolve most of the rest, and the exact eigensolve only the bins
-    within SETTLE_MARGIN of the threshold, so every flag is the exact
-    route's. Alice's bins go through here; build_protocol_instance runs
-    the pass once over all of Bob's opsets.
+    (_settle_bins): certified norm bounds decide the bins they can from
+    outside SETTLE_MARGIN, and the exact eigensolve the rest, so every
+    flag is the exact route's. Alice's bins go through here;
+    build_protocol_instance runs the pass once over all of Bob's opsets.
     """
     _flag_bins([opset], codebook)
     return opset
@@ -1272,7 +1244,11 @@ def build_alice_measurement(
         only_seq = (0,) * n
         eye = np.eye(block.rho_n.shape[0])
         opset = BobOperatorSet(
-            block=replace(ab, gamma_factors={only_seq: eye}),
+            block=replace(
+                ab,
+                gamma_factors={only_seq: eye},
+                norms=np.array([_factor_norms(eye)]),
+            ),
             gamma=dict.fromkeys(
                 itertools.product(range(params.s_a), range(params.m_a)),
                 only_seq,

@@ -57,11 +57,7 @@ class PrunedDistribution:
     min_prob: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        members = self.base.members
-        vector = np.fromiter(
-            map(self.probs.__getitem__, members), float, len(members)
-        )
-        object.__setattr__(self, "cum", vector.cumsum())
+        object.__setattr__(self, "cum", self.prob_vector().cumsum())
         object.__setattr__(
             self, "min_prob", min(self.probs.values(), default=np.inf)
         )

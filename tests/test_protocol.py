@@ -34,7 +34,6 @@ from povmcast.protocol import (
     STAGE_COLUMN,
     STAGE_EXACT,
     STAGE_NORMS,
-    STAGE_PADDED,
     STAGE_TRACE,
     BobOperatorSet,
     ProtocolParams,
@@ -915,7 +914,9 @@ opset_specs = st.tuples(
 def test_settled_bins_match_the_exact_route():
     # every flag of the staged pass against the top eigenvalue of the
     # bin's operator sum, one bin at a time; the explicit examples make
-    # each stage decide at least one bin
+    # each stage decide at least one bin. The pass runs again with a
+    # 1-byte STACK_BYTES, so that the exact route takes every bin alone
+    # instead of in stacked chunks
     decided = collections.Counter()
 
     @settings(max_examples=150, deadline=None)
@@ -928,6 +929,10 @@ def test_settled_bins_match_the_exact_route():
         opsets = [_spec_opset(spec, m_count) for spec in specs]
         valid, stage = _settle_bins(opsets, m_count)
         assert valid.shape == stage.shape == (len(opsets), m_count)
+        with mock.patch("povmcast.protocol.STACK_BYTES", 1):
+            alone = _settle_bins(opsets, m_count)
+        assert np.array_equal(alone[0], valid)
+        assert np.array_equal(alone[1], stage)
         for opset, row in zip(opsets, valid.tolist()):
             for m, ok in enumerate(row):
                 cols = opset.columns(opset.bin_counts[m])
@@ -936,7 +941,7 @@ def test_settled_bins_match_the_exact_route():
 
     check()
     assert set(decided) == {
-        STAGE_TRACE, STAGE_COLUMN, STAGE_NORMS, STAGE_PADDED, STAGE_EXACT
+        STAGE_TRACE, STAGE_COLUMN, STAGE_NORMS, STAGE_EXACT
     }
 
 
@@ -1017,6 +1022,14 @@ def test_alice_trivial_when_single_letter():
     w = alice.opset.block.gamma_factors[only]
     assert np.allclose(alice.opset.scale * (w @ w.conj().T), np.eye(4) / 6)
     assert len(alice.opset.gamma) == params.s_a * params.m_a
+    assert alice.opset.fallback_applied == {0: False, 1: False}
+    # the stand-in block's norms are the identity's, so the sub-POVM
+    # pass over it agrees with the flags set by hand
+    assert alice.opset.block.typical.members == (only,)
+    assert np.array_equal(alice.opset.block.norms, [oracles.member_norms(w)])
+    flags = dict(alice.opset.is_valid_subpovm)
+    validate_subpovm(alice.opset, alice.codebook)
+    assert alice.opset.is_valid_subpovm == flags
     assert alice.opset.fallback_applied == {0: False, 1: False}
 
 
