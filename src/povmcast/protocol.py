@@ -24,6 +24,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import reduce
 
@@ -286,16 +287,21 @@ class _Kron:
         return _kron(self.left, self.right)
 
 
-def _kron_halves(mats, seq, memo) -> _Kron:
-    """mats[s_1] (x) ... (x) mats[s_n] over seq, split at h = n // 2; the
-    matrices may be rectangular, and an empty half is the 1 x 1 identity.
-    Each half-product is formed once per half-sequence and shared through
-    memo, so a table over many sequences holds only small matrices."""
+def _kron_halves(mats, seq, memo, outer=None) -> _Kron:
+    """mats[s_1] (x) ... (x) mats[s_n] over seq, split at h = n // 2, and
+    then times outer, a _Kron split there whose halves depend only on
+    their length; the matrices may be rectangular, and an empty half is
+    the 1 x 1 identity. Each half is formed once per half-sequence and
+    shared through memo, so a table over many sequences holds only small
+    matrices."""
     h = len(seq) // 2
     halves = []
-    for part in (tuple(seq[:h]), tuple(seq[h:])):
+    for part, side in ((tuple(seq[:h]), 0), (tuple(seq[h:]), 1)):
         if part not in memo:
-            memo[part] = reduce(_kron, [mats[s] for s in part], np.ones((1, 1)))
+            prod = reduce(_kron, [mats[s] for s in part], np.ones((1, 1)))
+            if outer is not None:
+                prod = (outer.left, outer.right)[side] @ prod
+            memo[part] = prod
         halves.append(memo[part])
     return _Kron(*halves)
 
@@ -306,7 +312,10 @@ def _in_basis(basis: _Kron, diag, g) -> np.ndarray:
 
 
 def _batched(apply, factors: dict) -> dict:
-    """apply run once on the hstack of every factor, split back per key."""
+    """apply run once on the hstack of every factor, split back per key;
+    no factor gives no table."""
+    if not factors:
+        return {}
     out = apply(np.concatenate(list(factors.values()), axis=1))
     split = {}
     start = 0
@@ -642,9 +651,10 @@ class BlockScenario:
     compressed states and cutoffs for Alice (one free conditioning) and
     for Bob (one block per typical Alice sequence), plus the reference
     measurement operators for the sequences a codebook can draw (typical
-    members). A reference Lambda_x is held by its factor, the Kronecker
-    product of single-letter factors (D x prod_i r_i), and
-    sqrt_lambda_a_n by sqrt(Lambda_x); rho_n and sqrt_rho_n are the
+    members). lambda_a_n and lambda_ref_b hold sqrt(rho^n) F, the
+    reference Lambda_x = F F^dag sandwiched as scoring reads it, F being
+    the Kronecker product of single-letter factors (D x prod_i r_i);
+    sqrt_lambda_a_n holds sqrt(Lambda_x). rho_n and sqrt_rho_n are the
     Kronecker powers of rho and sqrt(rho). All are held as two Kronecker
     half-products, shared between sequences with a common half.
     Conditioning sequences whose conditional typical set is empty are
@@ -758,7 +768,9 @@ def build_block_scenario(
     lambda_a_n = {}
     sqrt_lambda_a_n = {}
     for seq in alice_block.typical.members:
-        lambda_a_n[seq] = _kron_halves(alice_factors, seq, factor_memo)
+        lambda_a_n[seq] = _kron_halves(
+            alice_factors, seq, factor_memo, sqrt_rho_n
+        )
         sqrt_lambda_a_n[seq] = _kron_halves(sqrt_alice, seq, sqrt_memo)
 
     bob_factors = [_psd_factor(e) for e in single.bob_reference.elements]
@@ -767,7 +779,9 @@ def build_block_scenario(
     for blk in bob_blocks.values():
         for seq in blk.typical.members:
             if seq not in lambda_ref_b:
-                lambda_ref_b[seq] = _kron_halves(bob_factors, seq, bob_memo)
+                lambda_ref_b[seq] = _kron_halves(
+                    bob_factors, seq, bob_memo, sqrt_rho_n
+                )
 
     return BlockScenario(
         single=single,
@@ -950,7 +964,7 @@ class BobOperatorSet:
 
 # Byte size of the largest stack one batched LAPACK call gets: a shape
 # group of more bytes is cut into chunks, and a matrix larger than this
-# (any Bell n >= 10 Alice bin, 1024 x ~1020) goes alone. Small chunks
+# (any Bell n >= 10 Alice bin, 1024 x ~1020) is a stack of one. Small chunks
 # keep a stack and its copies in cache and in the allocator's heap: with
 # 4 MiB chunks the Bell n = 6 sweep benchmark (2 vCPUs, one BLAS thread)
 # ran no faster and peaked 2 MB higher.
@@ -961,10 +975,10 @@ def _by_shape(column_lists, kernel, tags=None) -> list:
     """kernel's value for the hstack of each item's column blocks.
 
     Items with the same rows, columns, dtype and tag are stacked into
-    one (N, rows, K) array per chunk of at most STACK_BYTES, and kernel
-    runs once on it, returning N values; a chunk of one gets the plain
-    (rows, K) matrix and returns its value. Shapes are never padded, and
-    an item without columns is left as None for the caller.
+    one (N, rows, K) array per chunk of at most STACK_BYTES, a chunk of
+    one included, and kernel runs once on it, returning N values. Shapes
+    are never padded, and an item without columns is left as None for
+    the caller.
     """
     tags = [None] * len(column_lists) if tags is None else tags
     groups = {}
@@ -978,9 +992,6 @@ def _by_shape(column_lists, kernel, tags=None) -> list:
         per = max(1, STACK_BYTES // (rows * width * dtype.itemsize))
         for start in range(0, len(idx), per):
             chunk = idx[start : start + per]
-            if len(chunk) == 1:
-                out[chunk[0]] = kernel(np.hstack(column_lists[chunk[0]]), tag)
-                continue
             stack = np.empty((len(chunk), rows, width), dtype=dtype)
             for row, i in zip(stack, chunk):
                 np.concatenate(column_lists[i], axis=1, out=row)
@@ -990,13 +1001,13 @@ def _by_shape(column_lists, kernel, tags=None) -> list:
 
 
 def _adjoint(a) -> np.ndarray:
-    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    """Conjugate transpose of each matrix of a stack."""
     return a.conj().swapaxes(-1, -2)
 
 
 def _top_eigenvalue_kernel(g, _):
     """Largest eigenvalue of G G^dag, from the smaller of G G^dag and the
-    Gram matrix G^dag G, for a matrix or a stack of them."""
+    Gram matrix G^dag G, for each G of a stack."""
     gram = _adjoint(g) @ g if g.shape[-1] < g.shape[-2] else g @ _adjoint(g)
     return np.linalg.eigvalsh(gram)[..., -1]
 
@@ -1013,7 +1024,7 @@ def _top_eigenvalues(column_lists) -> list:
 
 def _root_kernel(w, _):
     """(w w^dag)^{1/2} = U diag(s) U^dag as the thin pair (U, s), from the
-    thin SVD w = U diag(s) V^dag, for a matrix or each of a stack.
+    thin SVD w = U diag(s) V^dag, for each w of a stack; a list of pairs.
 
     w can be rank-deficient after the cutoff, so per matrix the singular
     values at or below max(shape) * machine eps * s_max (numpy's
@@ -1023,19 +1034,16 @@ def _root_kernel(w, _):
     tol = max(w.shape[-2:]) * np.finfo(float).eps * s.max(
         axis=-1, initial=0.0, keepdims=True
     )
-    keep = s > tol
-    if w.ndim == 2:
-        return u[:, keep], s[keep]
-    return [(ui[:, k], si[k]) for ui, si, k in zip(u, s, keep)]
+    return [(ui[:, k], si[k]) for ui, si, k in zip(u, s, s > tol)]
 
 
 def _thin_roots(factors) -> list:
     """(w w^dag)^{1/2} of each factor w as a thin pair (U, s), one stacked
     SVD per chunk of a shape group (_by_shape); a factor without columns
-    gets its own."""
+    has the empty root."""
     roots = _by_shape([[w] for w in factors], _root_kernel)
     return [
-        _root_kernel(w, None) if root is None else root
+        _root_kernel(w[None], None)[0] if root is None else root
         for w, root in zip(factors, roots)
     ]
 
@@ -1199,14 +1207,14 @@ class AliceMeasurement:
     """Alice's randomized block measurement for one trial.
 
     opset counts the codewords of each bin. lambda_tilde maps each
-    produced sequence x to the factor sqrt(N_x scale) w_x of its operator
-    N_x scale w_x w_x^dag, N_x being its count over the non-fallback
-    bins, and sqrt_lambda_tilde to its square root sqrt(N_x scale)
-    (w_x w_x^dag)^{1/2} held thin as (U, s), the root being
-    U diag(s) U^dag. With a single Alice outcome letter the construction
-    collapses and every operator is exactly I / (m_count * size)
-    (trivial=True); the summed operator, its factor and its root are
-    then I.
+    produced sequence x to sqrt(rho^n) sqrt(N_x scale) w_x, the factor of
+    its operator N_x scale w_x w_x^dag sandwiched by sqrt(rho^n), N_x
+    being its count over the non-fallback bins; sqrt_lambda_tilde maps x
+    to the unsandwiched square root sqrt(N_x scale) (w_x w_x^dag)^{1/2}
+    held thin as (U, s), the root being U diag(s) U^dag. With a single
+    Alice outcome letter the construction collapses and every operator
+    is exactly I / (m_count * size) (trivial=True); the summed operator
+    and its root are then I, and its factor is sqrt(rho^n).
     """
 
     opset: BobOperatorSet
@@ -1258,32 +1266,25 @@ def build_alice_measurement(
             is_valid_subpovm=dict.fromkeys(range(params.m_a), True),
             fallback_applied=dict.fromkeys(range(params.m_a), False),
         )
-        return AliceMeasurement(
-            opset=opset,
-            codebook=codebook,
-            lambda_tilde={only_seq: eye},
-            sqrt_lambda_tilde={only_seq: (eye, np.ones(eye.shape[0]))},
-            trivial=True,
-        )
-
-    opset = build_gamma(ab, codebook, eps=params.eps)
-    validate_subpovm(opset, codebook)
-
-    lambda_tilde = {}
-    sqrt_lambda_tilde = {}
-    pooled = opset.pooled_counts()
-    factors = [ab.gamma_factors[seq] for seq in pooled]
-    roots = _thin_roots(factors)
-    for (seq, count), w, (u, s) in zip(pooled.items(), factors, roots):
-        weight = math.sqrt(count * opset.scale)
-        lambda_tilde[seq] = weight * w
-        sqrt_lambda_tilde[seq] = (u, weight * s)
+        summed = {only_seq: eye}
+        sqrt_lambda_tilde = {only_seq: (eye, np.ones(eye.shape[0]))}
+    else:
+        opset = build_gamma(ab, codebook, eps=params.eps)
+        validate_subpovm(opset, codebook)
+        summed, sqrt_lambda_tilde = {}, {}
+        pooled = opset.pooled_counts()
+        factors = [ab.gamma_factors[seq] for seq in pooled]
+        roots = _thin_roots(factors)
+        for (seq, count), w, (u, s) in zip(pooled.items(), factors, roots):
+            weight = math.sqrt(count * opset.scale)
+            summed[seq] = weight * w
+            sqrt_lambda_tilde[seq] = (u, weight * s)
     return AliceMeasurement(
         opset=opset,
         codebook=codebook,
-        lambda_tilde=lambda_tilde,
+        lambda_tilde=_batched(lambda g: block.sqrt_rho_n @ g, summed),
         sqrt_lambda_tilde=sqrt_lambda_tilde,
-        trivial=False,
+        trivial=trivial,
     )
 
 
@@ -1299,10 +1300,12 @@ def assemble_bob_povm(
     Per conditioning the counts are pooled over the non-fallback bins
     (fallback bins contribute nothing), and a member with count n adds
     the columns S sqrt(n scale) w_x, S being the sandwiching root; each
-    root is applied once per conditioning, to all its pooled columns.
-    Each element is returned as the factor G of its stacked columns
-    (D x K), the operator being G G^dag. Keys are the x_B^n that
-    received an operator; a missing key means the zero operator.
+    root is applied once per conditioning, to all its pooled columns,
+    and sqrt(rho^n) once to each table's columns before they are
+    gathered per sequence: an element is returned as sqrt(rho^n) G, G
+    (D x K) being its stacked columns and G G^dag its operator. Keys are
+    the x_B^n that received an operator; a missing key means the zero
+    operator.
     """
     tilde, prime = [], []
     for cond_seq, opset in bob_sets.items():
@@ -1322,7 +1325,7 @@ def assemble_bob_povm(
         # a member whose factor has no column still gets its key
         if not parts:
             return {}
-        out = np.concatenate([cols for _, cols in parts], axis=1)
+        out = block.sqrt_rho_n @ np.concatenate([c for _, c in parts], axis=1)
         index = {}
         start = 0
         for widths, _ in parts:
@@ -1336,7 +1339,8 @@ def assemble_bob_povm(
 
 @dataclass(eq=False)
 class ProtocolInstance:
-    """One realized protocol: codebooks drawn, operators built."""
+    """One realized protocol: codebooks drawn, operators built; Bob's
+    tables hold sqrt(rho^n) G per element, G G^dag being its operator."""
 
     block: BlockScenario
     params: ProtocolParams
@@ -1426,7 +1430,7 @@ def faithfulness_distance(reference, approx, rho_n):
 
 def _signed_trace_norm_kernel(a, k_plus):
     """||P P^dag - M M^dag||_1 for A = [P, M], P being A's first k_plus
-    columns, for a matrix or each of a stack.
+    columns, for each A of a stack.
 
     With A = Q R and J = diag(+1 on P's columns, -1 on M's),
     P P^dag - M M^dag = A J A^dag = Q (R J R^dag) Q^dag, so the trace
@@ -1455,14 +1459,14 @@ def _signed_trace_norms(pairs) -> list:
 def _reference_terms(reference, probs, approx, keys) -> tuple:
     """The terms of sum over keys of ||sqrt(rho^n) (approx_x - Lambda_x)
     sqrt(rho^n)||_1, both tables holding sandwiched factors
-    sqrt(rho^n) F. A key approx lacks scores tr(rho^n Lambda_x) =
-    prod_i probs[x_i], as Lambda_x is a PSD product; these are summed
-    into the first item. The second lists the (approx_x, Lambda_x) pairs
-    of the other keys, in key order, for _signed_trace_norms."""
+    sqrt(rho^n) F, reference as Kronecker halves. A key approx lacks
+    scores tr(rho^n Lambda_x) = prod_i probs[x_i], as Lambda_x is a PSD
+    product; these are summed into the first item. The second lists the
+    dense (approx_x, Lambda_x) pairs of the other keys, in key order."""
     unused = sum(
         math.prod(probs[x] for x in key) for key in keys if key not in approx
     )
-    drawn = [(approx[key], reference[key]) for key in keys if key in approx]
+    drawn = [(approx[k], reference[k].dense()) for k in keys if k in approx]
     return unused, drawn
 
 
@@ -1504,9 +1508,9 @@ def empirical_e0_check(
 
     Only the drawn members of a conditioning are scored one by one. An
     undrawn member has frequency 0, so its relative deviation is exactly
-    1 and it is out of band whenever (1 - eps) p > 0; when that holds for
-    the smallest p it holds for every member, and the undrawn ones count
-    without a visit. Otherwise (eps >= 1) every member is visited.
+    1, and it is out of band when (1 - eps) p > 0, which for a positive p
+    does not depend on the member: the undrawn ones count without a
+    visit, through the smallest p.
     """
     ok = True
     worst = 0.0
@@ -1528,16 +1532,13 @@ def empirical_e0_check(
             worst = float("inf")
             continue
         drawn = [seq for seq in counts if seq in law.probs]
-        visit = drawn
         if len(drawn) < len(law.support()):
+            worst = max(worst, 1.0)
             if (1.0 - eps) * law.min_prob > 0:
                 ok = False
-                worst = max(worst, 1.0)
-            else:
-                visit = law.support()
-        for seq in visit:
+        for seq in drawn:
             p = law.prob(seq)
-            freq = counts.get(seq, 0) / total
+            freq = counts[seq] / total
             rel = abs(freq / p - 1.0)
             worst = max(worst, rel)
             if not ((1.0 - eps) * p <= freq <= (1.0 + eps) * p):
@@ -1549,36 +1550,24 @@ def instance_report(instance: ProtocolInstance) -> FaithfulnessReport:
     """Score a realized protocol against the reference measurements.
 
     d_bob is the atypical part plus the typical part over the x_B^n
-    marginal typical set; d2 and d3 split the typical part. Every
-    operator is a factor, sandwiched by sqrt(rho^n); the drawn keys of
-    all five quantities are scored in one _signed_trace_norms call, and
-    each quantity is summed in key order. A table of factors is
-    sandwiched in one pass through the Kronecker halves of sqrt(rho^n);
-    the reference of a drawn key is the product of its halves with those
-    of sqrt(rho^n), formed densely only then."""
+    marginal typical set; d2 and d3 split the typical part. Every table
+    it reads, simulated or reference, already holds factors sandwiched by
+    sqrt(rho^n), formed where the table was built; the drawn keys of all
+    five quantities are paired and scored in one _signed_trace_norms
+    call, and each quantity is summed in key order."""
     block = instance.block
     single = block.single
-    sqrt_rho = block.sqrt_rho_n
-    empty = np.zeros((sqrt_rho.shape[0], 0))
-
-    def sandwiched(factors):
-        return _batched(lambda g: sqrt_rho @ g, factors) if factors else {}
-
-    def references(table, keys):
-        return {key: (sqrt_rho @ table[key]).dense() for key in keys}
-
-    tilde = sandwiched(instance.lambda_tilde_b)
-    prime = sandwiched(instance.lambda_prime_b)
-    ref_b = references(block.lambda_ref_b, set(tilde) | set(prime))
+    empty = np.zeros((block.rho_n.shape[0], 0))
+    tilde = instance.lambda_tilde_b
+    prime = instance.lambda_prime_b
     members = set(block.bob_marg_typical.members)
     typ, atyp = [], []
     for seq in itertools.product(range(single.n_bob), repeat=block.n):
         (typ if seq in members else atyp).append(seq)
 
     def bob(approx, keys):
-        return _reference_terms(ref_b, single.p_b, approx, keys)
+        return _reference_terms(block.lambda_ref_b, single.p_b, approx, keys)
 
-    alice_tilde = sandwiched(instance.alice.lambda_tilde)
     terms = {
         "atypical": bob(tilde, atyp),
         "typical": bob(tilde, typ),
@@ -1592,9 +1581,9 @@ def instance_report(instance: ProtocolInstance) -> FaithfulnessReport:
             ],
         ),
         "d_alice": _reference_terms(
-            references(block.lambda_a_n, alice_tilde),
+            block.lambda_a_n,
             single.p_a,
-            alice_tilde,
+            instance.alice.lambda_tilde,
             list(itertools.product(range(single.n_alice), repeat=block.n)),
         ),
     }
@@ -1807,21 +1796,24 @@ def simulate_trials(
 ) -> list:
     """Run independent trials and return records ordered by index.
 
-    Each trial draws fresh codebooks from its own spawned seed stream, so
-    results are reproducible and independent of worker count.
+    Trial i draws fresh codebooks from its own seed stream, the child i
+    that SeedSequence(params.seed).spawn makes, so results are
+    reproducible and independent of worker count. More trials than a
+    list can index raise SizeLimitExceeded before any work.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if trials > sys.maxsize:
+        raise SizeLimitExceeded(f"{trials} trials exceed a list's capacity")
     if workers < 1:
         raise ValueError("workers must be at least 1")
     if block is None:
         block = build_block_scenario(single, params)
-    root = np.random.SeedSequence(params.seed)
-    children = root.spawn(trials)
 
     def one(i):
+        child = np.random.SeedSequence(params.seed, spawn_key=(i,))
         instance = build_protocol_instance(
-            block, params, mode=mode, seed_seq=children[i]
+            block, params, mode=mode, seed_seq=child
         )
         report = instance_report(instance)
         transcript = run_protocol_trial(

@@ -420,23 +420,26 @@ def thin_root(w):
 def dense_instance_scores(block, instance):
     """d_bob, d_alice, atypical, d2 and d3 of an instance by the literal sum.
 
-    Every outcome sequence gets a dense Kronecker reference operator, the
-    simulated operators are densified from their factors and zero-filled
-    over all sequences, and the five scores are five
-    faithfulness_distance calls over explicit dicts, rho^n being the
-    Kronecker power of the single-letter state.
+    Both sides are sandwiched by S = sqrt(rho^n), the sqrt_psd of the
+    Kronecker power of the single-letter state: every outcome sequence
+    gets the dense reference operator S Lambda_x S, Lambda_x being the
+    Kronecker product of its letters' elements, and the simulated
+    operators, held as factors S G, are densified to S G G^dag S and
+    zero-filled over all sequences. The five scores are five
+    faithfulness_distance calls over explicit dicts, with the identity
+    as the state, since both sides are sandwiched already.
     """
-    from povmcast.linalg import kron_all
+    from povmcast.linalg import kron_all, sqrt_psd
     from povmcast.protocol import faithfulness_distance
 
     single = block.single
     n = block.n
-    rho_n = kron_all([single.rho.mat] * n)
-    dim = rho_n.shape[0]
+    root = sqrt_psd(kron_all([single.rho.mat] * n))
+    dim = root.shape[0]
 
     def table(elements):
         return {
-            seq: kron_all([elements[x] for x in seq])
+            seq: root @ kron_all([elements[x] for x in seq]) @ root
             for seq in itertools.product(range(len(elements)), repeat=n)
         }
 
@@ -454,7 +457,7 @@ def dense_instance_scores(block, instance):
         return {k: v for k, v in ops.items() if (k in members) == typical}
 
     def dist(ref, app):
-        return faithfulness_distance(ref, app, rho_n)
+        return faithfulness_distance(ref, app, np.eye(dim))
 
     return {
         "d_bob": dist(ref_b, tilde),
@@ -479,7 +482,9 @@ def dense_trial_operators(block, params, seed_seq):
     every Alice bin, and for every (Alice bin, Alice position, Bob bin)
     they are m_b tr(op post), post being rho^n collapsed by sqrt_psd of
     Alice's operator. With a single Alice letter her operators are
-    I / (m_a s_a).
+    I / (m_a s_a). The summed tables lambda_tilde, lambda_tilde_b and
+    lambda_prime_b are returned sandwiched as S O S, S being the
+    sqrt_psd of rho^n, as the program holds them.
 
     Returns a dict with alice_valid and alice_fallback (bin -> flag),
     bob_valid and bob_fallback ((conditioning, bin) -> flag), a bin being
@@ -586,6 +591,11 @@ def dense_trial_operators(block, params, seed_seq):
             for j in range(count)
         ]
 
+    sqrt_rho_n = sqrt_psd(rho_n)
+
+    def sandwiched(ops):
+        return {seq: sqrt_rho_n @ op @ sqrt_rho_n for seq, op in ops.items()}
+
     alice_weights, bob_weights = {}, {}
     for m_a in range(params.m_a):
         words_a = alice_cb.codewords(ab.cond_seq, m_a)
@@ -615,10 +625,10 @@ def dense_trial_operators(block, params, seed_seq):
         "bob_valid": bob_valid,
         "bob_fallback": bob_fallback,
         "bob_bin_sums": bob_bin_sums,
-        "lambda_tilde": lambda_tilde,
+        "lambda_tilde": sandwiched(lambda_tilde),
         "sqrt_lambda_tilde": sqrt_lambda_tilde,
-        "lambda_tilde_b": lambda_tilde_b,
-        "lambda_prime_b": lambda_prime_b,
+        "lambda_tilde_b": sandwiched(lambda_tilde_b),
+        "lambda_prime_b": sandwiched(lambda_prime_b),
         "alice_weights": alice_weights,
         "bob_weights": bob_weights,
     }

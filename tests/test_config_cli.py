@@ -15,6 +15,7 @@ from povmcast import (
     DimensionMismatch,
     OutcomeFunction,
     Povm,
+    SizeLimitExceeded,
     config_from_dict,
     evaluate_rate_expression,
     load_config,
@@ -886,6 +887,30 @@ def test_cli_memory_error_exits_3(capsys, monkeypatch, tmp_path):
     assert out["failed_value"] == 2
     assert out["error"] == "out of memory"
     assert "error: sweep point 2: out of memory" in captured.err
+
+
+def test_cli_huge_trial_count_exits_3(capsys, monkeypatch, tmp_path):
+    # more trials than a list of records can index: refused with an
+    # error line before the first trial, by simulate, by sweep and by
+    # the library call
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr("povmcast.protocol.build_protocol_instance", no_trial)
+    for cmd, name in (("simulate", "pure-state"), ("sweep", "bell-computational")):
+        doc = preset_document(name)
+        doc["trials"] = 10**30
+        path = tmp_path / f"{cmd}.json"
+        path.write_text(json.dumps(doc))
+        assert main([cmd, "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{10**30} trials exceed" in err
+        assert "Traceback" not in err
+    cfg = load_config("preset:pure-state")
+    single = prepare_scenario(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b)
+    with pytest.raises(SizeLimitExceeded, match="trials exceed"):
+        simulate_trials(single, cfg.params, trials=10**30)
 
 
 @pytest.mark.parametrize("raw", ["abc", "0"])

@@ -44,6 +44,7 @@ from povmcast.protocol import (
     _collapsed_state,
     _kron_halves,
     _permute_copies,
+    _psd_factor,
     _settle_bins,
     _signed_trace_norms,
     _thin_roots,
@@ -287,21 +288,37 @@ def _assert_matches_dense_oracle(single, params, sqrt_tol=1e-10):
     for blk in block.bob_blocks.values():
         bob_members.update(blk.typical.members)
     assert set(block.lambda_ref_b) == bob_members
-    # each reference is held by the Kronecker halves of a factor F with
-    # Lambda_x = F F^dag
+    # each reference is held already sandwiched, by the Kronecker halves
+    # of sqrt(rho^n) F with Lambda_x = F F^dag, F the Kronecker product
+    # of single-letter factors: compared as a factor against the
+    # Kronecker product of sqrt(rho) F_a over the letters, and as an
+    # operator against sqrt(rho^n) Lambda_x sqrt(rho^n)
     dim = block.rho_n.shape[0]
+    sqrt_rho = sqrt_psd(single.rho.mat)
+    sqrt_rho_n = sqrt_psd(rho_n)
+
+    def sandwiched_factors(elements):
+        factors = [_psd_factor(e) for e in elements]
+        for f, e in zip(factors, elements):
+            close(f @ f.conj().T, e, 1e-14)
+        return [sqrt_rho @ f for f in factors]
+
+    alice_letters = sandwiched_factors(single.alice_povm.elements)
     for seq, halves in block.lambda_a_n.items():
-        f = oracles.dense_kron(halves)
+        f = halves.dense()
+        close(f, reduce(np.kron, [alice_letters[a] for a in seq]), 1e-14)
         mat = kron_all([single.alice_povm.elements[a] for a in seq])
         assert f.shape[0] == dim and f.shape[1] <= dim
-        close(f @ f.conj().T, mat, 1e-14)
+        close(f @ f.conj().T, sqrt_rho_n @ mat @ sqrt_rho_n, 1e-14)
         sqrt_true = oracles.dense_kron(block.sqrt_lambda_a_n[seq])
         close(sqrt_true, sqrt_psd(mat), sqrt_tol)
+    bob_letters = sandwiched_factors(single.bob_reference.elements)
     for seq, halves in block.lambda_ref_b.items():
-        f = oracles.dense_kron(halves)
+        f = halves.dense()
+        close(f, reduce(np.kron, [bob_letters[b] for b in seq]), 1e-14)
         mat = kron_all([single.bob_reference.elements[b] for b in seq])
         assert f.shape[0] == dim and f.shape[1] <= dim
-        close(f @ f.conj().T, mat, 1e-14)
+        close(f @ f.conj().T, sqrt_rho_n @ mat @ sqrt_rho_n, 1e-14)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -1015,8 +1032,9 @@ def test_alice_trivial_when_single_letter():
     alice = build_alice_measurement(block, params, np.random.default_rng(2))
     assert alice.trivial
     only = (0, 0)
-    # the summed operator I is held as its factor I
-    assert np.allclose(alice.lambda_tilde[only], np.eye(4))
+    # the summed operator I is held as its factor I sandwiched by
+    # sqrt(rho^n), here I / 2
+    assert np.allclose(alice.lambda_tilde[only], sqrt_psd(np.eye(4) / 4))
     # every codeword is the only sequence, whose operator is I / 6
     assert alice.opset.gamma[(0, 0)] == only
     w = alice.opset.block.gamma_factors[only]
@@ -1035,8 +1053,10 @@ def test_alice_trivial_when_single_letter():
 
 def test_assemble_keeps_members_without_columns():
     # a member whose cut factor has no column still received an operator,
-    # the zero one: its key stays, with a D x 0 factor
+    # the zero one: its key stays, with a D x 0 factor; every factor is
+    # sandwiched by sqrt(rho^n)
     unit = np.array([[0.6], [0.8]])
+    sqrt_rho = np.diag(np.sqrt([0.7, 0.3]))
     blk = type(
         "Blk", (), {"cond_seq": (0,), "gamma_factors": {
             (0,): np.zeros((2, 0)), (1,): unit,
@@ -1048,7 +1068,10 @@ def test_assemble_keeps_members_without_columns():
         is_valid_subpovm={0: True}, fallback_applied={0: False},
     )
     scenario = type(
-        "Scn", (), {"sqrt_lambda_a_n": {(0,): _kron_halves([np.eye(2)], (0,), {})}}
+        "Scn", (), {
+            "sqrt_lambda_a_n": {(0,): _kron_halves([np.eye(2)], (0,), {})},
+            "sqrt_rho_n": _kron_halves([sqrt_rho], (0,), {}),
+        }
     )()
     alice = type(
         "Alice", (), {"sqrt_lambda_tilde": {(0,): (np.eye(2), np.ones(2))}}
@@ -1057,7 +1080,7 @@ def test_assemble_keeps_members_without_columns():
     for table in (tilde, prime):
         assert set(table) == {(0,), (1,)}
         assert table[(0,)].shape == (2, 0)
-        assert np.allclose(table[(1,)], np.sqrt(0.5) * unit)
+        assert np.allclose(table[(1,)], sqrt_rho @ (np.sqrt(0.5) * unit))
 
 
 def test_assemble_matches_naive_accumulation():
@@ -1077,12 +1100,14 @@ def test_assemble_matches_naive_accumulation():
                 term = sqrt_true @ op @ sqrt_true
                 naive[seq] = naive.get(seq, 0.0) + 0.5 * (term + term.conj().T)
     # keys are exactly the sequences with a contribution; a missing key
-    # is the zero operator
+    # is the zero operator. The table holds factors S G, S = sqrt(rho^n),
+    # so it densifies to S G G^dag S
     assert naive
     assert set(instance.lambda_prime_b) == set(naive)
     prime = oracles.densify(instance.lambda_prime_b)
+    root = sqrt_psd(kron_all([single.rho.mat] * TRINE_PARAMS.n))
     for seq, mat in naive.items():
-        assert np.allclose(prime[seq], mat, atol=1e-12)
+        assert np.allclose(prime[seq], root @ mat @ root, atol=1e-12)
     assert set(instance.lambda_tilde_b) <= set(naive)
 
 
@@ -1130,8 +1155,8 @@ def _assert_trial_matches_dense_oracle(
     fallback flags identical; Alice's and Bob's operators and every
     sampling weight within 1e-10. What the oracle derives from sqrt_psd
     (Alice's roots, lambda_tilde_b and Bob's weights) is compared within
-    root_tol, and the count route's roots must square to lambda_tilde
-    within 1e-10."""
+    root_tol, and the count route's roots, sandwiched by sqrt(rho^n),
+    must square to lambda_tilde within 1e-10."""
     instance = build_protocol_instance(
         block, params, mode=mode, seed_seq=np.random.SeedSequence(seed)
     )
@@ -1151,11 +1176,17 @@ def _assert_trial_matches_dense_oracle(
         for cond_seq, opset in instance.bob_sets.items()
         for m, flag in opset.fallback_applied.items()
     } == want["bob_fallback"]
+    # the summed tables hold factors S G, S = sqrt(rho^n), so they
+    # densify to S G G^dag S, which the oracle also sandwiches
     lambda_tilde = oracles.densify(alice.lambda_tilde)
     close(lambda_tilde, want["lambda_tilde"])
     sqrt_lambda_tilde = oracles.dense_roots(alice.sqrt_lambda_tilde)
+    sqrt_rho_n = oracles.dense_kron(block.sqrt_rho_n)
     close(
-        {seq: root @ root for seq, root in sqrt_lambda_tilde.items()},
+        {
+            seq: sqrt_rho_n @ root @ root @ sqrt_rho_n
+            for seq, root in sqrt_lambda_tilde.items()
+        },
         lambda_tilde,
     )
     close(sqrt_lambda_tilde, want["sqrt_lambda_tilde"], root_tol)
@@ -1397,7 +1428,7 @@ def test_batched_kernels_match_per_item_oracles(mix):
 def test_by_shape_groups_without_padding_and_chunks_by_bytes():
     # what the kernel is handed: one stack per chunk of a (rows, columns,
     # dtype, tag) group, at most STACK_BYTES each, a lone matrix as a
-    # plain 2-D array, distinct shapes never padded together, and an
+    # (1, rows, K) stack, distinct shapes never padded together, and an
     # item without columns left out
     rng = np.random.default_rng(7)
     small = [[rng.normal(size=(4, 1)), rng.normal(size=(4, 2))] for _ in range(5)]
@@ -1408,8 +1439,6 @@ def test_by_shape_groups_without_padding_and_chunks_by_bytes():
 
     def kernel(a, tag):
         seen.append((a.shape, a.dtype, tag))
-        if a.ndim == 2:
-            return a.sum().real
         return list(a.sum(axis=(1, 2)).real)
 
     with mock.patch("povmcast.protocol.STACK_BYTES", 2 * 4 * 3 * 8):
@@ -1418,9 +1447,9 @@ def test_by_shape_groups_without_padding_and_chunks_by_bytes():
     assert seen == [
         ((2, 4, 3), f8, None),
         ((2, 4, 3), f8, None),
-        ((4, 3), f8, None),
-        ((4, 2), f8, None),
-        ((4, 40), c16, None),
+        ((1, 4, 3), f8, None),
+        ((1, 4, 2), f8, None),
+        ((1, 4, 40), c16, None),
     ]
     for cols, value in zip(items[:7], out[:7]):
         assert value == pytest.approx(sum(c.sum().real for c in cols))
@@ -1507,6 +1536,14 @@ def test_simulate_trials_worker_invariance():
     for a, b in zip(serial, threaded):
         assert a.report == b.report
         assert a.transcript == b.transcript
+    # trial i runs on child i of SeedSequence(seed), the one spawn makes,
+    # though no list of children is formed
+    children = np.random.SeedSequence(TRINE_PARAMS.seed).spawn(6)
+    for rec, child in zip(serial, children):
+        instance = build_protocol_instance(block, TRINE_PARAMS, seed_seq=child)
+        assert rec.report == instance_report(instance)
+        rng = np.random.default_rng(instance.trial_seed)
+        assert rec.transcript == run_protocol_trial(instance, rng)
 
 
 def test_empirical_e0_check_hand_counts():
