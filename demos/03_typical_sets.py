@@ -43,11 +43,12 @@ for seq in ts.members[:6]:
 print("  ...")
 print()
 
-# sampling is seeded and exact: frequencies converge on the pruned law
+# sampling is seeded and exact: frequencies converge on the pruned law;
+# each draw is a member index, its position in the sorted member list
 rng = np.random.default_rng(11)
 draws = sample_sequences(pruned, rng, 20000)
 seq0 = ts.members[0]
-freq = sum(d == seq0 for d in draws) / len(draws)
+freq = np.count_nonzero(draws == 0) / len(draws)
 print(f"frequency of {seq0} in 20000 draws: {freq:.4f}"
       f"  (pruned law says {pruned.prob(seq0):.4f})")
 print()

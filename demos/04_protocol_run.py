@@ -34,7 +34,7 @@ print(f"Alice typical sequences: {len(block.alice_block.typical.members)}")
 print(f"Bob marginal typical sequences: {len(block.bob_marg_typical.members)}")
 for cond_seq, blk in sorted(block.bob_blocks.items()):
     print(f"  conditioning {cond_seq}: {len(blk.typical.members)} conditional"
-          f" sequences, scale S = {blk.s_cond:.3f}")
+          f" sequences, scale S = {blk.typical.total_prob:.3f}")
 print()
 
 # one realized instance: codebooks drawn, operators assembled

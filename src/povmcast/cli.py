@@ -20,7 +20,7 @@ from importlib import resources
 
 import numpy as np
 
-from .config import load_config, params_to_json, params_with_axis
+from .config import load_config, params_to_json
 from .errors import ConfigError, PovmcastError, SizeLimitExceeded
 from .linalg import dimension_cap
 from .measurement import (
@@ -349,9 +349,9 @@ def cmd_sweep(args) -> int:
     error = None
     failed_value = None
     for value in cfg.sweep.values:
-        params = params_with_axis(cfg.params, axis, value)
         where = f"{cfg.name} {axis}={value!r}"
         try:
+            params = cfg.sweep.params_at(cfg.params, value, single)
             block = base_block
             if block is None:
                 block = build_block_scenario(single, params)

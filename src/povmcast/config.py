@@ -148,8 +148,28 @@ class EquivalenceSettings:
 
 @dataclass(frozen=True)
 class SweepSettings:
+    """One sweep axis and its values; sizes holds each codebook size of
+    the document's protocol section as written, as (key, value) pairs."""
+
     axis: str
     values: tuple
+    sizes: tuple = ()
+
+    def params_at(self, params: ProtocolParams, value, single) -> ProtocolParams:
+        """params moved to one point of the axis (params_with_axis). At
+        an n or delta point every size is resolved again from how it was
+        written, so a rate-expression size follows the point's n and
+        scalars, read from single's rate environment; an unresolvable
+        size raises ConfigError."""
+        params = params_with_axis(params, self.axis, value)
+        if self.axis not in ("n", "delta"):
+            return params
+        proto = {**params_to_json(params), **dict(self.sizes)}
+        env = {}
+        if any(isinstance(v, str) for _, v in self.sizes):
+            env = scenario_rate_environment(single)
+        _resolve_sizes(proto, env, "protocol")
+        return _protocol_params(proto, "protocol")
 
 
 @dataclass(eq=False)
@@ -207,6 +227,30 @@ _PROTOCOL_FIELDS = {
     "seed": ("seed", 0),
 }
 _SIZE_KEYS = ("sA", "sB", "sBprime", "MA", "MB")
+
+
+def _resolve_sizes(proto: dict, env: dict, where: str) -> None:
+    """Resolve each codebook size of a protocol section in place, at its
+    n and scalars; a case-1 pool left at 0 takes sB."""
+    for key in _SIZE_KEYS:
+        raw_val = proto[key]
+        if key == "sBprime" and raw_val == 0 and not isinstance(raw_val, bool):
+            proto[key] = 0
+            continue
+        proto[key] = resolve_size(
+            raw_val, proto["n"], env, proto, f"{where}.{key}"
+        )
+    if proto["case"] == 1 and proto["sBprime"] == 0:
+        proto["sBprime"] = proto["sB"]
+
+
+def _protocol_params(proto: dict, where: str) -> ProtocolParams:
+    """ProtocolParams of a resolved protocol section."""
+    fields = {attr: proto[key] for key, (attr, _) in _PROTOCOL_FIELDS.items()}
+    try:
+        return ProtocolParams(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def params_to_json(params: ProtocolParams) -> dict:
@@ -347,12 +391,8 @@ def config_from_dict(doc: dict, name: str = "config") -> ScenarioConfig:
     env = {}
     if any(isinstance(proto[key], str) for key in _SIZE_KEYS):
         env = scenario_rate_environment(prepare_scenario(rho, povm, g_a, g_b))
-    for key in _SIZE_KEYS:
-        raw_val = proto[key]
-        if key == "sBprime" and raw_val == 0 and not isinstance(raw_val, bool):
-            proto[key] = 0
-            continue
-        proto[key] = resolve_size(raw_val, n, env, proto, f"{where}.{key}")
+    sizes = tuple((key, proto[key]) for key in _SIZE_KEYS)
+    _resolve_sizes(proto, env, where)
 
     case = proto["case"]
     if not _is_int(case) or case not in (1, 2):
@@ -360,13 +400,7 @@ def config_from_dict(doc: dict, name: str = "config") -> ScenarioConfig:
     seed = proto["seed"]
     if not _is_int(seed) or seed < 0:
         raise ConfigError(f"{where}.seed must be a nonnegative integer")
-    if case == 1 and proto["sBprime"] == 0:
-        proto["sBprime"] = proto["sB"]
-    fields = {field: proto[key] for key, (field, _) in _PROTOCOL_FIELDS.items()}
-    try:
-        params = ProtocolParams(**fields)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    params = _protocol_params(proto, where)
 
     mode = doc.get("mode", "with_alice_randomness")
     if mode not in MODES:
@@ -423,7 +457,7 @@ def config_from_dict(doc: dict, name: str = "config") -> ScenarioConfig:
                 raise ConfigError(
                     f"{name}.sweep.values[{i}] must be a positive integer"
                 )
-        sweep = SweepSettings(axis=axis, values=tuple(values))
+        sweep = SweepSettings(axis=axis, values=tuple(values), sizes=sizes)
 
     out_doc = _section(doc, "output", name, ("path", "format"))
     out_path = out_doc.get("path")

@@ -21,11 +21,10 @@ sandwiching by sqrt(rho^n), summed over all outcome sequences.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
@@ -311,18 +310,19 @@ def _in_basis(basis: _Kron, diag, g) -> np.ndarray:
     return basis @ (diag[:, None] * (basis.H @ g))
 
 
-def _batched(apply, factors: dict) -> dict:
-    """apply run once on the hstack of every factor, split back per key;
-    no factor gives no table."""
+def _pieces(a, sizes) -> list:
+    """Consecutive views of a's last axis, of the given sizes."""
+    ends = np.cumsum(sizes).tolist()
+    return [a[..., end - size : end] for size, end in zip(sizes, ends)]
+
+
+def _batched(apply, factors: list) -> list:
+    """apply run once on the hstack of a list of factors, split back per
+    factor in their order; no factor gives none."""
     if not factors:
-        return {}
-    out = apply(np.concatenate(list(factors.values()), axis=1))
-    split = {}
-    start = 0
-    for key, f in factors.items():
-        split[key] = out[:, start : start + f.shape[1]]
-        start += f.shape[1]
-    return split
+        return []
+    out = apply(np.concatenate(factors, axis=1))
+    return _pieces(out, [f.shape[1] for f in factors])
 
 
 def build_xi_prime(pair_eigs, delta) -> np.ndarray:
@@ -376,12 +376,12 @@ class CutoffResult:
 
 
 def build_omega_and_cutoff(
-    xi_prime_map, probs, n, eps, h_ref_given_cond, delta
+    factors, probs, n, eps, h_ref_given_cond, delta
 ) -> CutoffResult:
     """Cut eigenvalues of xi_bar below eps * 2^{-n (H + delta)}.
 
-    xi_prime_map maps members to compressed-state factors F_x and probs
-    to their weights, so xi_bar = G G^dag with G = [sqrt(p_x) F_x]. The
+    factors lists the members' compressed-state factors F_x and probs
+    their weights, so xi_bar = G G^dag with G = [sqrt(p_x) F_x]. The
     eigenproblem is solved on the smaller side: the R x R Gram matrix
     G^dag G when G has fewer columns R than rows, else G G^dag; either
     is Hermitian by construction, so it goes to eigh unchecked.
@@ -389,10 +389,8 @@ def build_omega_and_cutoff(
     the positive spectrum. Returns the kept eigenvectors and eigenvalues;
     the caller projects the members' factors onto them.
     """
-    dim = next(iter(xi_prime_map.values())).shape[0]
-    g = np.hstack(
-        [math.sqrt(probs[m]) * f for m, f in xi_prime_map.items()]
-    )
+    dim = factors[0].shape[0]
+    g = np.hstack([math.sqrt(p) * f for p, f in zip(probs, factors)])
     threshold = eps * 2.0 ** (-n * (h_ref_given_cond + delta))
     gram = g.shape[1] < dim
     dec = descending_eigh(g.conj().T @ g if gram else g @ g.conj().T)
@@ -417,10 +415,10 @@ class ConditioningBlock:
     cutoff of the averaged compressed state, and per typical member the
     factor w_x = rho_cond^{-1/2} P F_x, where P is the cutoff projector
     and F_x the P_C-compressed state's factor, so that
-    rho_cond^{-1/2} xi_x rho_cond^{-1/2} = w_x w_x^dag. norms (K x 2, in
-    member order) holds each w_x's squared Frobenius norm and largest
-    squared column norm, from which a trial bounds its bins' operator
-    sums (_settle_bins).
+    rho_cond^{-1/2} xi_x rho_cond^{-1/2} = w_x w_x^dag. gamma_factors
+    lists the w_x and norms (K x 2) each w_x's squared Frobenius norm and
+    largest squared column norm, both in member order, from which a
+    trial bounds its bins' operator sums (_settle_bins).
 
     The geometry is covariant under permuting the n copies. Members that
     differ by a permutation fixing cond_seq share one built factor, the
@@ -430,10 +428,9 @@ class ConditioningBlock:
     """
 
     cond_seq: tuple
-    gamma_factors: dict
+    gamma_factors: list
     typical: TypicalSet
     pruned: PrunedDistribution
-    s_cond: float
     cutoff: CutoffResult
     norms: np.ndarray
 
@@ -507,19 +504,15 @@ def _factor_norms(w) -> tuple:
     return float(cols.sum()), float(cols.max(initial=0.0))
 
 
-def _carried(factors, carries, dim) -> dict:
+def _carried(factors, carries, dim) -> list:
     """Each member's factor, its rep's factor carried by its axes, as
-    views of one D x K buffer in member order."""
+    views of one D x K buffer, in member order."""
     widths = [factors[rep].shape[1] for rep, _ in carries.values()]
     first = next(iter(factors.values()))
     buf = np.empty((first.shape[0], sum(widths)), dtype=first.dtype)
-    out = {}
-    start = 0
-    for (x, (rep, axes)), width in zip(carries.items(), widths):
-        stop = start + width
-        buf[:, start:stop] = _permute_copies(factors[rep], axes, dim)
-        out[x] = buf[:, start:stop]
-        start = stop
+    out = _pieces(buf, widths)
+    for (rep, axes), view in zip(carries.values(), out):
+        view[:] = _permute_copies(factors[rep], axes, dim)
     return out
 
 
@@ -570,11 +563,12 @@ def _build_conditioning_block(
         )
     basis = eigs.basis(cond_seq)
     _, mask = _typical_mask(eigs.eigenvalues(cond_seq), delta)
-    xi_rep = _batched(lambda g: _in_basis(basis, mask, g), xi_rep)
+    reps, xi = list(xi_rep), list(xi_rep.values())
+    xi = _batched(lambda g: _in_basis(basis, mask, g), xi)
 
     # the carried factors of all members, freed once the cutoff is found
     cutoff = build_omega_and_cutoff(
-        _carried(xi_rep, carries, dim), pruned.probs, n, eps,
+        _carried(dict(zip(reps, xi)), carries, dim), pruned.probs, n, eps,
         h_ref_given_cond, delta,
     )
     vecs = cutoff.basis
@@ -583,14 +577,13 @@ def _build_conditioning_block(
     def whiten(g):
         return _in_basis(basis, inv, vecs @ (vecs.conj().T @ g))
 
-    w_rep = _batched(whiten, xi_rep)
+    w_rep = dict(zip(reps, _batched(whiten, xi)))
     norms = {rep: _factor_norms(w) for rep, w in w_rep.items()}
     return ConditioningBlock(
         cond_seq=cond_seq,
         gamma_factors=_carried(w_rep, carries, dim),
         typical=typical,
         pruned=pruned,
-        s_cond=float(typical.total_prob),
         cutoff=cutoff,
         norms=np.array([norms[rep] for rep, _ in carries.values()]),
     )
@@ -603,8 +596,8 @@ def _permuted_block(rep: ConditioningBlock, cond_seq, dim) -> ConditioningBlock:
     cond_seq[order[j]]; axes is its inverse, so copy i of cond_seq is copy
     axes[i] of rep.cond_seq. A rep member x maps to the member y with
     y[i] = x[axes[i]], and a D x r factor to _permute_copies by axes.
-    Probabilities, member norms, s_cond and the cutoff's eigenvalues and
-    threshold are rep's, and the members are the mapped ones, sorted.
+    Probabilities, member norms, the set's mass and the cutoff's
+    eigenvalues and threshold are rep's; the members are the mapped ones.
     """
     if cond_seq == rep.cond_seq:
         return rep
@@ -613,21 +606,19 @@ def _permuted_block(rep: ConditioningBlock, cond_seq, dim) -> ConditioningBlock:
     def permute(g):
         return _permute_copies(g, axes, dim)
 
-    # the mapped members; perm lists the rep member index of each in
-    # their sorted order
-    mapped = [tuple(x[j] for j in axes) for x in rep.typical.members]
-    perm = sorted(range(len(mapped)), key=mapped.__getitem__)
-    members = tuple(mapped[i] for i in perm)
-    typical = replace(rep.typical, members=members)
-    source = [rep.typical.members[i] for i in perm]
-    probs = dict(zip(members, map(rep.pruned.probs.__getitem__, source)))
-    gamma = dict(zip(members, map(rep.gamma_factors.__getitem__, source)))
+    # the mapped members' symbols, one row per copy, and perm, the rep
+    # member index of each mapped member in their sorted order
+    shape = (rep.typical.alphabet_size,) * len(axes)
+    digits = np.array(np.unravel_index(rep.typical.codes, shape))[list(axes)]
+    codes = np.ravel_multi_index(digits, shape)
+    perm = np.argsort(codes)
+    members = tuple(zip(*digits[:, perm].tolist()))
+    typical = replace(rep.typical, members=members, codes=codes[perm])
     return ConditioningBlock(
         cond_seq=cond_seq,
-        gamma_factors=_batched(permute, gamma),
+        gamma_factors=_batched(permute, [rep.gamma_factors[i] for i in perm]),
         typical=typical,
-        pruned=PrunedDistribution(base=typical, probs=probs),
-        s_cond=rep.s_cond,
+        pruned=PrunedDistribution(base=typical, probs=rep.pruned.probs[perm]),
         cutoff=replace(rep.cutoff, basis=permute(rep.cutoff.basis)),
         norms=rep.norms[perm],
     )
@@ -807,14 +798,16 @@ def _share(flags) -> float:
 
 @dataclass(eq=False)
 class Codebook:
-    """Random codewords plus, in case 1, the selection bookkeeping.
+    """Random codewords of one trial, each a member index: its position
+    in the sorted member list of the law it was drawn from.
 
-    Case 2 stores size codewords per (conditioning, bin) drawn from the
-    conditional law. Case 1 stores size_prime marginal draws per bin and,
-    per conditioning, the indices of the first size conditionally typical
-    ones; a selection failure (fewer than size found) is flagged. cells
-    maps each (conditioning, bin) to its selected codewords, built once
-    with the codebook; in case 2 it is entries.
+    cells maps each conditioning to an (m_count, size) array, row m the
+    codewords of bin m, in the conditioning's law. Case 2 draws them from
+    that law, entries mapping each (conditioning, bin) to its row. Case 1
+    draws a pool of size_prime marginal codewords per bin (entries maps
+    bins to pools); selection holds, per cell, the pool positions of the
+    first size conditionally typical draws, and a cell with fewer is
+    flagged in failure_flags, its row holding -1 past them.
     """
 
     case: int
@@ -824,24 +817,17 @@ class Codebook:
     entries: dict
     selection: dict
     failure_flags: dict
-    cells: dict = field(init=False, repr=False)
+    cells: dict
 
-    def __post_init__(self):
+    def codewords(self, cond_seq, m) -> np.ndarray:
+        """Selected codewords of one (conditioning, bin) cell, a view of
+        its row; a case-1 cell that failed selection is partial."""
+        row = self.cells[cond_seq][m]
         if self.case == 2:
-            self.cells = self.entries
-        else:
-            self.cells = {
-                (cond_seq, m): tuple(self.entries[m][j] for j in picked)
-                for (cond_seq, m), picked in self.selection.items()
-            }
+            return row
+        return row[: len(self.selection[(cond_seq, m)])]
 
-    def codewords(self, cond_seq, m):
-        """Selected codewords for one (conditioning, bin) cell, in
-        codebook order. Case 1 cells that failed selection return the
-        partial list."""
-        return self.cells[(cond_seq, m)]
-
-    def selected_index(self, cond_seq, m, j):
+    def selected_index(self, cond_seq, m, j) -> int:
         """Map a selected position j to the index in the underlying bin
         list (case 1); identity in case 2."""
         if self.case == 2:
@@ -851,6 +837,38 @@ class Codebook:
     @property
     def failure_rate(self) -> float:
         return _share(self.failure_flags.values())
+
+
+def _select(marginal, laws, pools, size) -> tuple:
+    """Per law and pool (bin) of marginal draws, the first size draws
+    that are members of the law: their member indices in the law,
+    (laws, bins, size) with -1 past the ones found, and their pool
+    positions, law by law and bin by bin; as many laws per pass as keep
+    each array within STACK_BYTES."""
+    span = marginal.base.alphabet_size ** marginal.base.n
+    drawn = marginal.base.codes[pools]
+    draws = np.full((len(laws), pools.shape[0], size), -1)
+    picks = []
+    step = max(1, STACK_BYTES // (8 * max(pools.size, span)))
+    for lo in range(0, len(laws), step):
+        # the member index of each code in each law, -1 off the law
+        chunk = [law.base.codes for law in laws[lo : lo + step]]
+        table = np.full((len(chunk), span), -1)
+        for row, codes in zip(table, chunk):
+            row[codes] = np.arange(codes.size)
+        # rank numbers each bin's member draws from 1 and the first size
+        # are selected, so a pool prefix holding size in every bin will do
+        width = 4 * size
+        while True:
+            hits = table[:, drawn[:, :width]]
+            rank = (hits >= 0).cumsum(axis=2)
+            if width >= pools.shape[1] or rank[..., -1].min() >= size:
+                break
+            width *= 4
+        law, bins, cols = np.nonzero((hits >= 0) & (rank <= size))
+        draws[lo + law, bins, rank[law, bins, cols] - 1] = hits[law, bins, cols]
+        picks += cols.tolist()
+    return draws, picks
 
 
 def generate_codebook(
@@ -867,55 +885,47 @@ def generate_codebook(
 
     conditionals maps each conditioning sequence to the pruned
     conditional law codewords must follow. Case 1 also needs the pruned
-    output marginal. Conditioning sequences are visited in sorted order
-    so the RNG stream is reproducible.
+    output marginal. Conditioning sequences are visited in sorted order,
+    and case 2 draws all bins of a conditioning in one sample_sequences
+    call, case 1 all pools in one, which reproduces the stream of a draw
+    per bin; case 1 then selects from the pools for every conditioning
+    in vectorised passes (_select).
     """
     case = params.case if case is None else case
     size = params.s_b if size is None else size
     m_count = params.m_b if m_count is None else m_count
+    size_prime = params.s_b_prime if case == 1 else 0
 
-    entries = {}
-    selection = {}
-    failure = {}
     cond_keys = sorted(conditionals.keys())
+    laws = [conditionals[c] for c in cond_keys]
+    selection, failure = {}, {}
     if case == 2:
-        for cond_seq in cond_keys:
-            law = conditionals[cond_seq]
-            for m in range(m_count):
-                entries[(cond_seq, m)] = tuple(sample_sequences(law, rng, size))
-        return Codebook(
-            case=2,
-            size=size,
-            m_count=m_count,
-            size_prime=0,
-            entries=entries,
-            selection=selection,
-            failure_flags=failure,
-        )
-
-    if marginal is None:
-        raise SizeMismatch("case 1 needs a pruned output marginal")
-    for m in range(m_count):
-        entries[m] = tuple(sample_sequences(marginal, rng, params.s_b_prime))
-    for cond_seq in cond_keys:
-        allowed = conditionals[cond_seq].probs
-        for m in range(m_count):
-            picked = []
-            for j, seq in enumerate(entries[m]):
-                if seq in allowed:
-                    picked.append(j)
-                    if len(picked) == size:
-                        break
-            selection[(cond_seq, m)] = tuple(picked)
-            failure[(cond_seq, m)] = len(picked) < size
+        draws = [sample_sequences(law, rng, m_count * size) for law in laws]
+        draws = np.array(draws, np.intp).reshape(len(laws), m_count, size)
+        keys = itertools.product(cond_keys, range(m_count))
+        entries = dict(zip(keys, draws.reshape(-1, size)))
+    else:
+        if marginal is None:
+            raise SizeMismatch("case 1 needs a pruned output marginal")
+        pools = sample_sequences(marginal, rng, m_count * size_prime)
+        pools = pools.reshape(m_count, size_prime)
+        entries = dict(enumerate(pools))
+        draws, picks = _select(marginal, laws, pools, size)
+        found = np.count_nonzero(draws >= 0, axis=2).ravel().tolist()
+        start = 0
+        for key, count in zip(itertools.product(cond_keys, range(m_count)), found):
+            selection[key] = tuple(picks[start : start + count])
+            failure[key] = count < size
+            start += count
     return Codebook(
-        case=1,
+        case=case,
         size=size,
         m_count=m_count,
-        size_prime=params.s_b_prime,
+        size_prime=size_prime,
         entries=entries,
         selection=selection,
         failure_flags=failure,
+        cells=dict(zip(cond_keys, draws)),
     )
 
 
@@ -923,42 +933,28 @@ def generate_codebook(
 class BobOperatorSet:
     """Realized measurement operators for one conditioning sequence.
 
-    The operator of a codeword x is scale * w_x w_x^dag, w_x being
-    block.gamma_factors[x], so a trial is carried as counts: gamma maps
-    (j, m) to the codeword at position j of bin m, and bin_counts maps
-    each bin m to its member -> count dict. Bins whose operator sum leaks
-    above the identity, or whose case-1 selection failed, fall back to
-    the trivial single-outcome measurement and are flagged here.
+    The operator of a codeword x, a member index of block, is
+    scale * w_x w_x^dag, w_x being block.gamma_factors[x]: gamma lists
+    every codeword, bin by bin in draw order, and bins the bin of each.
+    Bins whose operator sum leaks above the identity, or whose case-1
+    selection failed, fall back to the trivial single-outcome
+    measurement and are flagged here.
     """
 
     block: ConditioningBlock
-    gamma: dict
-    bin_counts: dict
+    gamma: np.ndarray
+    bins: np.ndarray
     scale: float
     is_valid_subpovm: dict
     fallback_applied: dict
 
-    @property
-    def cond_seq(self):
-        return self.block.cond_seq
-
-    def pooled_counts(self) -> dict:
-        """Member -> count over the bins that did not fall back."""
-        pooled = {}
-        for m, counts in self.bin_counts.items():
-            if self.fallback_applied[m]:
-                continue
-            for seq, count in counts.items():
-                pooled[seq] = pooled.get(seq, 0) + count
-        return pooled
-
-    def columns(self, counts) -> list:
-        """Column blocks sqrt(scale * n_x) w_x of a member -> count dict;
+    def columns(self, members, counts) -> list:
+        """Column blocks sqrt(scale * n_x) w_x of members drawn n_x times;
         stacked into G, G G^dag is the operator sum of those codewords."""
         factors = self.block.gamma_factors
         return [
-            math.sqrt(self.scale * count) * factors[seq]
-            for seq, count in counts.items()
+            math.sqrt(self.scale * count) * factors[x]
+            for x, count in zip(members.tolist(), counts.tolist())
         ]
 
 
@@ -1054,36 +1050,56 @@ def _apply_root(root, g) -> np.ndarray:
     return u @ (s[:, None] * (u.conj().T @ g))
 
 
+def _first_draws(opsets, m_count, fell=None) -> tuple:
+    """Each bin's distinct codewords over all opsets, one pass: (owner,
+    members, counts), owner i * m_count + m for bin m of opset i, ordered
+    by owner and then by first draw. With fell, an (opsets, m_count)
+    array of flags, flagged bins are left out and the others of each
+    opset pooled, owner being the opset's index."""
+    empty = [np.zeros(0, np.intp)]
+    owner = np.concatenate(empty + [i * m_count + o.bins for i, o in enumerate(opsets)])
+    words = np.concatenate(empty + [o.gamma for o in opsets])
+    if fell is not None:
+        keep = ~fell.ravel()[owner]
+        owner, words = owner[keep] // m_count, words[keep]
+    span = int(words.max(initial=0)) + 1
+    keys, first, counts = np.unique(
+        owner * span + words, return_index=True, return_counts=True
+    )
+    order = np.argsort(first)
+    return (*np.divmod(keys[order], span), counts[order])
+
+
+def _pooled(opsets) -> list:
+    """Per opset, (members, counts) over its bins that did not fall back:
+    each member drawn there, listed at its first draw, with how often it
+    was drawn there."""
+    m_count = max((len(o.fallback_applied) for o in opsets), default=1)
+    fell = [[o.fallback_applied[m] for m in range(m_count)] for o in opsets]
+    fell = np.array(fell, dtype=bool).reshape(len(opsets), m_count)
+    owner, members, counts = _first_draws(opsets, m_count, fell)
+    sizes = np.bincount(owner, minlength=len(opsets)).tolist()
+    return list(zip(_pieces(members, sizes), _pieces(counts, sizes)))
+
+
 def build_gamma(
     block: ConditioningBlock, codebook: Codebook, *, eps
 ) -> BobOperatorSet:
     """Count the drawn codewords of each bin against the block's factors.
 
-    Each codeword's operator gets weight scale = s_cond / ((1 + eps) *
-    size * m_count), size and m_count being the codebook's; the sum over
-    a bin then concentrates near identity / (m_count) on the cut support
-    when the codebook is large enough.
+    Each codeword's operator gets weight scale = S / ((1 + eps) * size *
+    m_count), S = typical.total_prob and size and m_count being the
+    codebook's; the sum over a bin then concentrates near identity /
+    (m_count) on the cut support when the codebook is large enough.
     """
-    size = codebook.size
-    m_count = codebook.m_count
-    gamma = {}
-    bin_counts = {}
-    for m in range(m_count):
-        counts = {}
-        for j, seq in enumerate(codebook.codewords(block.cond_seq, m)):
-            if seq not in block.gamma_factors:
-                raise SizeMismatch(
-                    f"codeword {seq} is outside the conditional typical set "
-                    f"of {block.cond_seq}"
-                )
-            gamma[(j, m)] = seq
-            counts[seq] = counts.get(seq, 0) + 1
-        bin_counts[m] = counts
+    cells = codebook.cells[block.cond_seq]
+    drawn = cells >= 0
     return BobOperatorSet(
         block=block,
-        gamma=gamma,
-        bin_counts=bin_counts,
-        scale=block.s_cond / ((1.0 + eps) * size * m_count),
+        gamma=cells[drawn],
+        bins=np.nonzero(drawn)[0],
+        scale=block.typical.total_prob
+        / ((1.0 + eps) * codebook.size * codebook.m_count),
         is_valid_subpovm={},
         fallback_applied={},
     )
@@ -1117,25 +1133,20 @@ def _settle_bins(opsets, m_count) -> tuple:
        ||G||_1 ||G||_inf <= lo;
     4. the rest, the narrow bins among them, get _top_eigenvalues, one
        eigvalsh per chunk of each exact shape.
-    A member's norms are found by bisecting its block's sorted members.
     """
     thr = 1.0 + TAU_PSD
     lo, hi = thr * (1.0 - SETTLE_MARGIN), thr * (1.0 + SETTLE_MARGIN)
     shape = (len(opsets), m_count)
-    owner, weight, index, tables = [], [], [], [np.zeros((0, 2))]
-    offset = 0
-    for i, opset in enumerate(opsets):
-        members = opset.block.typical.members
-        for m in range(m_count):
-            counts = opset.bin_counts.get(m, {})
-            index += [offset + bisect.bisect_left(members, x) for x in counts]
-            owner += [i * m_count + m] * len(counts)
-            weight += [opset.scale * count for count in counts.values()]
-        tables.append(opset.block.norms)
-        offset += len(members)
-    weighted = np.concatenate(tables)[index] * np.array(weight)[:, None]
-    owner = np.array(owner, dtype=np.intp)
     size = math.prod(shape)
+    # each bin's distinct codewords with their counts, entries starts[b]
+    # up to starts[b + 1]
+    owner, members, counts = _first_draws(opsets, m_count)
+    starts = np.searchsorted(owner, np.arange(size + 1)).tolist()
+    index = owner // m_count
+    offsets = np.cumsum([0] + [len(o.block.norms) for o in opsets])
+    norms = np.concatenate([np.zeros((0, 2))] + [o.block.norms for o in opsets])
+    scales = np.array([0.0] + [o.scale for o in opsets])[1:]
+    weighted = norms[offsets[index] + members] * (scales[index] * counts)[:, None]
     trace = np.bincount(owner, weights=weighted[:, 0], minlength=size)
     column = np.zeros(size)
     np.maximum.at(column, owner, weighted[:, 1])
@@ -1144,30 +1155,24 @@ def _settle_bins(opsets, m_count) -> tuple:
     stage = np.where(valid, STAGE_TRACE, 0)
     stage[~valid & (column > hi)] = STAGE_COLUMN
 
-    def counts_of(b):
-        opset = opsets[b // m_count]
-        return opset, opset.bin_counts.get(b % m_count, {})
-
-    exact = []
+    exact, columns = [], []
     for b in np.flatnonzero(stage == 0).tolist():
-        opset, counts = counts_of(b)
-        factors = [opset.block.gamma_factors[seq] for seq in counts]
+        opset = opsets[b // m_count]
+        x, n = (a[starts[b] : starts[b + 1]] for a in (members, counts))
+        factors = [opset.block.gamma_factors[i] for i in x.tolist()]
         widths = [f.shape[1] for f in factors]
-        if 2 * sum(widths) <= factors[0].shape[0]:
-            exact.append(b)
-            continue
-        # ||G||_1 and ||G||_inf from |w_x|, each column of member x
-        # weighted by sqrt(scale n_x)
-        a = np.abs(np.concatenate(factors, axis=1))
-        root = np.sqrt(opset.scale * np.repeat(list(counts.values()), widths))
-        rows = (a * root).sum(axis=1).max()
-        if float(rows * (a.sum(axis=0) * root).max()) <= lo:
-            valid[b], stage[b] = True, STAGE_NORMS
-        else:
-            exact.append(b)
-    tops = _top_eigenvalues(
-        [opset.columns(counts) for opset, counts in map(counts_of, exact)]
-    )
+        if 2 * sum(widths) > factors[0].shape[0]:
+            # ||G||_1 and ||G||_inf from |w_x|, each column of member x
+            # weighted by sqrt(scale n_x)
+            a = np.abs(np.concatenate(factors, axis=1))
+            root = np.sqrt(opset.scale * np.repeat(n, widths))
+            rows = (a * root).sum(axis=1).max()
+            if float(rows * (a.sum(axis=0) * root).max()) <= lo:
+                valid[b], stage[b] = True, STAGE_NORMS
+                continue
+        exact.append(b)
+        columns.append(opset.columns(x, n))
+    tops = _top_eigenvalues(columns)
     for b, top in zip(exact, tops):
         valid[b], stage[b] = top <= thr, STAGE_EXACT
     return valid.reshape(shape), stage.reshape(shape)
@@ -1180,7 +1185,7 @@ def _flag_bins(opsets, codebook) -> None:
     for opset, row in zip(opsets, valid.tolist()):
         for m, ok in enumerate(row):
             failed = bool(
-                codebook.failure_flags.get((opset.cond_seq, m), False)
+                codebook.failure_flags.get((opset.block.cond_seq, m), False)
             )
             opset.is_valid_subpovm[m] = ok
             opset.fallback_applied[m] = (not ok) or failed
@@ -1251,17 +1256,11 @@ def build_alice_measurement(
         # scale * I: the identity stands in for its gamma factor
         only_seq = (0,) * n
         eye = np.eye(block.rho_n.shape[0])
-        opset = BobOperatorSet(
-            block=replace(
-                ab,
-                gamma_factors={only_seq: eye},
-                norms=np.array([_factor_norms(eye)]),
-            ),
-            gamma=dict.fromkeys(
-                itertools.product(range(params.s_a), range(params.m_a)),
-                only_seq,
-            ),
-            bin_counts={m: {only_seq: params.s_a} for m in range(params.m_a)},
+        stand_in = replace(
+            ab, gamma_factors=[eye], norms=np.array([_factor_norms(eye)])
+        )
+        opset = replace(
+            build_gamma(stand_in, codebook, eps=0.0),
             scale=1.0 / (params.m_a * params.s_a),
             is_valid_subpovm=dict.fromkeys(range(params.m_a), True),
             fallback_applied=dict.fromkeys(range(params.m_a), False),
@@ -1272,17 +1271,19 @@ def build_alice_measurement(
         opset = build_gamma(ab, codebook, eps=params.eps)
         validate_subpovm(opset, codebook)
         summed, sqrt_lambda_tilde = {}, {}
-        pooled = opset.pooled_counts()
-        factors = [ab.gamma_factors[seq] for seq in pooled]
+        members, counts = (a.tolist() for a in _pooled([opset])[0])
+        factors = [ab.gamma_factors[x] for x in members]
         roots = _thin_roots(factors)
-        for (seq, count), w, (u, s) in zip(pooled.items(), factors, roots):
+        for x, count, w, (u, s) in zip(members, counts, factors, roots):
+            seq = ab.typical.members[x]
             weight = math.sqrt(count * opset.scale)
             summed[seq] = weight * w
             sqrt_lambda_tilde[seq] = (u, weight * s)
+    sandwiched = _batched(lambda g: block.sqrt_rho_n @ g, list(summed.values()))
     return AliceMeasurement(
         opset=opset,
         codebook=codebook,
-        lambda_tilde=_batched(lambda g: block.sqrt_rho_n @ g, summed),
+        lambda_tilde=dict(zip(summed, sandwiched)),
         sqrt_lambda_tilde=sqrt_lambda_tilde,
         trivial=trivial,
     )
@@ -1308,12 +1309,13 @@ def assemble_bob_povm(
     operator.
     """
     tilde, prime = [], []
-    for cond_seq, opset in bob_sets.items():
-        pooled = opset.pooled_counts()
-        if not pooled:
+    pooled = _pooled(list(bob_sets.values()))
+    for (cond_seq, opset), (members, counts) in zip(bob_sets.items(), pooled):
+        if not members.size:
             continue
-        cols = opset.columns(pooled)
-        widths = [(seq, c.shape[1]) for seq, c in zip(pooled, cols)]
+        cols = opset.columns(members, counts)
+        seqs = opset.block.typical.members
+        widths = [(seqs[x], c.shape[1]) for x, c in zip(members.tolist(), cols)]
         stacked = np.concatenate(cols, axis=1)
         prime.append((widths, block.sqrt_lambda_a_n[cond_seq] @ stacked))
         root = alice.sqrt_lambda_tilde.get(cond_seq)
@@ -1506,43 +1508,41 @@ def empirical_e0_check(
 ) -> E0Report:
     """Frequency-band check of realized codewords against the pruned law.
 
-    Only the drawn members of a conditioning are scored one by one. An
-    undrawn member has frequency 0, so its relative deviation is exactly
-    1, and it is out of band when (1 - eps) p > 0, which for a positive p
-    does not depend on the member: the undrawn ones count without a
-    visit, through the smallest p.
+    Codewords are counted per member index over the cells whose
+    selection did not fail, all conditionings at once, and only the
+    drawn members are scored. An undrawn member has frequency 0, so its
+    relative deviation is exactly 1, and it is out of band when
+    (1 - eps) p > 0, which for a positive p does not depend on the
+    member: the undrawn ones count through the smallest p.
     """
-    ok = True
-    worst = 0.0
-    draw_counts = {}
-    for cond_seq in sorted(conditionals.keys()):
-        law = conditionals[cond_seq]
-        counts = {}
-        total = 0
-        for m in range(codebook.m_count):
-            if codebook.failure_flags.get((cond_seq, m), False):
-                continue
-            words = codebook.codewords(cond_seq, m)
-            total += len(words)
-            for seq in words:
-                counts[seq] = counts.get(seq, 0) + 1
-        draw_counts[cond_seq] = total
-        if total == 0:
-            ok = False
-            worst = float("inf")
-            continue
-        drawn = [seq for seq in counts if seq in law.probs]
-        if len(drawn) < len(law.support()):
-            worst = max(worst, 1.0)
-            if (1.0 - eps) * law.min_prob > 0:
-                ok = False
-        for seq in drawn:
-            p = law.prob(seq)
-            freq = counts[seq] / total
-            rel = abs(freq / p - 1.0)
-            worst = max(worst, rel)
-            if not ((1.0 - eps) * p <= freq <= (1.0 + eps) * p):
-                ok = False
+    keys = sorted(conditionals.keys())
+    laws = [conditionals[c] for c in keys]
+    sizes = [law.probs.size for law in laws]
+    flags = codebook.failure_flags
+    failed = [[flags.get((c, m), False) for m in range(codebook.m_count)] for c in keys]
+    draws = np.array([codebook.cells[c] for c in keys], np.intp)
+    draws = draws.reshape(len(keys), codebook.m_count, codebook.size)
+    draws[np.array(failed, dtype=bool).reshape(draws.shape[:2])] = -1
+    cond = np.nonzero(draws >= 0)[0]
+    total = np.bincount(cond, minlength=len(keys))
+    offsets = np.cumsum([0] + sizes)
+    tally = np.bincount(offsets[cond] + draws[draws >= 0], minlength=offsets[-1])
+    probs = np.concatenate([np.zeros(0)] + [law.probs for law in laws])
+    owner = np.repeat(np.arange(len(keys)), sizes)  # each member's conditioning
+    draw_counts = dict(zip(keys, total.tolist()))
+    ok = bool(np.all(total > 0))
+    worst = 0.0 if ok else float("inf")
+    undrawn = (tally == 0) & (total[owner] > 0)
+    if undrawn.any():
+        worst = max(worst, 1.0)
+        min_prob = np.minimum.reduceat(probs, offsets[:-1])[owner[undrawn]]
+        ok = ok and not np.any((1.0 - eps) * min_prob > 0)
+    drawn = np.flatnonzero(tally)
+    if drawn.size:
+        p = probs[drawn]
+        freq = tally[drawn] / total[owner[drawn]]
+        worst = max(worst, float(np.abs(freq / p - 1.0).max()))
+        ok = ok and bool(np.all(((1.0 - eps) * p <= freq) & (freq <= (1.0 + eps) * p)))
     return E0Report(ok=ok, violation=worst, draw_counts=draw_counts)
 
 
@@ -1664,13 +1664,10 @@ def _codeword_weights(opset, words, m_count, adjoint) -> list:
     ||F^dag w_x||^2 of one bin's codewords, one product per member, for a
     state given by the adjoint F^dag of its factor F."""
     factors = opset.block.gamma_factors
-    per_member = {}
-    for seq in words:
-        if seq not in per_member:
-            x = adjoint @ factors[seq]
-            trace = float(np.vdot(x, x).real)
-            per_member[seq] = m_count * opset.scale * trace
-    return [per_member[seq] for seq in words]
+    distinct, inverse = np.unique(words, return_inverse=True)
+    ys = [adjoint @ factors[x] for x in distinct.tolist()]
+    per_member = [m_count * opset.scale * float(np.vdot(y, y).real) for y in ys]
+    return [per_member[k] for k in inverse.tolist()]
 
 
 def _collapsed_state(alice, seq, rho_n) -> np.ndarray:
@@ -1739,7 +1736,7 @@ def run_protocol_trial(instance: ProtocolInstance, rng) -> SimulationTranscript:
     j_a = _sample_index(weights, residual, rng)
     if j_a >= len(words_a):
         return degenerate("alice_garbage", m_a=m_a, m_b=m_b)
-    alice_seq = words_a[j_a]
+    alice_seq = block.alice_block.typical.members[words_a[j_a]]
 
     if weights[j_a] <= TAU_PROB:
         return degenerate("alice_garbage", m_a=m_a, m_b=m_b, j_a=j_a)
@@ -1757,7 +1754,7 @@ def run_protocol_trial(instance: ProtocolInstance, rng) -> SimulationTranscript:
     j_pos = _sample_index(weights_b, residual_b, rng)
     if j_pos >= len(words_b):
         return degenerate("bob_garbage", m_a=m_a, m_b=m_b, j_a=j_a)
-    bob_seq = words_b[j_pos]
+    bob_seq = opset.block.typical.members[words_b[j_pos]]
     if instance.mode == "with_alice_randomness":
         j_b = j_pos
     else:

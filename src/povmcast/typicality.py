@@ -33,12 +33,14 @@ MEMBERSHIP_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class TypicalSet:
-    """Entropy-typical sequences of one product law, lexicographically sorted."""
+    """Entropy-typical sequences of one product law, lexicographically
+    sorted; codes holds each member's index in product order, ascending."""
 
     n: int
     delta: float
     alphabet_size: int
     members: tuple
+    codes: np.ndarray = field(compare=False, repr=False)
     total_prob: float
 
 
@@ -46,30 +48,27 @@ class TypicalSet:
 class PrunedDistribution:
     """Typical set with its renormalized (pruned) probabilities.
 
-    cum, the cumulative probabilities in member order that sampling
-    inverts, and min_prob, the smallest probability, are set when the law
-    is built.
+    probs holds the probabilities in member order, so a member index
+    reads its own; cum, their cumulative sums that sampling inverts, is
+    set when the law is built.
     """
 
     base: TypicalSet
-    probs: dict
+    probs: np.ndarray
     cum: np.ndarray = field(init=False, repr=False)
-    min_prob: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "cum", self.prob_vector().cumsum())
-        object.__setattr__(
-            self, "min_prob", min(self.probs.values(), default=np.inf)
-        )
+        object.__setattr__(self, "cum", self.probs.cumsum())
 
     def prob(self, seq) -> float:
-        return self.probs.get(tuple(seq), 0.0)
+        """Probability of one sequence; 0 off the typical set."""
+        try:
+            return float(self.probs[self.base.members.index(tuple(seq))])
+        except ValueError:
+            return 0.0
 
     def support(self) -> tuple:
         return self.base.members
-
-    def prob_vector(self) -> np.ndarray:
-        return np.array([self.probs[m] for m in self.base.members])
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,6 +124,7 @@ def _typical_set(per_position_laws, delta: float) -> TypicalSet:
         delta=float(delta),
         alphabet_size=shape[0],
         members=members,
+        codes=flat,
         total_prob=total_prob,
     )
 
@@ -197,8 +197,7 @@ def prune_conditional(p_cond, x_a_seq, ts: TypicalSet) -> PrunedDistribution:
     s = float(raw.sum())
     if s <= 0.0:
         raise EmptySupport("typical set carries zero probability mass")
-    probs = {m: float(v / s) for m, v in zip(ts.members, raw)}
-    return PrunedDistribution(base=ts, probs=probs)
+    return PrunedDistribution(base=ts, probs=raw / s)
 
 
 def branch_eigensystem(state):
@@ -245,22 +244,19 @@ def conditional_quantum_typical_projector(
 
 def sample_sequences(
     pd: PrunedDistribution, rng: np.random.Generator, count: int
-) -> list:
-    """count exact draws by cumulative inversion over the sorted member list.
-
-    Raises SizeLimitExceeded when numpy cannot hold count draws.
+) -> np.ndarray:
+    """count exact draws by cumulative inversion over the sorted member
+    list, as member indices (positions in pd.support()). One uniform per
+    draw: drawing a + b at once gives the draws of a call for a and then
+    one for b. Raises SizeLimitExceeded when numpy cannot hold count draws.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    if count == 0:
-        return []
-    cum = pd.cum
     try:
         u = rng.random(count)
     except (MemoryError, ValueError) as exc:
         # numpy refuses a count whose array it cannot allocate or index
         raise SizeLimitExceeded(f"cannot draw {count} sequences: {exc}") from None
-    idxs = np.minimum(
-        np.searchsorted(cum, u, side="right"), len(pd.base.members) - 1
+    return np.minimum(
+        np.searchsorted(pd.cum, u, side="right"), len(pd.base.members) - 1
     )
-    return [pd.base.members[int(i)] for i in idxs]

@@ -379,20 +379,101 @@ def member_norms(w):
     return sum(cols), max(cols, default=0.0)
 
 
-def e0_check(codebook, conditionals, eps):
+def literal_codebook(marginal, conditionals, rng, *, case, size, m_count,
+                     size_prime=0):
+    """A codebook by the tuple route: one draw per bin, each codeword the
+    sequence itself, and in case 1 a scan of each bin's pool once per
+    conditioning that keeps the first size conditionally typical draws.
+
+    Returns a dict with pools (bin -> tuple of sequences, case 1), cells
+    ((conditioning, bin) -> tuple of sequences), selection ((conditioning,
+    bin) -> tuple of pool positions, case 1), failure_flags and
+    bin_counts ((conditioning, bin) -> {sequence: count} in first-draw
+    order), conditionings visited in sorted order.
+    """
+    def draw(law, count):
+        members = law.support()
+        u = rng.random(count)
+        idx = np.minimum(
+            np.searchsorted(law.cum, u, side="right"), len(members) - 1
+        )
+        return tuple(members[int(i)] for i in idx)
+
+    pools, cells, selection, failure = {}, {}, {}, {}
+    keys = sorted(conditionals)
+    if case == 2:
+        for cond_seq in keys:
+            for m in range(m_count):
+                cells[(cond_seq, m)] = draw(conditionals[cond_seq], size)
+    else:
+        for m in range(m_count):
+            pools[m] = draw(marginal, size_prime)
+        for cond_seq in keys:
+            allowed = set(conditionals[cond_seq].support())
+            for m in range(m_count):
+                picked = []
+                for j, seq in enumerate(pools[m]):
+                    if seq in allowed:
+                        picked.append(j)
+                        if len(picked) == size:
+                            break
+                selection[(cond_seq, m)] = tuple(picked)
+                failure[(cond_seq, m)] = len(picked) < size
+                cells[(cond_seq, m)] = tuple(pools[m][j] for j in picked)
+    bin_counts = {}
+    for key, words in cells.items():
+        counts = {}
+        for seq in words:
+            counts[seq] = counts.get(seq, 0) + 1
+        bin_counts[key] = counts
+    return {
+        "pools": pools,
+        "cells": cells,
+        "selection": selection,
+        "failure_flags": failure,
+        "bin_counts": bin_counts,
+    }
+
+
+def pooled_counts(bin_counts, fallback):
+    """Sequence -> count merged over the bins m of a {m: {sequence:
+    count}} table whose fallback[m] is false, in first-draw order."""
+    pooled = {}
+    for m, counts in bin_counts.items():
+        if fallback[m]:
+            continue
+        for seq, count in counts.items():
+            pooled[seq] = pooled.get(seq, 0) + count
+    return pooled
+
+
+def tuple_cells(codebook, conditionals):
+    """Each (conditioning, bin) cell of a codebook read back as the
+    sequences its member indices name."""
+    return {
+        (cond_seq, m): tuple(
+            law.support()[i] for i in codebook.codewords(cond_seq, m)
+        )
+        for cond_seq, law in conditionals.items()
+        for m in range(codebook.m_count)
+    }
+
+
+def e0_check(cells, failure_flags, m_count, conditionals, eps):
     """(ok, violation, draw_counts) of the occupancy check by the literal
     member loop: every member of every conditional law is visited, an
-    undrawn one with frequency 0, against the codewords of the cells
-    whose selection did not fail; no draw at all is a violation of inf."""
+    undrawn one with frequency 0, against the codewords (sequences) of
+    the cells whose selection did not fail; no draw at all is a
+    violation of inf."""
     ok = True
     worst = 0.0
     draw_counts = {}
     for cond_seq in sorted(conditionals):
         law = conditionals[cond_seq]
         draws = []
-        for m in range(codebook.m_count):
-            if not codebook.failure_flags.get((cond_seq, m), False):
-                draws.extend(codebook.codewords(cond_seq, m))
+        for m in range(m_count):
+            if not failure_flags.get((cond_seq, m), False):
+                draws.extend(cells[(cond_seq, m)])
         total = len(draws)
         draw_counts[cond_seq] = total
         if total == 0:
@@ -471,7 +552,8 @@ def dense_instance_scores(block, instance):
 def dense_trial_operators(block, params, seed_seq):
     """Every operator of one trial by the dense per-codeword route.
 
-    Draws the codebooks build_protocol_instance draws from seed_seq. Each
+    Draws the codebooks build_protocol_instance draws from seed_seq, by
+    the tuple route (literal_codebook), each codeword a sequence. Each
     codeword gets its own D x D operator hermitian_part(c w w^dag), every
     bin sum is checked with eigvalsh, Alice's operators are summed per
     sequence over her non-fallback bins and rooted with sqrt_psd, and
@@ -497,34 +579,35 @@ def dense_trial_operators(block, params, seed_seq):
     from povmcast.linalg import (
         TAU_PROB, TAU_PSD, hermitian_part, kron_all, sqrt_psd,
     )
-    from povmcast.protocol import generate_codebook
 
     alice_ss, bob_ss, _ = seed_seq.spawn(3)
     ab = block.alice_block
     rho_n = kron_all([block.single.rho.mat] * block.n)
     dim = rho_n.shape[0]
-    alice_cb = generate_codebook(
-        params, None, {ab.cond_seq: ab.pruned}, np.random.default_rng(alice_ss),
-        size=params.s_a, m_count=params.m_a, case=2,
+    alice_cb = literal_codebook(
+        None, {ab.cond_seq: ab.pruned}, np.random.default_rng(alice_ss),
+        case=2, size=params.s_a, m_count=params.m_a,
     )
-    bob_cb = generate_codebook(
-        params, block.bob_marg_pruned,
+    bob_cb = literal_codebook(
+        block.bob_marg_pruned,
         {c: blk.pruned for c, blk in block.bob_blocks.items()},
         np.random.default_rng(bob_ss),
+        case=params.case, size=params.s_b, m_count=params.m_b,
+        size_prime=params.s_b_prime,
     )
 
     def operators(blk, codebook, size, m_count):
-        c = blk.s_cond / ((1.0 + params.eps) * size * m_count)
+        c = blk.typical.total_prob / ((1.0 + params.eps) * size * m_count)
         gamma, sums, valid, fallback = {}, {}, {}, {}
         for m in range(m_count):
             total = np.zeros((dim, dim), dtype=complex)
-            for j, seq in enumerate(codebook.codewords(blk.cond_seq, m)):
-                w = blk.gamma_factors[seq]
+            for j, seq in enumerate(codebook["cells"][(blk.cond_seq, m)]):
+                w = blk.gamma_factors[blk.typical.members.index(seq)]
                 gamma[(j, m)] = hermitian_part(c * (w @ w.conj().T))
                 total = total + gamma[(j, m)]
             sums[m] = hermitian_part(total)
             top = float(np.linalg.eigvalsh(sums[m])[-1])
-            failed = codebook.failure_flags.get((blk.cond_seq, m), False)
+            failed = codebook["failure_flags"].get((blk.cond_seq, m), False)
             valid[m] = top <= 1.0 + TAU_PSD
             fallback[m] = not valid[m] or bool(failed)
         return gamma, sums, valid, fallback
@@ -534,7 +617,7 @@ def dense_trial_operators(block, params, seed_seq):
         for m in range(m_count):
             if fallback[m]:
                 continue
-            for j, seq in enumerate(codebook.codewords(cond_seq, m)):
+            for j, seq in enumerate(codebook["cells"][(cond_seq, m)]):
                 out[seq] = out.get(seq, 0.0) + gamma[(j, m)]
         return out
 
@@ -577,7 +660,7 @@ def dense_trial_operators(block, params, seed_seq):
         for m in range(params.m_b):
             if fallback[m]:
                 continue
-            for j, seq in enumerate(bob_cb.codewords(cond_seq, m)):
+            for j, seq in enumerate(bob_cb["cells"][(cond_seq, m)]):
                 op = gamma[(j, m)]
                 term = hermitian_part(sqrt_true @ op @ sqrt_true)
                 lambda_prime_b[seq] = lambda_prime_b.get(seq, 0.0) + term
@@ -598,7 +681,7 @@ def dense_trial_operators(block, params, seed_seq):
 
     alice_weights, bob_weights = {}, {}
     for m_a in range(params.m_a):
-        words_a = alice_cb.codewords(ab.cond_seq, m_a)
+        words_a = alice_cb["cells"][(ab.cond_seq, m_a)]
         alice_weights[m_a] = weights(
             alice_gamma, m_a, len(words_a), params.m_a, rho_n
         )
@@ -615,7 +698,7 @@ def dense_trial_operators(block, params, seed_seq):
             for m_b in range(params.m_b):
                 if bob_fallback[(cond_seq, m_b)]:
                     continue
-                count = len(bob_cb.codewords(cond_seq, m_b))
+                count = len(bob_cb["cells"][(cond_seq, m_b)])
                 bob_weights[(m_a, j_a, m_b)] = weights(
                     bob_gamma[cond_seq], m_b, count, params.m_b, post
                 )

@@ -172,7 +172,7 @@ def test_criterion_5_scaled_average_dominated():
             blocks = list(block.bob_blocks.values()) + [block.alice_block]
             for blk in blocks:
                 rho_cond = conditioning_state(block, blk)
-                gap = rho_cond - blk.s_cond * cut_average(blk.cutoff)
+                gap = rho_cond - blk.typical.total_prob * cut_average(blk.cutoff)
                 low = float(np.linalg.eigvalsh(0.5 * (gap + gap.conj().T)).min())
                 assert low >= -1e-9, (name, n, blk.cond_seq, low)
 
@@ -220,7 +220,8 @@ def test_criterion_7_case_equivalence():
     # sampling once no cell runs short
     cond_seq, pruned_cond, pruned_marg = _binary_codebook_laws(0.5, 2.0)
     assert len(pruned_marg.support()) == 4
-    members = sorted(pruned_cond.support())
+    members = pruned_cond.support()
+    assert members == tuple(sorted(members))
     assert len(members) == 3
 
     params1 = ProtocolParams(
@@ -237,19 +238,16 @@ def test_criterion_7_case_equivalence():
         np.random.default_rng(np.random.SeedSequence(17002)),
     )
 
-    counts1 = {m: 0 for m in members}
-    counts2 = {m: 0 for m in members}
+    # codewords are member indices of the conditional law
+    counts1 = np.zeros(len(members), dtype=int)
+    counts2 = np.zeros(len(members), dtype=int)
     for m in range(params1.m_b):
-        for seq in cb1.codewords(cond_seq, m):
-            counts1[seq] += 1
-        for seq in cb2.codewords(cond_seq, m):
-            counts2[seq] += 1
-    assert sum(counts1.values()) == 10_000
-    assert sum(counts2.values()) == 10_000
+        counts1 += np.bincount(cb1.codewords(cond_seq, m), minlength=3)
+        counts2 += np.bincount(cb2.codewords(cond_seq, m), minlength=3)
+    assert counts1.sum() == 10_000
+    assert counts2.sum() == 10_000
 
-    table = np.array(
-        [[counts1[m] for m in members], [counts2[m] for m in members]]
-    )
+    table = np.array([counts1, counts2])
     res = scipy.stats.chi2_contingency(table)
     assert res.pvalue >= 0.01, (res.pvalue, table)
 

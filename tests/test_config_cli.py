@@ -4,6 +4,7 @@ import csv
 import json
 import re
 import sys
+from dataclasses import replace
 
 import jsonschema
 import numpy as np
@@ -41,6 +42,7 @@ from povmcast.config import (
     operator_from_json,
     params_to_json,
 )
+from povmcast import protocol
 from povmcast.presets import preset_document, preset_names
 from povmcast.protocol import MODES
 
@@ -764,6 +766,115 @@ def test_cli_sweep_partial_failure_hits_cap(capsys, tmp_path):
     assert "exceeds cap" in out["error"]
     assert out["values"] == [1]  # the finished point is still reported
     assert "exceeds cap" in captured.err
+
+
+# covering-lemma codebook sizes as rate expressions
+EXPR_SIZES = {
+    "sA": "I(X_A;R) + delta2",
+    "MA": "H(X_A) - I(X_A;R) + delta2",
+    "sB": "I(X_B;R|X_A) + delta2",
+    "MB": "H(X_B|X_A) - I(X_B;R|X_A) + delta2",
+}
+
+
+@pytest.mark.parametrize(
+    "axis,values,sizes",
+    [
+        ("n", [2, 4, 6], EXPR_SIZES),
+        ("delta", [0.25, 1.0], {"sA": "I(X_A;R) + delta", "sB": "delta * n"}),
+    ],
+)
+def test_cli_sweep_resolves_expression_sizes_at_each_point(
+    capsys, tmp_path, axis, values, sizes
+):
+    # an n or delta point resolves each rate-expression size at its own
+    # n and delta, as a document at that point does; integer sizes keep
+    # their value
+    doc = preset_document("bell-computational")
+    doc["protocol"].update(sizes)
+    doc["trials"] = 1
+    doc["sweep"] = {"axis": axis, "values": values}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(doc))
+    assert main(["sweep", "--config", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["values"] == values
+    for point in out["points"]:
+        at = json.loads(json.dumps(doc))
+        at["protocol"][axis] = point["value"]
+        want = params_to_json(config_from_dict(at).params)
+        assert point["params"] == want
+    points = [p["params"] for p in out["points"]]
+    if axis == "n":
+        # the sizes grow with n: sA = 6, 32, 182
+        assert [p["sA"] for p in points] == [6, 32, 182]
+    else:
+        assert points[0]["sA"] < points[1]["sA"]
+        assert points[0]["MB"] == points[1]["MB"] == doc["protocol"]["MB"]
+
+
+def test_sweep_point_params_keep_integer_sizes():
+    # with integer sizes every axis moves only its own field, as
+    # params_with_axis does
+    cfg = config_from_dict(preset_document("three-outcome-split"))
+    single = prepare_scenario(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b)
+    for axis, value in (("n", 3), ("delta", 0.9), ("sB", 8), ("MB", 4)):
+        sweep = replace(cfg.sweep, axis=axis)
+        want = params_with_axis(cfg.params, axis, value)
+        assert sweep.params_at(cfg.params, value, single) == want
+
+
+def test_cli_sweep_point_with_unresolvable_size_ends_the_sweep(
+    capsys, tmp_path
+):
+    # the size resolves at n = 1 and overflows at n = 2: that point fails
+    # like any other, after the first one is reported
+    doc = preset_document("bell-computational")
+    doc["protocol"].update(n=1, MA="1e308 * (n - 1) * 10")
+    doc["trials"] = 1
+    doc["sweep"] = {"axis": "n", "values": [1, 2, 3]}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(doc))
+    assert main(["sweep", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert out["values"] == [1]
+    assert out["failed_value"] == 2
+    assert out["error"].startswith("protocol.MA: 2^(2 * inf) is not a finite")
+    assert "\nerror: sweep point 2: protocol.MA: " in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("key", ["MB", "MA"])
+def test_huge_bin_count_exits_3_before_any_bin(capsys, monkeypatch, tmp_path, key):
+    # 2**70 bins: the codebook is one draw per conditioning, which numpy
+    # refuses at once, so the run ends with exit 3 and counts no bin of
+    # that codebook (with MA none at all)
+    counted = []
+    build_gamma = protocol.build_gamma
+
+    def counting(block, codebook, **kwargs):
+        counted.append(codebook.m_count)
+        return build_gamma(block, codebook, **kwargs)
+
+    monkeypatch.setattr(protocol, "build_gamma", counting)
+    doc = preset_document("bell-computational")
+    doc["protocol"][key] = 2**70
+    del doc["sweep"]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot draw ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    cfg = config_from_dict(doc)
+    single = prepare_scenario(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b)
+    with pytest.raises(SizeLimitExceeded, match="cannot draw"):
+        simulate_trials(single, cfg.params)
+    assert 2**70 not in counted
+    if key == "MA":
+        assert counted == []
 
 
 def test_cli_validation_exit_codes(capsys, tmp_path):

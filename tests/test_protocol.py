@@ -1,7 +1,6 @@
 """Protocol construction tests: scenario prep, codebooks, operators, trials."""
 
 import collections
-import itertools
 from dataclasses import fields, is_dataclass, replace
 from functools import reduce
 from types import SimpleNamespace
@@ -42,8 +41,10 @@ from povmcast.protocol import (
     _by_shape,
     _codeword_weights,
     _collapsed_state,
+    _first_draws,
     _kron_halves,
     _permute_copies,
+    _pooled,
     _psd_factor,
     _settle_bins,
     _signed_trace_norms,
@@ -62,7 +63,9 @@ from povmcast.typicality import (
     branch_eigensystem,
     build_typical_set,
     conditional_quantum_typical_projector,
+    conditional_typical_set,
     prune,
+    prune_conditional,
 )
 
 import oracles
@@ -187,13 +190,13 @@ def _diag_factor(values):
 def test_omega_cutoff_keeps_eigenvalues_above_threshold():
     # xi_bar = 0.5 * diag(0.3, 0.01, 0.002) + 0.5 * diag(0.7, 0.03, 0.008)
     #        = diag(0.5, 0.02, 0.005)
-    xi_map = {
-        (0,): _diag_factor([0.3, 0.01, 0.002]),
-        (1,): _diag_factor([0.7, 0.03, 0.008]),
-    }
-    probs = {(0,): 0.5, (1,): 0.5}
+    factors = [
+        _diag_factor([0.3, 0.01, 0.002]),
+        _diag_factor([0.7, 0.03, 0.008]),
+    ]
+    probs = np.array([0.5, 0.5])
     # threshold = 0.1 * 2^{-log2(10)} = 0.01
-    res = build_omega_and_cutoff(xi_map, probs, 1, 0.1, 0.0, np.log2(10))
+    res = build_omega_and_cutoff(factors, probs, 1, 0.1, 0.0, np.log2(10))
     assert np.isclose(res.threshold, 0.01)
     assert np.allclose(res.projector, np.diag([1.0, 1.0, 0.0]))
     assert np.allclose(oracles.cut_average(res), np.diag([0.5, 0.02, 0.0]))
@@ -202,14 +205,14 @@ def test_omega_cutoff_keeps_eigenvalues_above_threshold():
 
     # everything below threshold: empty cutoff
     res = build_omega_and_cutoff(
-        {(0,): _diag_factor([1e-6, 1e-7])}, {(0,): 1.0}, 1, 0.5, 0.0, 0.0
+        [_diag_factor([1e-6, 1e-7])], np.array([1.0]), 1, 0.5, 0.0, 0.0
     )
     assert res.basis.shape[1] == 0
     assert np.allclose(res.projector, np.zeros((2, 2)))
 
     # eps = 0 keeps exactly the positive spectrum
     res = build_omega_and_cutoff(
-        {(0,): _diag_factor([0.4, 0.0])}, {(0,): 1.0}, 1, 0.0, 1.0, 0.5
+        [_diag_factor([0.4, 0.0])], np.array([1.0]), 1, 0.0, 1.0, 0.5
     )
     assert np.allclose(res.projector, np.diag([1.0, 0.0]))
 
@@ -217,8 +220,8 @@ def test_omega_cutoff_keeps_eigenvalues_above_threshold():
     u = np.array([[1.0], [1.0], [0.0]]) / np.sqrt(2.0)
     v = np.array([[0.0], [0.0], [1.0]])
     res = build_omega_and_cutoff(
-        {(0,): np.sqrt(0.6) * u, (1,): np.sqrt(0.004) * v},
-        {(0,): 0.5, (1,): 0.5}, 1, 0.1, 0.0, np.log2(10),
+        [np.sqrt(0.6) * u, np.sqrt(0.004) * v],
+        np.array([0.5, 0.5]), 1, 0.1, 0.0, np.log2(10),
     )
     assert np.allclose(res.projector, u @ u.T)
     assert np.allclose(oracles.cut_average(res), 0.3 * u @ u.T)
@@ -274,8 +277,9 @@ def _assert_matches_dense_oracle(single, params, sqrt_tol=1e-10):
         spec = np.linalg.eigvalsh(oracles.conditioning_state(block, blk))
         support = spec[spec > SUPPORT_CUTOFF_REL * max(spec[-1], 1.0)]
         tol = max(1e-10, 1e-15 * spec[-1] / support[0])
-        assert set(blk.gamma_factors) == set(ref["whitened"])
-        for member, w in blk.gamma_factors.items():
+        assert set(blk.typical.members) == set(ref["whitened"])
+        assert len(blk.gamma_factors) == len(blk.typical.members)
+        for member, w in zip(blk.typical.members, blk.gamma_factors):
             close(w @ w.conj().T, ref["whitened"][member], tol)
     rho_n = oracles.dense_kron(block.rho_n)
     close(rho_n, kron_all([single.rho.mat] * params.n), 1e-14)
@@ -353,8 +357,8 @@ def _buffer_ids(obj) -> set:
 def test_cutoff_keeps_only_its_factors(n):
     # the projector is formed from the basis on request; a block holds
     # its gamma factors (one shared buffer), the cutoff's basis and
-    # eigenvalues, its member norms and its law's cumulative
-    # probabilities, and no other array
+    # eigenvalues, its member norms, its members' codes and its law's
+    # probabilities and their cumulative sums, and no other array
     name = "three-outcome-split"
     cfg = config_from_dict(preset_document(name), name=name)
     single = prepare_scenario(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b)
@@ -365,12 +369,13 @@ def test_cutoff_keeps_only_its_factors(n):
         rank = cut.basis.shape[1]
         assert cut.basis.shape == (dim, rank)
         assert cut.eigenvalues.shape == (rank,)
-        gamma = {id(_owner(w)) for w in blk.gamma_factors.values()}
+        gamma = {id(_owner(w)) for w in blk.gamma_factors}
         assert len(gamma) == 1
-        want = gamma | {
-            id(_owner(a))
-            for a in (cut.basis, cut.eigenvalues, blk.norms, blk.pruned.cum)
-        }
+        held = (
+            cut.basis, cut.eigenvalues, blk.norms, blk.typical.codes,
+            blk.pruned.probs, blk.pruned.cum,
+        )
+        want = gamma | {id(_owner(a)) for a in held}
         assert _buffer_ids(blk) == want
 
 
@@ -540,11 +545,13 @@ def _assert_blocks_match_per_sequence_route(single, params):
         members = want.typical.members
         assert got.cond_seq == cond_seq
         assert got.typical.members == members
-        assert tuple(got.pruned.probs) == members
-        assert tuple(got.gamma_factors) == members
-        for m in members:
-            assert abs(got.pruned.probs[m] - want.pruned.probs[m]) <= 1e-15
-        assert abs(got.s_cond - want.s_cond) <= 1e-15
+        assert np.array_equal(got.typical.codes, want.typical.codes)
+        assert got.pruned.probs.shape == (len(members),)
+        assert len(got.gamma_factors) == len(members)
+        assert np.all(np.abs(got.pruned.probs - want.pruned.probs) <= 1e-15)
+        assert abs(
+            got.typical.total_prob - want.typical.total_prob
+        ) <= 1e-15
         assert got.cutoff.threshold == want.cutoff.threshold
         top = max(1.0, float(want.cutoff.eigenvalues.max(initial=0.0)))
         assert got.cutoff.eigenvalues.shape == want.cutoff.eigenvalues.shape
@@ -557,10 +564,9 @@ def _assert_blocks_match_per_sequence_route(single, params):
         spec = reduce(np.multiply.outer, eigs.eigenvalues(cond_seq)).ravel()
         support = spec[spec > SUPPORT_CUTOFF_REL * max(spec.max(), 1.0)]
         tol = max(1e-12, 1e-15 * spec.max() / support.min())
-        for m in members:
-            w = want.gamma_factors[m]
+        for g, w in zip(got.gamma_factors, want.gamma_factors):
             scale = max(1.0, float(np.linalg.norm(w)) ** 2)
-            assert oracles.signed_trace_norm(got.gamma_factors[m], w) <= tol * scale
+            assert oracles.signed_trace_norm(g, w) <= tol * scale
         # the carried member norms are the ones built along cond_seq
         scale = np.maximum(1.0, want.norms)
         assert np.all(np.abs(got.norms - want.norms) <= tol * scale)
@@ -656,8 +662,10 @@ def _assert_members_carry_their_representative(blk, dim):
             rep[pos] = x[pos][order]
             axes[pos[order]] = pos
         assert np.array_equal(rep[axes], x)
-        want = _permute_copies(blk.gamma_factors[tuple(rep)], axes, dim)
-        assert np.array_equal(blk.gamma_factors[tuple(x)], want)
+        factor = blk.gamma_factors[blk.typical.members.index(tuple(rep))]
+        want = _permute_copies(factor, axes, dim)
+        got = blk.gamma_factors[blk.typical.members.index(tuple(x))]
+        assert np.array_equal(got, want)
 
 
 def _count_xi_prime(monkeypatch) -> list:
@@ -725,19 +733,28 @@ def test_codebook_case2_semantics():
     )
     assert cb.case == 2
     for cond_seq, law in conditionals.items():
-        allowed = set(law.support())
+        rows = cb.cells[cond_seq]
+        assert rows.shape == (cb.m_count, cb.size)
         for m in range(cb.m_count):
             words = cb.codewords(cond_seq, m)
             assert len(words) == cb.size
-            assert all(w in allowed for w in words)
-            assert all(isinstance(w, tuple) for w in words)
+            # member indices of the conditioning's own law
+            assert words.dtype.kind == "i"
+            assert np.all((0 <= words) & (words < len(law.support())))
+            # a cell is its entry, a view of its conditioning's row
+            assert words.base is rows.base or words.base is rows
+            assert cb.entries[(cond_seq, m)] is words or np.shares_memory(
+                cb.entries[(cond_seq, m)], rows
+            )
             # identity index map in case 2
             assert cb.selected_index(cond_seq, m, 1) == 1
     again = generate_codebook(
         TRINE_PARAMS, block.bob_marg_pruned, conditionals,
         np.random.default_rng(5), case=2,
     )
-    assert again.entries == cb.entries
+    assert again.entries.keys() == cb.entries.keys()
+    for key, row in cb.entries.items():
+        assert np.array_equal(again.entries[key], row)
 
 
 def test_codebook_case1_selection_semantics():
@@ -749,24 +766,149 @@ def test_codebook_case1_selection_semantics():
     )
     assert cb.case == 1
     assert cb.size_prime == TRINE_PARAMS.s_b_prime
+    marginal = block.bob_marg_pruned.support()
     for m in range(cb.m_count):
         assert len(cb.entries[m]) == cb.size_prime
     for cond_seq, law in conditionals.items():
-        allowed = set(law.base.members)
+        members = law.support()
         for m in range(cb.m_count):
+            pool = [marginal[i] for i in cb.entries[m]]
             picked = cb.selection[(cond_seq, m)]
             # first `size` typical draws, in draw order
-            expected = [
-                j for j, seq in enumerate(cb.entries[m]) if seq in allowed
-            ][: cb.size]
+            expected = [j for j, seq in enumerate(pool) if seq in members][
+                : cb.size
+            ]
             assert list(picked) == expected
             assert cb.failure_flags[(cond_seq, m)] == (len(picked) < cb.size)
+            # the selected draws as member indices of the conditional law
             words = cb.codewords(cond_seq, m)
-            assert words == tuple(cb.entries[m][j] for j in picked)
-            # each cell's codewords are built once, when it is drawn
-            assert cb.codewords(cond_seq, m) is words
+            assert [members[i] for i in words] == [pool[j] for j in picked]
+            # a cell is a view of its conditioning's row, -1 past it
+            row = cb.cells[cond_seq][m]
+            assert np.shares_memory(words, row)
+            assert np.all(row[len(words):] == -1)
             if not cb.failure_flags[(cond_seq, m)]:
                 assert cb.selected_index(cond_seq, m, 0) == picked[0]
+                assert type(cb.selected_index(cond_seq, m, 0)) is int
+
+
+@st.composite
+def codebook_cases(draw):
+    """Random laws over one alphabet and length: a pruned marginal and
+    up to four pruned conditional laws (conditionings whose set is empty
+    are left out), with case, size, m_count, s', seed, eps and a fallback
+    flag per (conditioning, bin)."""
+    k = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 3))
+
+    def law():
+        w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+        return w / w.sum()
+
+    rows = np.array([law() for _ in range(draw(st.integers(1, 3)))])
+    symbols = st.integers(0, len(rows) - 1)
+    conds = draw(
+        st.lists(st.tuples(*[symbols] * n), min_size=1, max_size=4, unique=True)
+    )
+    delta = draw(st.floats(0.0, 1.5))
+    conditionals = {}
+    for cond_seq in conds:
+        try:
+            ts = conditional_typical_set(rows, cond_seq, n, delta)
+        except EmptySupport:
+            continue
+        conditionals[cond_seq] = prune_conditional(rows, cond_seq, ts)
+    assume(conditionals)
+    try:
+        marginal = prune(law(), build_typical_set(law(), n, draw(st.floats(0.0, 2.0))))
+    except EmptySupport:
+        assume(False)
+    case = draw(st.sampled_from([1, 2]))
+    size = draw(st.integers(1, 4))
+    m_count = draw(st.integers(1, 4))
+    # pools long enough that a selection often needs more than 4 * size
+    size_prime = size + draw(st.integers(0, 40)) if case == 1 else 0
+    seed = draw(st.integers(0, 2**32 - 1))
+    eps = draw(st.one_of(st.sampled_from([0.0, 0.1, 1.0]), st.floats(0.0, 2.0)))
+    fell = {
+        (cond_seq, m): draw(st.booleans())
+        for cond_seq in conditionals
+        for m in range(m_count)
+    }
+    return marginal, conditionals, case, size, m_count, size_prime, seed, eps, fell
+
+
+def test_index_codebook_matches_the_literal_route():
+    # the codebook held as member indices, drawn once per conditioning
+    # (case 2) or once for all pools (case 1) and selected by member
+    # codes, against the tuple route of tests/oracles.py: a draw per bin,
+    # sequences as codewords, the scan of each pool per conditioning and
+    # per-bin count dicts. Cells read back as sequences, selection,
+    # failure flags, selected_index, each bin's first-draw-order counts,
+    # the pooled counts over the bins that did not fall back, and the
+    # e0 report must all be equal
+    seen = collections.Counter()
+
+    @settings(max_examples=200, deadline=None)
+    @given(codebook_cases())
+    def check(data):
+        marginal, conditionals, case, size, m_count, size_prime, seed, eps, fell = data
+        params = ProtocolParams(
+            n=len(next(iter(conditionals))), delta=0.5, delta2=0.25, eps=eps,
+            s_b=size, m_b=m_count, s_b_prime=size_prime, case=case,
+        )
+        cb = generate_codebook(
+            params, marginal, conditionals, np.random.default_rng(seed)
+        )
+        lit = oracles.literal_codebook(
+            marginal, conditionals, np.random.default_rng(seed),
+            case=case, size=size, m_count=m_count, size_prime=size_prime,
+        )
+        assert oracles.tuple_cells(cb, conditionals) == lit["cells"]
+        assert cb.failure_flags == lit["failure_flags"]
+        assert cb.selection == lit["selection"]
+        if case == 1:
+            pools = marginal.support()
+            assert {
+                m: tuple(pools[i] for i in pool) for m, pool in cb.entries.items()
+            } == lit["pools"]
+        for (cond_seq, m), cell in lit["cells"].items():
+            for j in range(len(cell)):
+                want = lit["selection"][(cond_seq, m)][j] if case == 1 else j
+                assert cb.selected_index(cond_seq, m, j) == want
+        for cond_seq, law in conditionals.items():
+            members = law.support()
+            block = SimpleNamespace(cond_seq=cond_seq, typical=law.base)
+            opset = build_gamma(block, cb, eps=eps)
+            assert [members[x] for x in opset.gamma] == [
+                seq for m in range(m_count) for seq in lit["cells"][(cond_seq, m)]
+            ]
+            # each bin's distinct codewords, in first-draw order
+            owner, words, counts = (a.tolist() for a in _first_draws([opset], m_count))
+            want = [
+                (m, seq, k)
+                for m in range(m_count)
+                for seq, k in lit["bin_counts"][(cond_seq, m)].items()
+            ]
+            assert list(zip(owner, (members[x] for x in words), counts)) == want
+            for m in range(m_count):
+                opset.fallback_applied[m] = fell[(cond_seq, m)]
+            got = zip(*(a.tolist() for a in _pooled([opset])[0]))
+            want = oracles.pooled_counts(
+                {m: lit["bin_counts"][(cond_seq, m)] for m in range(m_count)},
+                opset.fallback_applied,
+            )
+            assert [(members[x], k) for x, k in got] == list(want.items())
+        rep = empirical_e0_check(cb, conditionals, eps)
+        assert (rep.ok, rep.violation, rep.draw_counts) == oracles.e0_check(
+            lit["cells"], lit["failure_flags"], m_count, conditionals, eps
+        )
+        seen[case] += 1
+        seen["failed"] += any(cb.failure_flags.values())
+        seen["selected"] += case == 1 and not all(cb.failure_flags.values())
+
+    check()
+    assert seen[1] and seen[2] and seen["failed"] and seen["selected"], seen
 
 
 def test_codebook_case1_requires_marginal():
@@ -791,93 +933,98 @@ def test_build_gamma_scaling():
     cond_seq = next(iter(block.bob_blocks))
     blk = block.bob_blocks[cond_seq]
     opset = build_gamma(blk, cb, eps=BELL_PARAMS.eps)
-    factor = blk.s_cond / ((1.0 + BELL_PARAMS.eps) * BELL_PARAMS.s_b * BELL_PARAMS.m_b)
+    factor = blk.typical.total_prob / (
+        (1.0 + BELL_PARAMS.eps) * BELL_PARAMS.s_b * BELL_PARAMS.m_b
+    )
     dim = block.rho_n.shape[0]
+    assert len(opset.gamma) == BELL_PARAMS.s_b * BELL_PARAMS.m_b
     for m in range(BELL_PARAMS.m_b):
         words = cb.codewords(cond_seq, m)
         total = np.zeros((dim, dim), dtype=complex)
-        for j, seq in enumerate(words):
-            w = blk.gamma_factors[seq]
+        for j, x in enumerate(words):
+            w = blk.gamma_factors[x]
             expect = factor * (w @ w.conj().T)
             expect = 0.5 * (expect + expect.conj().T)
             # codeword (j, m) stands for scale * w w^dag of its member
-            assert opset.gamma[(j, m)] == seq
+            assert opset.gamma[m * BELL_PARAMS.s_b + j] == x
             assert np.allclose(opset.scale * (w @ w.conj().T), expect, atol=1e-14)
             total = total + expect
-        assert sum(opset.bin_counts[m].values()) == len(words)
-        g = np.hstack(opset.columns(opset.bin_counts[m]))
+        members, counts = _bin_draws(opset, m)
+        assert counts.sum() == len(words)
+        g = np.hstack(opset.columns(members, counts))
         assert np.allclose(g @ g.conj().T, total, atol=1e-13)
 
 
 def test_validate_subpovm_leak_and_selection_failure():
     eye = np.eye(2)
     unit = np.array([[0.8], [0.6]])
-    factors = {(0,): eye, (1,): unit}
-    blk_stub = type(
-        "Blk", (), {
-            "cond_seq": (0,),
-            "gamma_factors": factors,
-            "typical": type("Typ", (), {"members": tuple(factors)})(),
-            "norms": np.array([oracles.member_norms(w) for w in factors.values()]),
-        }
-    )()
 
     def fake_codebook(flags):
         return Codebook(
             case=1, size=1, m_count=2, size_prime=2,
-            entries={}, selection={}, failure_flags=flags,
+            entries={}, selection={}, failure_flags=flags, cells={},
         )
 
     def opset(bin_counts, scale):
-        gamma = {
-            (j, m): seq
-            for m, counts in bin_counts.items()
-            for j, seq in enumerate(
-                s for s, k in counts.items() for _ in range(k)
-            )
-        }
-        return BobOperatorSet(
-            block=blk_stub, gamma=gamma, bin_counts=bin_counts, scale=scale,
-            is_valid_subpovm={}, fallback_applied={},
-        )
+        # member 0 has the factor I, member 1 the unit column
+        return _stub_opset([eye, unit], bin_counts, scale)
 
     # bin sums 1.2 I and 0.6 I
-    leaky = opset({0: {(0,): 2}, 1: {(0,): 1}}, 0.6)
+    leaky = opset({0: {0: 2}, 1: {0: 1}}, 0.6)
     validate_subpovm(leaky, fake_codebook({}))
     assert leaky.is_valid_subpovm == {0: False, 1: True}
     assert leaky.fallback_applied == {0: True, 1: False}
 
     # a selection failure forces fallback even when the sum is fine
-    ok = opset({0: {(0,): 1}, 1: {(0,): 1}}, 0.6)
+    ok = opset({0: {0: 1}, 1: {0: 1}}, 0.6)
     validate_subpovm(ok, fake_codebook({((0,), 1): True}))
     assert ok.is_valid_subpovm == {0: True, 1: True}
     assert ok.fallback_applied == {0: False, 1: True}
 
     # fewer columns than rows: the top eigenvalue comes from the Gram
     # matrix; 1.05 u u^dag leaks, 0.6 u u^dag and an empty bin do not
-    rank_one = opset({0: {(1,): 1}, 1: {}}, 1.05)
+    rank_one = opset({0: {1: 1}, 1: {}}, 1.05)
     validate_subpovm(rank_one, fake_codebook({}))
     assert rank_one.is_valid_subpovm == {0: False, 1: True}
-    rank_one = opset({0: {(1,): 1}, 1: {}}, 0.6)
+    rank_one = opset({0: {1: 1}, 1: {}}, 0.6)
     validate_subpovm(rank_one, fake_codebook({}))
     assert rank_one.is_valid_subpovm == {0: True, 1: True}
 
 
 def _stub_opset(factors, bin_counts, scale):
     """A BobOperatorSet over a stub block that holds only what the
-    sub-POVM pass reads: the factors, the sorted members and their
-    norms, recomputed column by column."""
-    members = tuple(sorted(factors))
+    sub-POVM pass reads: the factors in member order and their norms,
+    recomputed column by column. bin_counts maps each bin, in order, to
+    its {member index: count} in first-draw order."""
     block = SimpleNamespace(
         cond_seq=(0,),
-        gamma_factors={x: factors[x] for x in members},
-        typical=SimpleNamespace(members=members),
-        norms=np.array([oracles.member_norms(factors[x]) for x in members]),
+        gamma_factors=list(factors),
+        typical=SimpleNamespace(members=tuple((x,) for x in range(len(factors)))),
+        norms=np.array([oracles.member_norms(w) for w in factors]),
     )
+    draws = [(m, x) for m, counts in bin_counts.items() for x, k in counts.items() for _ in range(k)]
     return BobOperatorSet(
-        block=block, gamma={}, bin_counts=bin_counts, scale=scale,
-        is_valid_subpovm={}, fallback_applied={},
+        block=block,
+        gamma=np.array([x for _, x in draws], dtype=np.intp),
+        bins=np.array([m for m, _ in draws], dtype=np.intp),
+        scale=scale,
+        is_valid_subpovm={},
+        fallback_applied={},
     )
+
+
+def _bin_draws(opset, m):
+    """(members, counts) of bin m of an opset, in first-draw order, by
+    the literal count."""
+    counts = {}
+    for x in opset.gamma[opset.bins == m].tolist():
+        counts[x] = counts.get(x, 0) + 1
+    return np.array(list(counts), dtype=np.intp), np.array(list(counts.values()), dtype=np.intp)
+
+
+def _bin_columns(opset, m):
+    """The column blocks of bin m of an opset."""
+    return opset.columns(*_bin_draws(opset, m))
 
 
 def _spec_opset(spec, m_count):
@@ -900,19 +1047,22 @@ def _spec_opset(spec, m_count):
         mats = [rng.normal(size=shape) for shape in shapes]
         if complex_:
             mats = [a + 1j * rng.normal(size=a.shape) for a in mats]
-    factors = {(x,): a for x, a in enumerate(mats)}
     bin_counts = {
-        m: {x: int(rng.integers(1, 3)) for x in factors if rng.random() < 0.6}
+        m: {
+            x: int(rng.integers(1, 3))
+            for x in range(len(mats))
+            if rng.random() < 0.6
+        }
         for m in range(m_count)
     }
     scale = 10.0 ** rng.uniform(-3, 2)
-    opset = _stub_opset(factors, bin_counts, 1.0)
-    tops = [oracles.top_eigenvalue(opset.columns(c)) for c in bin_counts.values()]
+    opset = _stub_opset(mats, bin_counts, 1.0)
+    tops = [oracles.top_eigenvalue(_bin_columns(opset, m)) for m in bin_counts]
     tops = [top for top in tops if top > 0]
     if target is not None and tops:
         sign, e = target
         scale = (1.0 + TAU_PSD) * (1.0 + sign * 10.0**e) / tops[0]
-    return _stub_opset(factors, bin_counts, scale)
+    return _stub_opset(mats, bin_counts, scale)
 
 
 opset_specs = st.tuples(
@@ -952,7 +1102,7 @@ def test_settled_bins_match_the_exact_route():
         assert np.array_equal(alone[1], stage)
         for opset, row in zip(opsets, valid.tolist()):
             for m, ok in enumerate(row):
-                cols = opset.columns(opset.bin_counts[m])
+                cols = _bin_columns(opset, m)
                 assert ok == (oracles.top_eigenvalue(cols) <= 1.0 + TAU_PSD)
         decided.update(stage.ravel().tolist())
 
@@ -967,9 +1117,7 @@ def _assert_blocks_carry_their_member_norms(block):
     their type's block, hold the norms of their own factors in member
     order; row permutations only reorder the sums."""
     for blk in [block.alice_block, *block.bob_blocks.values()]:
-        want = np.array(
-            [oracles.member_norms(blk.gamma_factors[x]) for x in blk.typical.members]
-        )
+        want = np.array([oracles.member_norms(w) for w in blk.gamma_factors])
         assert blk.norms.shape == want.shape == (len(blk.typical.members), 2)
         assert np.allclose(blk.norms, want, rtol=1e-14, atol=0.0)
 
@@ -1015,7 +1163,9 @@ def test_scaled_average_stays_below_block_state():
         block = build_block_scenario(single, params)
         for blk in list(block.bob_blocks.values()) + [block.alice_block]:
             rho_cond = oracles.conditioning_state(block, blk)
-            gap = rho_cond - blk.s_cond * oracles.cut_average(blk.cutoff)
+            gap = rho_cond - blk.typical.total_prob * oracles.cut_average(
+                blk.cutoff
+            )
             assert float(np.linalg.eigvalsh(0.5 * (gap + gap.conj().T)).min()) >= -1e-9
 
 
@@ -1035,9 +1185,11 @@ def test_alice_trivial_when_single_letter():
     # the summed operator I is held as its factor I sandwiched by
     # sqrt(rho^n), here I / 2
     assert np.allclose(alice.lambda_tilde[only], sqrt_psd(np.eye(4) / 4))
-    # every codeword is the only sequence, whose operator is I / 6
-    assert alice.opset.gamma[(0, 0)] == only
-    w = alice.opset.block.gamma_factors[only]
+    # every codeword is the only sequence, member 0, whose operator is
+    # I / 6
+    assert np.array_equal(alice.opset.gamma, np.zeros(6))
+    assert alice.opset.bins.tolist() == [0, 0, 0, 1, 1, 1]
+    (w,) = alice.opset.block.gamma_factors
     assert np.allclose(alice.opset.scale * (w @ w.conj().T), np.eye(4) / 6)
     assert len(alice.opset.gamma) == params.s_a * params.m_a
     assert alice.opset.fallback_applied == {0: False, 1: False}
@@ -1057,16 +1209,9 @@ def test_assemble_keeps_members_without_columns():
     # sandwiched by sqrt(rho^n)
     unit = np.array([[0.6], [0.8]])
     sqrt_rho = np.diag(np.sqrt([0.7, 0.3]))
-    blk = type(
-        "Blk", (), {"cond_seq": (0,), "gamma_factors": {
-            (0,): np.zeros((2, 0)), (1,): unit,
-        }}
-    )()
-    opset = BobOperatorSet(
-        block=blk, gamma={(0, 0): (0,), (1, 0): (1,)},
-        bin_counts={0: {(0,): 1, (1,): 1}}, scale=0.5,
-        is_valid_subpovm={0: True}, fallback_applied={0: False},
-    )
+    opset = _stub_opset([np.zeros((2, 0)), unit], {0: {0: 1, 1: 1}}, 0.5)
+    opset.is_valid_subpovm[0] = True
+    opset.fallback_applied[0] = False
     scenario = type(
         "Scn", (), {
             "sqrt_lambda_a_n": {(0,): _kron_halves([np.eye(2)], (0,), {})},
@@ -1093,9 +1238,11 @@ def test_assemble_matches_naive_accumulation():
         for m in range(instance.bob_codebook.m_count):
             if opset.fallback_applied[m]:
                 continue
-            for j, seq in enumerate(instance.bob_codebook.codewords(cond_seq, m)):
-                assert opset.gamma[(j, m)] == seq
-                w = opset.block.gamma_factors[seq]
+            words = instance.bob_codebook.codewords(cond_seq, m)
+            for j, x in enumerate(words):
+                assert opset.gamma[m * TRINE_PARAMS.s_b + j] == x
+                seq = opset.block.typical.members[x]
+                w = opset.block.gamma_factors[x]
                 op = opset.scale * (w @ w.conj().T)
                 term = sqrt_true @ op @ sqrt_true
                 naive[seq] = naive.get(seq, 0.0) + 0.5 * (term + term.conj().T)
@@ -1203,7 +1350,8 @@ def _assert_trial_matches_dense_oracle(
         )
         assert np.allclose(got, ref, rtol=0.0, atol=1e-10)
     for (m_a, j_a, m_b), ref in want["bob_weights"].items():
-        cond_seq = alice.codebook.codewords(cond_a, m_a)[j_a]
+        x_a = alice.codebook.codewords(cond_a, m_a)[j_a]
+        cond_seq = block.alice_block.typical.members[x_a]
         post = _collapsed_state(alice, cond_seq, block.rho_n)
         words = instance.bob_codebook.codewords(cond_seq, m_b)
         got = _codeword_weights(
@@ -1329,12 +1477,17 @@ def test_instance_modes_and_seeding():
         build_protocol_instance(
             bell_block, BELL_PARAMS, mode="without_alice_randomness"
         )
+    def same_entries(x, y):
+        return x.keys() == y.keys() and all(
+            np.array_equal(x[k], y[k]) for k in x
+        )
+
     a = build_protocol_instance(block, TRINE_PARAMS, seed_seq=np.random.SeedSequence(4))
     b = build_protocol_instance(block, TRINE_PARAMS, seed_seq=np.random.SeedSequence(4))
-    assert a.bob_codebook.entries == b.bob_codebook.entries
-    assert a.alice.codebook.entries == b.alice.codebook.entries
+    assert same_entries(a.bob_codebook.entries, b.bob_codebook.entries)
+    assert same_entries(a.alice.codebook.entries, b.alice.codebook.entries)
     c = build_protocol_instance(block, TRINE_PARAMS, seed_seq=np.random.SeedSequence(5))
-    assert c.bob_codebook.entries != a.bob_codebook.entries
+    assert not same_entries(c.bob_codebook.entries, a.bob_codebook.entries)
 
 
 @pytest.mark.parametrize(
@@ -1551,19 +1704,22 @@ def test_empirical_e0_check_hand_counts():
     law = prune([0.5, 0.5], ts)
     cond = (0,)
 
-    balanced = Codebook(
-        case=2, size=2, m_count=1, size_prime=0,
-        entries={(cond, 0): ((0,), (1,))}, selection={}, failure_flags={},
-    )
+    def case2(rows):
+        rows = np.array(rows)
+        return Codebook(
+            case=2, size=rows.shape[1], m_count=rows.shape[0], size_prime=0,
+            entries={(cond, m): row for m, row in enumerate(rows)},
+            selection={}, failure_flags={}, cells={cond: rows},
+        )
+
+    # codewords are member indices: 0 names (0,), 1 names (1,)
+    balanced = case2([[0, 1]])
     rep = empirical_e0_check(balanced, {cond: law}, eps=0.1)
     assert rep.ok
     assert rep.violation == 0.0
     assert rep.draw_counts == {cond: 2}
 
-    skewed = Codebook(
-        case=2, size=2, m_count=1, size_prime=0,
-        entries={(cond, 0): ((0,), (0,))}, selection={}, failure_flags={},
-    )
+    skewed = case2([[0, 0]])
     rep = empirical_e0_check(skewed, {cond: law}, eps=0.1)
     assert not rep.ok
     assert np.isclose(rep.violation, 1.0)
@@ -1571,9 +1727,10 @@ def test_empirical_e0_check_hand_counts():
     # failed case-1 cells are excluded from the tally
     partial = Codebook(
         case=1, size=2, m_count=2, size_prime=3,
-        entries={0: ((0,), (1,), (0,)), 1: ((0,), (0,), (0,))},
+        entries={0: np.array([0, 1, 0]), 1: np.array([0, 0, 0])},
         selection={(cond, 0): (0, 1), (cond, 1): (0,)},
         failure_flags={(cond, 0): False, (cond, 1): True},
+        cells={cond: np.array([[0, 1], [0, -1]])},
     )
     rep = empirical_e0_check(partial, {cond: law}, eps=0.1)
     assert rep.draw_counts == {cond: 2}
@@ -1596,67 +1753,51 @@ cell_specs = st.tuples(st.lists(st.integers(0, 7), max_size=6), st.booleans())
 @given(
     st.sampled_from([2, 3]),
     st.one_of(st.sampled_from([0.0, 0.1, 1.0, 1.5]), st.floats(0.0, 2.0)),
-    st.sampled_from([1, 2]),
-    st.lists(st.lists(st.integers(0, 7), max_size=8), min_size=3, max_size=3),
     st.lists(
         st.tuples(st.integers(0, 2), st.lists(cell_specs, min_size=3, max_size=3)),
         min_size=1, max_size=3,
     ),
 )
 # a conditioning without draws; every member drawn, evenly; eps >= 1,
-# where an undrawn member is in band; a case-1 codebook
-@example(2, 0.1, 2, [[]] * 3, [(0, [([], False)] * 3), (1, [([1, 2], False)] * 3)])
+# where an undrawn member is in band; cells of unequal lengths, some
+# failed, one conditioning with every cell failed
+@example(2, 0.1, [(0, [([], False)] * 3), (1, [([1, 2], False)] * 3)])
 @example(
-    2, 0.5, 2, [[]] * 3,
+    2, 0.5,
     [(0, [([0, 1, 2, 3], False), ([3, 2, 1, 0], True), ([2, 0, 3, 1], False)])],
 )
-@example(3, 1.0, 2, [[]] * 3, [(1, [([3], False), ([0], True), ([5, 6], False)])])
-@example(3, 1.5, 2, [[]] * 3, [(1, [([3], False), ([3], False), ([], False)])])
+@example(3, 1.0, [(1, [([3], False), ([0], True), ([5, 6], False)])])
+@example(3, 1.5, [(1, [([3], False), ([3], False), ([], False)])])
 @example(
-    3, 0.2, 1, [[0, 3, 5, 6], [3, 3], []],
-    [(1, [([], False)] * 3), (2, [([], True)] * 3)],
+    3, 0.2,
+    [(1, [([0, 3], False), ([3, 3], False), ([], True)]), (2, [([], True)] * 3)],
 )
-def test_e0_check_matches_the_member_loop(n, eps, case, pools, conds):
-    # the check over drawn codewords against the literal loop over every
-    # member; a codeword outside the law counts in the total only
+def test_e0_check_matches_the_member_loop(n, eps, conds):
+    # the check over drawn member indices against the literal loop over
+    # every member of the law, on the cells read back as sequences; a
+    # cell is a row of member indices (taken modulo the law's size),
+    # -1 past its codewords
     laws = _e0_laws(n)
-    seqs = list(itertools.product(range(2), repeat=n))
     conditionals = {(c,): laws[law] for c, (law, _) in enumerate(conds)}
-    flags = {
-        ((c,), m): failed
-        for c, (_, cells) in enumerate(conds)
-        for m, (_, failed) in enumerate(cells)
-    }
-    if case == 2:
-        entries = {
-            ((c,), m): tuple(seqs[i % len(seqs)] for i in idx)
-            for c, (_, cells) in enumerate(conds)
-            for m, (idx, _) in enumerate(cells)
-        }
-        cb = Codebook(
-            case=2, size=2, m_count=3, size_prime=0,
-            entries=entries, selection={}, failure_flags=flags,
-        )
-    else:
-        entries = {
-            m: tuple(seqs[i % len(seqs)] for i in pool)
-            for m, pool in enumerate(pools)
-        }
-        selection = {
-            (cond, m): tuple(
-                j for j, seq in enumerate(entries[m]) if seq in law.probs
-            )[:2]
-            for cond, law in conditionals.items()
-            for m in range(3)
-        }
-        cb = Codebook(
-            case=1, size=2, m_count=3, size_prime=8,
-            entries=entries, selection=selection, failure_flags=flags,
-        )
-    rep = empirical_e0_check(cb, conditionals, eps)
-    assert (rep.ok, rep.violation, rep.draw_counts) == oracles.e0_check(
-        cb, conditionals, eps
+    cells, selection, flags = {}, {}, {}
+    width = max(1, *(len(idx) for _, specs in conds for idx, _ in specs))
+    for c, (law, specs) in enumerate(conds):
+        size = len(laws[law].support())
+        rows = np.full((3, width), -1)
+        for m, (idx, failed) in enumerate(specs):
+            rows[m, : len(idx)] = [i % size for i in idx]
+            selection[((c,), m)] = tuple(range(len(idx)))
+            flags[((c,), m)] = failed
+        cells[(c,)] = rows
+    cb = Codebook(
+        case=1, size=width, m_count=3, size_prime=8,
+        entries={}, selection=selection, failure_flags=flags, cells=cells,
     )
+    rep = empirical_e0_check(cb, conditionals, eps)
+    want = oracles.e0_check(
+        oracles.tuple_cells(cb, conditionals), flags, 3, conditionals, eps
+    )
+    assert (rep.ok, rep.violation, rep.draw_counts) == want
 
 
 def test_bell_conditionals_make_e0_exact():

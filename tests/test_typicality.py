@@ -94,14 +94,16 @@ def test_prune_renormalizes():
     p = [0.75, 0.25]
     ts = build_typical_set(p, 2, 0.4)
     pd = prune(p, ts)
-    vec = pd.prob_vector()
+    vec = pd.probs
+    assert vec.shape == (len(ts.members),)
     assert np.isclose(vec.sum(), 1.0)
     assert np.isclose(pd.prob((0, 0)), (9 / 16) / (15 / 16))
     assert pd.prob((1, 1)) == 0.0
     assert pd.support() == ts.members
+    # member codes: product-order positions, ascending with the members
+    assert ts.codes.tolist() == [2 * a + b for a, b in ts.members]
     # the sampler's cumulative vector is set when the law is built
     assert np.array_equal(pd.cum, np.cumsum(vec))
-    assert pd.min_prob == vec.min()
     with pytest.raises(SizeMismatch):
         prune([0.2, 0.3, 0.5], ts)
 
@@ -144,7 +146,7 @@ def test_prune_conditional_weights():
     cond_seq = (0, 1)
     ts = conditional_typical_set(p_cond, cond_seq, 2, 2.0)
     pd = prune_conditional(p_cond, cond_seq, ts)
-    assert np.isclose(pd.prob_vector().sum(), 1.0)
+    assert np.isclose(pd.probs.sum(), 1.0)
     # full set at generous delta: pruned law equals the raw conditional law
     assert np.isclose(pd.prob((0, 0)), 0.8 * 0.5)
     assert np.isclose(pd.prob((1, 1)), 0.2 * 0.5)
@@ -182,8 +184,15 @@ def test_sampling_is_deterministic_and_consistent():
     batch = sample_sequences(pd, np.random.default_rng(61), 5)
     assert batch[0] == single
     again = sample_sequences(pd, np.random.default_rng(61), 5)
-    assert batch == again
-    assert sample_sequences(pd, np.random.default_rng(61), 0) == []
+    assert np.array_equal(batch, again)
+    # draws are member indices, and consecutive calls continue the
+    # stream: 2 then 3 draws are the 5 of one call
+    assert batch.dtype.kind == "i"
+    assert np.all((0 <= batch) & (batch < len(ts.members)))
+    rng = np.random.default_rng(61)
+    split = [sample_sequences(pd, rng, k) for k in (2, 0, 3)]
+    assert np.array_equal(np.concatenate(split), batch)
+    assert sample_sequences(pd, np.random.default_rng(61), 0).size == 0
     with pytest.raises(ValueError):
         sample_sequences(pd, np.random.default_rng(61), -1)
     # numpy refuses this many draws before it allocates anything
@@ -191,5 +200,5 @@ def test_sampling_is_deterministic_and_consistent():
         sample_sequences(pd, np.random.default_rng(61), 2**63)
     # empirical frequencies approach the pruned law
     draws = sample_sequences(pd, np.random.default_rng(67), 4000)
-    freq = sum(1 for d in draws if d == (0, 0, 0)) / 4000
+    freq = np.count_nonzero(draws == ts.members.index((0, 0, 0))) / 4000
     assert abs(freq - pd.prob((0, 0, 0))) < 0.03
