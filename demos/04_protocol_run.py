@@ -32,8 +32,8 @@ print()
 block = build_block_scenario(single, cfg.params)
 print(f"Alice typical sequences: {len(block.alice_block.typical.members)}")
 print(f"Bob marginal typical sequences: {len(block.bob_marg_typical.members)}")
-for cond_seq, blk in sorted(block.bob_blocks.items()):
-    print(f"  conditioning {cond_seq}: {len(blk.typical.members)} conditional"
+for _, blk in sorted(block.bob_blocks.items()):
+    print(f"  conditioning {blk.cond_seq}: {len(blk.typical.members)} conditional"
           f" sequences, scale S = {blk.typical.total_prob:.3f}")
 print()
 

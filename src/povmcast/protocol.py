@@ -21,7 +21,6 @@ sandwiching by sqrt(rho^n), summed over all outcome sequences.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -107,7 +106,8 @@ __all__ = [
 
 # Conditioning symbol used when a pipeline stage has nothing to condition
 # on (Alice's side). A one-row conditional law indexed by this symbol
-# reproduces the unconditioned marginal machinery.
+# reproduces the unconditioned marginal machinery. Being 0, it is also
+# the product-order code of (_FREE,) * n, which keys Alice's codebook.
 _FREE = 0
 
 
@@ -642,14 +642,15 @@ class BlockScenario:
     compressed states and cutoffs for Alice (one free conditioning) and
     for Bob (one block per typical Alice sequence), plus the reference
     measurement operators for the sequences a codebook can draw (typical
-    members). lambda_a_n and lambda_ref_b hold sqrt(rho^n) F, the
-    reference Lambda_x = F F^dag sandwiched as scoring reads it, F being
-    the Kronecker product of single-letter factors (D x prod_i r_i);
-    sqrt_lambda_a_n holds sqrt(Lambda_x). rho_n and sqrt_rho_n are the
-    Kronecker powers of rho and sqrt(rho). All are held as two Kronecker
-    half-products, shared between sequences with a common half.
-    Conditioning sequences whose conditional typical set is empty are
-    listed in dropped_cond and excluded from the construction.
+    members). bob_blocks, lambda_a_n and sqrt_lambda_a_n are keyed by the
+    x_A^n product-order code, lambda_ref_b by the x_B^n one. lambda_a_n
+    and lambda_ref_b hold sqrt(rho^n) F, the reference Lambda_x = F F^dag
+    sandwiched as scoring reads it, F being the Kronecker product of
+    single-letter factors (D x prod_i r_i); sqrt_lambda_a_n holds
+    sqrt(Lambda_x). rho_n and sqrt_rho_n are the Kronecker powers of rho
+    and sqrt(rho). All are held as two Kronecker half-products, shared
+    between sequences with a common half. Conditionings whose conditional
+    typical set is empty are listed in dropped_cond and excluded.
     """
 
     single: SingleLetterScenario
@@ -725,10 +726,11 @@ def build_block_scenario(
     bob_hat = {
         pair: branch_eigensystem(m) for pair, m in single.hat_states.items()
     }
+    alice_codes = alice_block.typical.codes.tolist()
     by_type = {}
     bob_blocks = {}
     dropped = []
-    for cond_seq in alice_block.typical.members:
+    for code, cond_seq in zip(alice_codes, alice_block.typical.members):
         rep = tuple(sorted(cond_seq))
         if rep not in by_type:
             try:
@@ -747,7 +749,7 @@ def build_block_scenario(
         if by_type[rep] is None:
             dropped.append(cond_seq)
         else:
-            bob_blocks[cond_seq] = _permuted_block(by_type[rep], cond_seq, dim)
+            bob_blocks[code] = _permuted_block(by_type[rep], cond_seq, dim)
 
     bob_marg_typical = build_typical_set(single.p_b, n, delta)
     bob_marg_pruned = prune(single.p_b, bob_marg_typical)
@@ -758,19 +760,19 @@ def build_block_scenario(
     factor_memo, sqrt_memo = {}, {}
     lambda_a_n = {}
     sqrt_lambda_a_n = {}
-    for seq in alice_block.typical.members:
-        lambda_a_n[seq] = _kron_halves(
+    for code, seq in zip(alice_codes, alice_block.typical.members):
+        lambda_a_n[code] = _kron_halves(
             alice_factors, seq, factor_memo, sqrt_rho_n
         )
-        sqrt_lambda_a_n[seq] = _kron_halves(sqrt_alice, seq, sqrt_memo)
+        sqrt_lambda_a_n[code] = _kron_halves(sqrt_alice, seq, sqrt_memo)
 
     bob_factors = [_psd_factor(e) for e in single.bob_reference.elements]
     bob_memo = {}
     lambda_ref_b = {}
     for blk in bob_blocks.values():
-        for seq in blk.typical.members:
-            if seq not in lambda_ref_b:
-                lambda_ref_b[seq] = _kron_halves(
+        for code, seq in zip(blk.typical.codes.tolist(), blk.typical.members):
+            if code not in lambda_ref_b:
+                lambda_ref_b[code] = _kron_halves(
                     bob_factors, seq, bob_memo, sqrt_rho_n
                 )
 
@@ -801,13 +803,13 @@ class Codebook:
     """Random codewords of one trial, each a member index: its position
     in the sorted member list of the law it was drawn from.
 
-    cells maps each conditioning to an (m_count, size) array, row m the
-    codewords of bin m, in the conditioning's law. Case 2 draws them from
-    that law, entries mapping each (conditioning, bin) to its row. Case 1
-    draws a pool of size_prime marginal codewords per bin (entries maps
-    bins to pools); selection holds, per cell, the pool positions of the
-    first size conditionally typical draws, and a cell with fewer is
-    flagged in failure_flags, its row holding -1 past them.
+    cells maps each conditioning's code to an (m_count, size) array, row
+    m the codewords of bin m, in the conditioning's law. Case 2 draws
+    them from that law, entries mapping each (conditioning, bin) to its
+    row. Case 1 draws a pool of size_prime marginal codewords per bin
+    (entries maps bins to pools); selection holds, per cell, the pool
+    positions of the first size conditionally typical draws, and a cell
+    with fewer is flagged in failure_flags, its row holding -1 past them.
     """
 
     case: int
@@ -819,20 +821,20 @@ class Codebook:
     failure_flags: dict
     cells: dict
 
-    def codewords(self, cond_seq, m) -> np.ndarray:
+    def codewords(self, cond, m) -> np.ndarray:
         """Selected codewords of one (conditioning, bin) cell, a view of
         its row; a case-1 cell that failed selection is partial."""
-        row = self.cells[cond_seq][m]
+        row = self.cells[cond][m]
         if self.case == 2:
             return row
-        return row[: len(self.selection[(cond_seq, m)])]
+        return row[: len(self.selection[(cond, m)])]
 
-    def selected_index(self, cond_seq, m, j) -> int:
+    def selected_index(self, cond, m, j) -> int:
         """Map a selected position j to the index in the underlying bin
         list (case 1); identity in case 2."""
         if self.case == 2:
             return j
-        return self.selection[(cond_seq, m)][j]
+        return self.selection[(cond, m)][j]
 
     @property
     def failure_rate(self) -> float:
@@ -883,9 +885,9 @@ def generate_codebook(
 ) -> Codebook:
     """Draw the codebook for one trial.
 
-    conditionals maps each conditioning sequence to the pruned
-    conditional law codewords must follow. Case 1 also needs the pruned
-    output marginal. Conditioning sequences are visited in sorted order,
+    conditionals maps each conditioning, by its sequence's code, to the
+    pruned conditional law codewords must follow. Case 1 also needs the
+    pruned output marginal. Conditionings are visited in sorted order,
     and case 2 draws all bins of a conditioning in one sample_sequences
     call, case 1 all pools in one, which reproduces the stream of a draw
     per bin; case 1 then selects from the pools for every conditioning
@@ -898,11 +900,12 @@ def generate_codebook(
 
     cond_keys = sorted(conditionals.keys())
     laws = [conditionals[c] for c in cond_keys]
+    # the cells in order, lazily: a huge m_count fails at the draw first
+    keys = ((c, m) for c in cond_keys for m in range(m_count))
     selection, failure = {}, {}
     if case == 2:
         draws = [sample_sequences(law, rng, m_count * size) for law in laws]
         draws = np.array(draws, np.intp).reshape(len(laws), m_count, size)
-        keys = itertools.product(cond_keys, range(m_count))
         entries = dict(zip(keys, draws.reshape(-1, size)))
     else:
         if marginal is None:
@@ -913,7 +916,7 @@ def generate_codebook(
         draws, picks = _select(marginal, laws, pools, size)
         found = np.count_nonzero(draws >= 0, axis=2).ravel().tolist()
         start = 0
-        for key, count in zip(itertools.product(cond_keys, range(m_count)), found):
+        for key, count in zip(keys, found):
             selection[key] = tuple(picks[start : start + count])
             failure[key] = count < size
             start += count
@@ -1083,16 +1086,17 @@ def _pooled(opsets) -> list:
 
 
 def build_gamma(
-    block: ConditioningBlock, codebook: Codebook, *, eps
+    block: ConditioningBlock, codebook: Codebook, cond, *, eps
 ) -> BobOperatorSet:
-    """Count the drawn codewords of each bin against the block's factors.
+    """Count the drawn codewords of each bin against the block's factors,
+    cond keying the block's conditioning in codebook.
 
     Each codeword's operator gets weight scale = S / ((1 + eps) * size *
     m_count), S = typical.total_prob and size and m_count being the
     codebook's; the sum over a bin then concentrates near identity /
     (m_count) on the cut support when the codebook is large enough.
     """
-    cells = codebook.cells[block.cond_seq]
+    cells = codebook.cells[cond]
     drawn = cells >= 0
     return BobOperatorSet(
         block=block,
@@ -1178,21 +1182,21 @@ def _settle_bins(opsets, m_count) -> tuple:
     return valid.reshape(shape), stage.reshape(shape)
 
 
-def _flag_bins(opsets, codebook) -> None:
-    """Set each opset's is_valid_subpovm and fallback_applied for every
-    bin of codebook, deciding all bins in one _settle_bins pass."""
-    valid, _ = _settle_bins(opsets, codebook.m_count)
-    for opset, row in zip(opsets, valid.tolist()):
+def _flag_bins(opsets: dict, codebook) -> None:
+    """Set the is_valid_subpovm and fallback_applied of each opset, keyed
+    by its conditioning in codebook, for every bin of codebook, deciding
+    all bins in one _settle_bins pass."""
+    valid, _ = _settle_bins(list(opsets.values()), codebook.m_count)
+    for (cond, opset), row in zip(opsets.items(), valid.tolist()):
         for m, ok in enumerate(row):
-            failed = bool(
-                codebook.failure_flags.get((opset.block.cond_seq, m), False)
-            )
+            failed = bool(codebook.failure_flags.get((cond, m), False))
             opset.is_valid_subpovm[m] = ok
             opset.fallback_applied[m] = (not ok) or failed
 
 
-def validate_subpovm(opset: BobOperatorSet, codebook: Codebook) -> BobOperatorSet:
-    """Check each bin sums below the identity; mark fallbacks.
+def validate_subpovm(opset: BobOperatorSet, codebook: Codebook, cond) -> BobOperatorSet:
+    """Check each bin sums below the identity; mark fallbacks. cond keys
+    the opset's conditioning in codebook.
 
     A bin falls back when its operators leak above identity by more than
     TAU_PSD, or when its case-1 codeword selection failed. Fallback bins are
@@ -1203,7 +1207,7 @@ def validate_subpovm(opset: BobOperatorSet, codebook: Codebook) -> BobOperatorSe
     flag is the exact route's. Alice's bins go through here;
     build_protocol_instance runs the pass once over all of Bob's opsets.
     """
-    _flag_bins([opset], codebook)
+    _flag_bins({cond: opset}, codebook)
     return opset
 
 
@@ -1211,15 +1215,15 @@ def validate_subpovm(opset: BobOperatorSet, codebook: Codebook) -> BobOperatorSe
 class AliceMeasurement:
     """Alice's randomized block measurement for one trial.
 
-    opset counts the codewords of each bin. lambda_tilde maps each
-    produced sequence x to sqrt(rho^n) sqrt(N_x scale) w_x, the factor of
-    its operator N_x scale w_x w_x^dag sandwiched by sqrt(rho^n), N_x
-    being its count over the non-fallback bins; sqrt_lambda_tilde maps x
-    to the unsandwiched square root sqrt(N_x scale) (w_x w_x^dag)^{1/2}
-    held thin as (U, s), the root being U diag(s) U^dag. With a single
-    Alice outcome letter the construction collapses and every operator
-    is exactly I / (m_count * size) (trivial=True); the summed operator
-    and its root are then I, and its factor is sqrt(rho^n).
+    opset counts the codewords of each bin. lambda_tilde maps the code of
+    each produced x to sqrt(rho^n) sqrt(N_x scale) w_x, the factor of its
+    operator N_x scale w_x w_x^dag sandwiched by sqrt(rho^n), N_x being
+    its count over the non-fallback bins; sqrt_lambda_tilde maps it to
+    the unsandwiched root sqrt(N_x scale) (w_x w_x^dag)^{1/2} held thin
+    as (U, s), the root being U diag(s) U^dag. With a single Alice
+    outcome letter the construction collapses and every operator is
+    exactly I / (m_count * size) (trivial=True); the summed operator and
+    its root are then I, and its factor is sqrt(rho^n).
     """
 
     opset: BobOperatorSet
@@ -1238,12 +1242,11 @@ def build_alice_measurement(
     plain x_A^n typical marginal), regardless of params.case, since she
     has no conditioning to respect.
     """
-    n = block.n
     ab = block.alice_block
     codebook = generate_codebook(
         params,
         None,
-        {ab.cond_seq: ab.pruned},
+        {_FREE: ab.pruned},
         rng,
         size=params.s_a,
         m_count=params.m_a,
@@ -1252,33 +1255,32 @@ def build_alice_measurement(
 
     trivial = block.single.n_alice == 1
     if trivial:
-        # every codeword is the only sequence, and its operator is
-        # scale * I: the identity stands in for its gamma factor
-        only_seq = (0,) * n
+        # every codeword is the only sequence, code 0, and its operator
+        # is scale * I: the identity stands in for its gamma factor
         eye = np.eye(block.rho_n.shape[0])
         stand_in = replace(
             ab, gamma_factors=[eye], norms=np.array([_factor_norms(eye)])
         )
         opset = replace(
-            build_gamma(stand_in, codebook, eps=0.0),
+            build_gamma(stand_in, codebook, _FREE, eps=0.0),
             scale=1.0 / (params.m_a * params.s_a),
             is_valid_subpovm=dict.fromkeys(range(params.m_a), True),
             fallback_applied=dict.fromkeys(range(params.m_a), False),
         )
-        summed = {only_seq: eye}
-        sqrt_lambda_tilde = {only_seq: (eye, np.ones(eye.shape[0]))}
+        summed = {0: eye}
+        sqrt_lambda_tilde = {0: (eye, np.ones(eye.shape[0]))}
     else:
-        opset = build_gamma(ab, codebook, eps=params.eps)
-        validate_subpovm(opset, codebook)
+        opset = build_gamma(ab, codebook, _FREE, eps=params.eps)
+        validate_subpovm(opset, codebook, _FREE)
         summed, sqrt_lambda_tilde = {}, {}
-        members, counts = (a.tolist() for a in _pooled([opset])[0])
-        factors = [ab.gamma_factors[x] for x in members]
+        members, counts = _pooled([opset])[0]
+        factors = [ab.gamma_factors[x] for x in members.tolist()]
         roots = _thin_roots(factors)
-        for x, count, w, (u, s) in zip(members, counts, factors, roots):
-            seq = ab.typical.members[x]
+        codes = ab.typical.codes[members].tolist()
+        for code, count, w, (u, s) in zip(codes, counts.tolist(), factors, roots):
             weight = math.sqrt(count * opset.scale)
-            summed[seq] = weight * w
-            sqrt_lambda_tilde[seq] = (u, weight * s)
+            summed[code] = weight * w
+            sqrt_lambda_tilde[code] = (u, weight * s)
     sandwiched = _batched(lambda g: block.sqrt_rho_n @ g, list(summed.values()))
     return AliceMeasurement(
         opset=opset,
@@ -1305,44 +1307,43 @@ def assemble_bob_povm(
     and sqrt(rho^n) once to each table's columns before they are
     gathered per sequence: an element is returned as sqrt(rho^n) G, G
     (D x K) being its stacked columns and G G^dag its operator. Keys are
-    the x_B^n that received an operator; a missing key means the zero
-    operator.
+    the codes of the x_B^n that received an operator; a missing key means
+    the zero operator. bob_sets is keyed by the x_A^n code.
     """
     tilde, prime = [], []
     pooled = _pooled(list(bob_sets.values()))
-    for (cond_seq, opset), (members, counts) in zip(bob_sets.items(), pooled):
+    for (cond, opset), (members, counts) in zip(bob_sets.items(), pooled):
         if not members.size:
             continue
         cols = opset.columns(members, counts)
-        seqs = opset.block.typical.members
-        widths = [(seqs[x], c.shape[1]) for x, c in zip(members.tolist(), cols)]
+        layout = (opset.block.typical.codes[members], [c.shape[1] for c in cols])
         stacked = np.concatenate(cols, axis=1)
-        prime.append((widths, block.sqrt_lambda_a_n[cond_seq] @ stacked))
-        root = alice.sqrt_lambda_tilde.get(cond_seq)
+        prime.append((*layout, block.sqrt_lambda_a_n[cond] @ stacked))
+        root = alice.sqrt_lambda_tilde.get(cond)
         if root is not None:
-            tilde.append((widths, _apply_root(root, stacked)))
+            tilde.append((*layout, _apply_root(root, stacked)))
 
     def by_sequence(parts):
-        # each sequence's columns in conditioning order, gathered at once;
-        # a member whose factor has no column still gets its key
+        # the columns stably sorted by their sequence's code into one
+        # buffer, so each sequence's columns are a view in conditioning
+        # order; a member whose factor has no column still gets its key
         if not parts:
             return {}
-        out = block.sqrt_rho_n @ np.concatenate([c for _, c in parts], axis=1)
-        index = {}
-        start = 0
-        for widths, _ in parts:
-            for seq, width in widths:
-                index.setdefault(seq, []).extend(range(start, start + width))
-                start += width
-        return {seq: out[:, idx] for seq, idx in index.items()}
+        codes, widths, cols = (np.concatenate(a, axis=-1) for a in zip(*parts))
+        out = block.sqrt_rho_n @ cols
+        order = np.argsort(np.repeat(codes, widths), kind="stable")
+        keys, owner = np.unique(codes, return_inverse=True)
+        sizes = np.bincount(owner, weights=widths, minlength=keys.size).astype(np.intp)
+        return dict(zip(keys.tolist(), _pieces(out[:, order], sizes)))
 
     return by_sequence(tilde), by_sequence(prime)
 
 
 @dataclass(eq=False)
 class ProtocolInstance:
-    """One realized protocol: codebooks drawn, operators built; Bob's
-    tables hold sqrt(rho^n) G per element, G G^dag being its operator."""
+    """One realized protocol: codebooks drawn, operators built. bob_sets
+    is keyed by the x_A^n code, and Bob's tables by the x_B^n code, each
+    holding sqrt(rho^n) G per element, G G^dag being its operator."""
 
     block: BlockScenario
     params: ProtocolParams
@@ -1378,9 +1379,7 @@ def build_protocol_instance(
     alice = build_alice_measurement(
         block, params, np.random.default_rng(alice_ss)
     )
-    conditionals = {
-        cond_seq: blk.pruned for cond_seq, blk in block.bob_blocks.items()
-    }
+    conditionals = {code: blk.pruned for code, blk in block.bob_blocks.items()}
     bob_codebook = generate_codebook(
         params,
         block.bob_marg_pruned,
@@ -1388,10 +1387,10 @@ def build_protocol_instance(
         np.random.default_rng(bob_ss),
     )
     bob_sets = {
-        cond_seq: build_gamma(blk, bob_codebook, eps=params.eps)
-        for cond_seq, blk in block.bob_blocks.items()
+        code: build_gamma(blk, bob_codebook, code, eps=params.eps)
+        for code, blk in block.bob_blocks.items()
     }
-    _flag_bins(list(bob_sets.values()), bob_codebook)
+    _flag_bins(bob_sets, bob_codebook)
 
     lambda_tilde_b, lambda_prime_b = assemble_bob_povm(block, alice, bob_sets)
     return ProtocolInstance(
@@ -1458,18 +1457,18 @@ def _signed_trace_norms(pairs) -> list:
     return [0.0 if norm is None else float(norm) for norm in norms]
 
 
-def _reference_terms(reference, probs, approx, keys) -> tuple:
-    """The terms of sum over keys of ||sqrt(rho^n) (approx_x - Lambda_x)
-    sqrt(rho^n)||_1, both tables holding sandwiched factors
-    sqrt(rho^n) F, reference as Kronecker halves. A key approx lacks
-    scores tr(rho^n Lambda_x) = prod_i probs[x_i], as Lambda_x is a PSD
+def _reference_terms(reference, law, approx, keys) -> tuple:
+    """The terms of sum over the codes x that the mask keys selects of
+    ||sqrt(rho^n) (approx_x - Lambda_x) sqrt(rho^n)||_1, both tables
+    holding sandwiched factors sqrt(rho^n) F, reference densified. A key
+    approx lacks scores tr(rho^n Lambda_x) = law[x], as Lambda_x is a PSD
     product; these are summed into the first item. The second lists the
-    dense (approx_x, Lambda_x) pairs of the other keys, in key order."""
-    unused = sum(
-        math.prod(probs[x] for x in key) for key in keys if key not in approx
-    )
-    drawn = [(approx[k], reference[k].dense()) for k in keys if k in approx]
-    return unused, drawn
+    (approx_x, Lambda_x) pairs of the other keys. Both go in code order."""
+    drawn = np.zeros(keys.size, dtype=bool)
+    drawn[list(approx)] = True
+    unused = sum(law[keys & ~drawn].tolist())
+    pairs = [(approx[k], reference[k]) for k in np.flatnonzero(keys & drawn).tolist()]
+    return unused, pairs
 
 
 @dataclass(frozen=True)
@@ -1496,6 +1495,7 @@ class E0Report:
     ok means every conditional typical sequence's empirical frequency
     across the realized codebook sits inside the (1 +- eps) band around
     its pruned probability. violation is the worst relative deviation.
+    draw_counts maps each conditioning's code to its codewords counted.
     """
 
     ok: bool
@@ -1560,31 +1560,28 @@ def instance_report(instance: ProtocolInstance) -> FaithfulnessReport:
     empty = np.zeros((block.rho_n.shape[0], 0))
     tilde = instance.lambda_tilde_b
     prime = instance.lambda_prime_b
-    members = set(block.bob_marg_typical.members)
-    typ, atyp = [], []
-    for seq in itertools.product(range(single.n_bob), repeat=block.n):
-        (typ if seq in members else atyp).append(seq)
+    typ = np.isin(np.arange(single.n_bob**block.n), block.bob_marg_typical.codes)
+    # tr(rho^n Lambda_x) of every code x; each scored reference densified once
+    law_b = reduce(np.multiply.outer, [single.p_b] * block.n).ravel()
+    scored = set(tilde).union(k for k in prime if typ[k])
+    ref_b = {k: block.lambda_ref_b[k].dense() for k in scored}
 
     def bob(approx, keys):
-        return _reference_terms(block.lambda_ref_b, single.p_b, approx, keys)
+        return _reference_terms(ref_b, law_b, approx, keys)
 
     terms = {
-        "atypical": bob(tilde, atyp),
+        "atypical": bob(tilde, ~typ),
         "typical": bob(tilde, typ),
         "d2": bob(prime, typ),
-        "d3": (
-            0,
-            [
-                (prime.get(seq, empty), tilde.get(seq, empty))
-                for seq in typ
-                if seq in prime or seq in tilde
-            ],
-        ),
+        "d3": (0, [
+            (prime.get(k, empty), tilde.get(k, empty))
+            for k in sorted(scored) if typ[k]
+        ]),
         "d_alice": _reference_terms(
-            block.lambda_a_n,
-            single.p_a,
+            {k: block.lambda_a_n[k].dense() for k in instance.alice.lambda_tilde},
+            reduce(np.multiply.outer, [single.p_a] * block.n).ravel(),
             instance.alice.lambda_tilde,
-            list(itertools.product(range(single.n_alice), repeat=block.n)),
+            np.ones(single.n_alice**block.n, dtype=bool),
         ),
     }
     # every drawn key scored at once, then each quantity summed in key
@@ -1597,9 +1594,7 @@ def instance_report(instance: ProtocolInstance) -> FaithfulnessReport:
         for name, (unused, drawn) in terms.items()
     }
     atypical = score["atypical"]
-    conditionals = {
-        cond_seq: blk.pruned for cond_seq, blk in block.bob_blocks.items()
-    }
+    conditionals = {code: blk.pruned for code, blk in block.bob_blocks.items()}
     e0 = empirical_e0_check(
         instance.bob_codebook, conditionals, instance.params.eps
     )
@@ -1670,9 +1665,9 @@ def _codeword_weights(opset, words, m_count, adjoint) -> list:
     return [per_member[k] for k in inverse.tolist()]
 
 
-def _collapsed_state(alice, seq, rho_n) -> np.ndarray:
+def _collapsed_state(alice, code, rho_n) -> np.ndarray:
     """Factor F of the block state rho_n (Kronecker halves) after Alice's
-    outcome seq from a non-fallback bin, the state being F F^dag.
+    outcome code from a non-fallback bin, the state being F F^dag.
 
     The server collapses by the physical operator
     sqrt(scale) (w w^dag)^{1/2}; Alice's root U diag(s) U^dag of seq is a
@@ -1680,7 +1675,7 @@ def _collapsed_state(alice, seq, rho_n) -> np.ndarray:
     state is U M U^dag with the r x r matrix M = s (U^dag rho_n U) s, so
     F = U Q diag(sqrt(mu)) for the eigensystem M = Q diag(mu) Q^dag.
     """
-    u, s = alice.sqrt_lambda_tilde[seq]
+    u, s = alice.sqrt_lambda_tilde[code]
     inner = (s[:, None] * (u.conj().T @ (rho_n @ u))) * s
     mu, q = np.linalg.eigh(hermitian_part(inner))
     factor = u @ (q * np.sqrt(np.clip(mu, 0.0, None)))
@@ -1728,7 +1723,7 @@ def run_protocol_trial(instance: ProtocolInstance, rng) -> SimulationTranscript:
     # sum over every bin is the simulated POVM; for a fixed shared bin the
     # server measures the m_count-fold rescaling, whose bin sum is near
     # identity. sqrt(rho^n) is its own adjoint factor of rho^n.
-    words_a = alice.codebook.codewords(block.alice_block.cond_seq, m_a)
+    words_a = alice.codebook.codewords(_FREE, m_a)
     weights = _codeword_weights(
         alice.opset, words_a, params.m_a, block.sqrt_rho_n
     )
@@ -1736,19 +1731,19 @@ def run_protocol_trial(instance: ProtocolInstance, rng) -> SimulationTranscript:
     j_a = _sample_index(weights, residual, rng)
     if j_a >= len(words_a):
         return degenerate("alice_garbage", m_a=m_a, m_b=m_b)
-    alice_seq = block.alice_block.typical.members[words_a[j_a]]
+    code = int(block.alice_block.typical.codes[words_a[j_a]])
 
     if weights[j_a] <= TAU_PROB:
         return degenerate("alice_garbage", m_a=m_a, m_b=m_b, j_a=j_a)
-    post = _collapsed_state(alice, alice_seq, block.rho_n)
+    post = _collapsed_state(alice, code, block.rho_n)
 
-    opset = instance.bob_sets.get(alice_seq)
+    opset = instance.bob_sets.get(code)
     if opset is None:
         return degenerate("empty_conditional", m_a=m_a, m_b=m_b, j_a=j_a)
     if opset.fallback_applied.get(m_b, False):
         return degenerate("bob_fallback", m_a=m_a, m_b=m_b, j_a=j_a)
 
-    words_b = instance.bob_codebook.codewords(alice_seq, m_b)
+    words_b = instance.bob_codebook.codewords(code, m_b)
     weights_b = _codeword_weights(opset, words_b, params.m_b, post.conj().T)
     residual_b = 1.0 - sum(weights_b)
     j_pos = _sample_index(weights_b, residual_b, rng)
@@ -1758,13 +1753,13 @@ def run_protocol_trial(instance: ProtocolInstance, rng) -> SimulationTranscript:
     if instance.mode == "with_alice_randomness":
         j_b = j_pos
     else:
-        j_b = instance.bob_codebook.selected_index(alice_seq, m_b, j_pos)
+        j_b = instance.bob_codebook.selected_index(code, m_b, j_pos)
     return SimulationTranscript(
         m_a=m_a,
         m_b=m_b,
         j_a=j_a,
         j_b=j_b,
-        alice_output=alice_seq,
+        alice_output=block.alice_block.typical.members[words_a[j_a]],
         bob_output=bob_seq,
         bits_to_alice=bits_a,
         bits_to_bob=bits_b,

@@ -61,11 +61,15 @@ class PrunedDistribution:
         object.__setattr__(self, "cum", self.probs.cumsum())
 
     def prob(self, seq) -> float:
-        """Probability of one sequence; 0 off the typical set."""
-        try:
-            return float(self.probs[self.base.members.index(tuple(seq))])
-        except ValueError:
+        """Probability of one sequence, found by its product-order code;
+        0 off the typical set, at the wrong length or outside the
+        alphabet."""
+        k, codes, seq = self.base.alphabet_size, self.base.codes, tuple(seq)
+        if len(seq) != self.base.n or not all(0 <= s < k for s in seq):
             return 0.0
+        code = reduce(lambda c, s: c * k + s, seq, 0)
+        i = np.searchsorted(codes, code)
+        return float(self.probs[i]) if i < codes.size and codes[i] == code else 0.0
 
     def support(self) -> tuple:
         return self.base.members
@@ -146,10 +150,8 @@ def build_typical_set(p, n: int, delta: float) -> TypicalSet:
 
 def prune(p, ts: TypicalSet) -> PrunedDistribution:
     """Restrict the product law to the typical set and renormalize."""
-    p = _check_distribution(p)
-    if p.size != ts.alphabet_size:
-        raise SizeMismatch("distribution alphabet does not match the typical set")
-    return prune_conditional(p.reshape(1, -1), (0,) * ts.n, ts)
+    p = np.asarray(p, dtype=np.float64).reshape(1, -1)
+    return prune_conditional(p, (0,) * ts.n, ts)
 
 
 def _check_conditional(p_cond, used_rows) -> np.ndarray:
@@ -191,9 +193,10 @@ def prune_conditional(p_cond, x_a_seq, ts: TypicalSet) -> PrunedDistribution:
     if len(x_a_seq) != ts.n:
         raise SizeMismatch("conditioning sequence length does not match the set")
     p_cond = _check_conditional(p_cond, set(x_a_seq))
-    raw = np.array(
-        [float(np.prod([p_cond[a, b] for a, b in zip(x_a_seq, m)])) for m in ts.members]
-    )
+    if p_cond.shape[1] != ts.alphabet_size:
+        raise SizeMismatch("law alphabet does not match the typical set")
+    # the product law of every sequence, read at the members' codes
+    raw = reduce(np.multiply.outer, [p_cond[a] for a in x_a_seq]).ravel()[ts.codes]
     s = float(raw.sum())
     if s <= 0.0:
         raise EmptySupport("typical set carries zero probability mass")

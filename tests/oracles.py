@@ -333,6 +333,30 @@ def cut_average(cutoff):
     return 0.5 * (omega + omega.conj().T)
 
 
+def code(seq, alphabet):
+    """Position of a sequence over range(alphabet) in product order."""
+    out = 0
+    for s in seq:
+        out = out * alphabet + s
+    return out
+
+
+def sequence(code, alphabet, n):
+    """The length-n sequence over range(alphabet) at position code in
+    product order."""
+    digits = []
+    for _ in range(n):
+        code, s = divmod(code, alphabet)
+        digits.append(s)
+    return tuple(reversed(digits))
+
+
+def by_sequence(table, alphabet, n):
+    """A table keyed by product-order codes, keyed by the sequences the
+    codes name."""
+    return {sequence(c, alphabet, n): v for c, v in table.items()}
+
+
 def densify(factors):
     """Operator table F F^dag of a factor table."""
     return {key: f @ f.conj().T for key, f in factors.items()}
@@ -505,8 +529,9 @@ def dense_instance_scores(block, instance):
     Kronecker power of the single-letter state: every outcome sequence
     gets the dense reference operator S Lambda_x S, Lambda_x being the
     Kronecker product of its letters' elements, and the simulated
-    operators, held as factors S G, are densified to S G G^dag S and
-    zero-filled over all sequences. The five scores are five
+    operators, held as factors S G keyed by product-order codes, are
+    densified to S G G^dag S and zero-filled over all sequences. The five
+    scores are five
     faithfulness_distance calls over explicit dicts, with the identity
     as the state, since both sides are sandwiched already.
     """
@@ -528,10 +553,14 @@ def dense_instance_scores(block, instance):
         zero = np.zeros((dim, dim), dtype=complex)
         return {seq: ops.get(seq, zero) for seq in keys}
 
+    def operators(factors, alphabet):
+        return by_sequence(densify(factors), alphabet, n)
+
     ref_b = table(single.bob_reference.elements)
     ref_a = table(single.alice_povm.elements)
-    tilde = filled(densify(instance.lambda_tilde_b), ref_b)
-    prime = filled(densify(instance.lambda_prime_b), ref_b)
+    tilde = filled(operators(instance.lambda_tilde_b, single.n_bob), ref_b)
+    prime = filled(operators(instance.lambda_prime_b, single.n_bob), ref_b)
+    alice = filled(operators(instance.alice.lambda_tilde, single.n_alice), ref_a)
     members = set(block.bob_marg_typical.members)
 
     def part(ops, typical):
@@ -542,7 +571,7 @@ def dense_instance_scores(block, instance):
 
     return {
         "d_bob": dist(ref_b, tilde),
-        "d_alice": dist(ref_a, filled(densify(instance.alice.lambda_tilde), ref_a)),
+        "d_alice": dist(ref_a, alice),
         "atypical": dist(part(ref_b, False), part(tilde, False)),
         "d2": dist(part(ref_b, True), part(prime, True)),
         "d3": dist(part(prime, True), part(tilde, True)),
@@ -588,9 +617,10 @@ def dense_trial_operators(block, params, seed_seq):
         None, {ab.cond_seq: ab.pruned}, np.random.default_rng(alice_ss),
         case=2, size=params.s_a, m_count=params.m_a,
     )
+    bob_blocks = {blk.cond_seq: blk for blk in block.bob_blocks.values()}
     bob_cb = literal_codebook(
         block.bob_marg_pruned,
-        {c: blk.pruned for c, blk in block.bob_blocks.items()},
+        {c: blk.pruned for c, blk in bob_blocks.items()},
         np.random.default_rng(bob_ss),
         case=params.case, size=params.s_b, m_count=params.m_b,
         size_prime=params.s_b_prime,
@@ -646,7 +676,7 @@ def dense_trial_operators(block, params, seed_seq):
     alice_elems = block.single.alice_povm.elements
     bob_gamma, bob_valid, bob_fallback, bob_bin_sums = {}, {}, {}, {}
     lambda_tilde_b, lambda_prime_b = {}, {}
-    for cond_seq, blk in block.bob_blocks.items():
+    for cond_seq, blk in bob_blocks.items():
         gamma, sums, valid, fallback = operators(
             blk, bob_cb, params.s_b, params.m_b
         )
@@ -690,7 +720,7 @@ def dense_trial_operators(block, params, seed_seq):
         for j_a, cond_seq in enumerate(words_a):
             if alice_weights[m_a][j_a] <= TAU_PROB:
                 continue
-            if cond_seq not in block.bob_blocks:
+            if cond_seq not in bob_blocks:
                 continue
             root = sqrt_psd(alice_gamma[(j_a, m_a)])
             post = hermitian_part(root @ rho_n @ root)

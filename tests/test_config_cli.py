@@ -585,6 +585,63 @@ PINNED_SEED3_TRIALS = {
         (0.586776859504132, 0.5454545454545452, 0.0, 0.09090909090909094, 0.4958677685950411),
         (0.41322314049586784, 0.4545454545454547, 0.0, 0.09090909090909094, 0.41322314049586784),
     ],
+    "independent-product": [
+        (0.6239669421487605, 0.5863636363636364, 0.09, 0.0827272727272729, 0.45123966942148763),
+        (0.58679173553719, 0.3447999999999999, 0.09, 0.4899999999999998, 0.2316363636363635),
+        (0.5161958677685947, 0.4672363636363635, 0.09, 0.28318181818181815, 0.34294214876033036),
+        (0.6607834710743802, 0.5863636363636364, 0.09, 0.48999999999999977, 0.45123966942148763),
+        (0.5160165289256198, 0.33321818181818186, 0.09, 0.34363636363636363, 0.22110743801652896),
+        (0.6239669421487605, 0.5863636363636364, 0.09, 0.13681818181818206, 0.45123966942148774),
+        (0.6272731404958679, 0.5863636363636364, 0.09, 0.28318181818181815, 0.4512396694214875),
+        (0.4807634297520661, 0.43662727272727253, 0.09, 0.13681818181818206, 0.31511570247933873),
+        (0.5698123966942145, 0.5284545454545452, 0.09, 0.2831818181818182, 0.3985950413223135),
+        (0.8119834710743802, 0.5863636363636364, 0.09, 0.49636363636363634, 0.22561983471074382),
+    ],
+    "pure-state": [(0.0, 0.0, 0.0, 0.0, 0.0)] * 5,
+}
+
+# Each trial's transcript at the same runs: (m_a, m_b, j_a, j_b,
+# alice_output, bob_output, reason). three-outcome-split is case 1
+# without Alice's randomness, so j_b goes through the codebook's
+# selected_index; independent-product is case 1 with it.
+PINNED_SEED3_TRANSCRIPTS = {
+    "three-outcome-split": [
+        (0, 0, 1, -1, (), (), "bob_garbage"),
+        (0, 0, 2, 1, (1, 1), (0, 0), ""),
+        (1, 0, 1, -1, (), (), "bob_garbage"),
+        (1, 1, 4, 1, (1, 1), (0, 0), ""),
+        (1, 0, 2, 3, (1, 0), (0, 0), ""),
+        (1, 0, 3, 4, (0, 0), (0, 0), ""),
+        (0, 1, 1, 2, (1, 1), (0, 1), ""),
+        (1, 0, 1, 2, (0, 0), (0, 0), ""),
+        (1, 0, -1, -1, (), (), "alice_fallback"),
+        (0, 0, 3, -1, (), (), "bob_fallback"),
+    ],
+    "bell-computational": [
+        (0, 0, -1, -1, (), (), "alice_fallback"),
+        (0, 0, 1, 0, (1, 0), (1, 0), ""),
+        (1, 0, 0, -1, (), (), "bob_garbage"),
+        (1, 1, 2, 0, (1, 1), (1, 1), ""),
+        (1, 0, 1, 1, (0, 1), (0, 1), ""),
+        (1, 0, 1, 1, (1, 1), (1, 1), ""),
+        (0, 1, 0, 1, (1, 0), (1, 0), ""),
+        (1, 0, 0, 1, (0, 0), (0, 0), ""),
+        (1, 0, 2, 1, (0, 1), (0, 1), ""),
+        (0, 0, 2, 1, (1, 1), (1, 1), ""),
+    ],
+    "independent-product": [
+        (0, 0, -1, -1, (), (), "alice_fallback"),
+        (0, 0, 4, 1, (0, 0), (0, 0), ""),
+        (1, 0, 2, -1, (), (), "bob_garbage"),
+        (1, 1, 5, 1, (0, 1), (0, 0), ""),
+        (1, 0, 3, 3, (1, 1), (0, 0), ""),
+        (1, 0, 4, 3, (0, 0), (0, 0), ""),
+        (0, 1, -1, -1, (), (), "alice_fallback"),
+        (1, 0, 1, 2, (0, 0), (0, 0), ""),
+        (1, 0, 6, 2, (0, 1), (1, 0), ""),
+        (0, 0, -1, -1, (), (), "alice_fallback"),
+    ],
+    "pure-state": [(0, 0, 0, 0, (0, 0), (0, 0), "")] * 5,
 }
 
 
@@ -598,6 +655,12 @@ def test_cli_simulate_fixed_seed_answers(capsys, preset):
         for t in doc["trials"]
     ]
     np.testing.assert_allclose(got, PINNED_SEED3_TRIALS[preset], rtol=0, atol=1e-12)
+    transcripts = [
+        (t["m_a"], t["m_b"], t["j_a"], t["j_b"], tuple(t["alice_output"]),
+         tuple(t["bob_output"]), t["reason"])
+        for t in doc["trials"]
+    ]
+    assert transcripts == PINNED_SEED3_TRANSCRIPTS[preset]
 
 
 def test_cli_sweep_csv_and_trend(capsys, tmp_path):
@@ -853,9 +916,9 @@ def test_huge_bin_count_exits_3_before_any_bin(capsys, monkeypatch, tmp_path, ke
     counted = []
     build_gamma = protocol.build_gamma
 
-    def counting(block, codebook, **kwargs):
+    def counting(block, codebook, cond, **kwargs):
         counted.append(codebook.m_count)
-        return build_gamma(block, codebook, **kwargs)
+        return build_gamma(block, codebook, cond, **kwargs)
 
     monkeypatch.setattr(protocol, "build_gamma", counting)
     doc = preset_document("bell-computational")

@@ -246,8 +246,9 @@ def _oracle_cases(single, block):
     )
     bob_states = {a: st.mat for a, st in single.post_states.items()}
     for cond_seq in block.alice_block.typical.members:
+        code = oracles.code(cond_seq, single.n_alice)
         yield (
-            cond_seq, block.bob_blocks.get(cond_seq), bob_states,
+            cond_seq, block.bob_blocks.get(code), bob_states,
             single.p_cond, single.hat_states, single.h_r_given_xa,
         )
 
@@ -265,6 +266,7 @@ def _assert_matches_dense_oracle(single, params, sqrt_tol=1e-10):
             with pytest.raises(EmptySupport):
                 oracles.dense_conditioning_block(*args)
             continue
+        assert blk.cond_seq == cond_seq
         ref = oracles.dense_conditioning_block(*args)
         close(blk.cutoff.projector, ref["projector"])
         close(oracles.cut_average(blk.cutoff), ref["omega"])
@@ -284,14 +286,19 @@ def _assert_matches_dense_oracle(single, params, sqrt_tol=1e-10):
     rho_n = oracles.dense_kron(block.rho_n)
     close(rho_n, kron_all([single.rho.mat] * params.n), 1e-14)
     close(oracles.dense_kron(block.sqrt_rho_n), sqrt_psd(rho_n))
-    # references exist exactly for the sequences a codebook can draw
+    # references exist exactly for the sequences a codebook can draw,
+    # keyed by their product-order codes
+    n, k_a, k_b = params.n, single.n_alice, single.n_bob
+    lambda_a_n = oracles.by_sequence(block.lambda_a_n, k_a, n)
+    sqrt_lambda_a_n = oracles.by_sequence(block.sqrt_lambda_a_n, k_a, n)
+    lambda_ref_b = oracles.by_sequence(block.lambda_ref_b, k_b, n)
     alice_members = set(block.alice_block.typical.members)
-    assert set(block.sqrt_lambda_a_n) == alice_members
-    assert set(block.lambda_a_n) == alice_members
+    assert set(sqrt_lambda_a_n) == alice_members
+    assert set(lambda_a_n) == alice_members
     bob_members = set()
     for blk in block.bob_blocks.values():
         bob_members.update(blk.typical.members)
-    assert set(block.lambda_ref_b) == bob_members
+    assert set(lambda_ref_b) == bob_members
     # each reference is held already sandwiched, by the Kronecker halves
     # of sqrt(rho^n) F with Lambda_x = F F^dag, F the Kronecker product
     # of single-letter factors: compared as a factor against the
@@ -308,16 +315,16 @@ def _assert_matches_dense_oracle(single, params, sqrt_tol=1e-10):
         return [sqrt_rho @ f for f in factors]
 
     alice_letters = sandwiched_factors(single.alice_povm.elements)
-    for seq, halves in block.lambda_a_n.items():
+    for seq, halves in lambda_a_n.items():
         f = halves.dense()
         close(f, reduce(np.kron, [alice_letters[a] for a in seq]), 1e-14)
         mat = kron_all([single.alice_povm.elements[a] for a in seq])
         assert f.shape[0] == dim and f.shape[1] <= dim
         close(f @ f.conj().T, sqrt_rho_n @ mat @ sqrt_rho_n, 1e-14)
-        sqrt_true = oracles.dense_kron(block.sqrt_lambda_a_n[seq])
+        sqrt_true = oracles.dense_kron(sqrt_lambda_a_n[seq])
         close(sqrt_true, sqrt_psd(mat), sqrt_tol)
     bob_letters = sandwiched_factors(single.bob_reference.elements)
-    for seq, halves in block.lambda_ref_b.items():
+    for seq, halves in lambda_ref_b.items():
         f = halves.dense()
         close(f, reduce(np.kron, [bob_letters[b] for b in seq]), 1e-14)
         mat = kron_all([single.bob_reference.elements[b] for b in seq])
@@ -541,7 +548,7 @@ def _assert_blocks_match_per_sequence_route(single, params):
         except EmptySupport:
             dropped.append(cond_seq)
             continue
-        got = block.bob_blocks[cond_seq]
+        got = block.bob_blocks[oracles.code(cond_seq, single.n_alice)]
         members = want.typical.members
         assert got.cond_seq == cond_seq
         assert got.typical.members == members
@@ -634,7 +641,7 @@ def test_block_geometry_is_built_once_per_type(monkeypatch):
     single = prepare_scenario(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b)
     block = build_block_scenario(single, replace(cfg.params, n=5))
     assert len(block.bob_blocks) == 32
-    types = {tuple(sorted(c)) for c in block.bob_blocks}
+    types = {tuple(sorted(b.cond_seq)) for b in block.bob_blocks.values()}
     assert len(types) == 6
     assert calls == [block.alice_block.cond_seq, *sorted(types)]
 
@@ -694,7 +701,7 @@ def test_block_factors_are_built_once_per_member_orbit(monkeypatch):
     calls = _count_xi_prime(monkeypatch)
     single, params = _three_outcome_split_at(5)
     block = build_block_scenario(single, params)
-    types = {tuple(sorted(c)): blk for c, blk in block.bob_blocks.items()}
+    types = {tuple(sorted(b.cond_seq)): b for b in block.bob_blocks.values()}
     want = _orbit_count(block.alice_block) + sum(map(_orbit_count, types.values()))
     assert len(calls) == want == 27
     for blk in [block.alice_block, *block.bob_blocks.values()]:
@@ -878,8 +885,8 @@ def test_index_codebook_matches_the_literal_route():
                 assert cb.selected_index(cond_seq, m, j) == want
         for cond_seq, law in conditionals.items():
             members = law.support()
-            block = SimpleNamespace(cond_seq=cond_seq, typical=law.base)
-            opset = build_gamma(block, cb, eps=eps)
+            block = SimpleNamespace(typical=law.base)
+            opset = build_gamma(block, cb, cond_seq, eps=eps)
             assert [members[x] for x in opset.gamma] == [
                 seq for m in range(m_count) for seq in lit["cells"][(cond_seq, m)]
             ]
@@ -930,16 +937,16 @@ def test_build_gamma_scaling():
     cb = generate_codebook(
         BELL_PARAMS, block.bob_marg_pruned, conditionals, np.random.default_rng(3)
     )
-    cond_seq = next(iter(block.bob_blocks))
-    blk = block.bob_blocks[cond_seq]
-    opset = build_gamma(blk, cb, eps=BELL_PARAMS.eps)
+    cond = next(iter(block.bob_blocks))
+    blk = block.bob_blocks[cond]
+    opset = build_gamma(blk, cb, cond, eps=BELL_PARAMS.eps)
     factor = blk.typical.total_prob / (
         (1.0 + BELL_PARAMS.eps) * BELL_PARAMS.s_b * BELL_PARAMS.m_b
     )
     dim = block.rho_n.shape[0]
     assert len(opset.gamma) == BELL_PARAMS.s_b * BELL_PARAMS.m_b
     for m in range(BELL_PARAMS.m_b):
-        words = cb.codewords(cond_seq, m)
+        words = cb.codewords(cond, m)
         total = np.zeros((dim, dim), dtype=complex)
         for j, x in enumerate(words):
             w = blk.gamma_factors[x]
@@ -971,35 +978,38 @@ def test_validate_subpovm_leak_and_selection_failure():
 
     # bin sums 1.2 I and 0.6 I
     leaky = opset({0: {0: 2}, 1: {0: 1}}, 0.6)
-    validate_subpovm(leaky, fake_codebook({}))
+    validate_subpovm(leaky, fake_codebook({}), 0)
     assert leaky.is_valid_subpovm == {0: False, 1: True}
     assert leaky.fallback_applied == {0: True, 1: False}
 
     # a selection failure forces fallback even when the sum is fine
     ok = opset({0: {0: 1}, 1: {0: 1}}, 0.6)
-    validate_subpovm(ok, fake_codebook({((0,), 1): True}))
+    validate_subpovm(ok, fake_codebook({(0, 1): True}), 0)
     assert ok.is_valid_subpovm == {0: True, 1: True}
     assert ok.fallback_applied == {0: False, 1: True}
 
     # fewer columns than rows: the top eigenvalue comes from the Gram
     # matrix; 1.05 u u^dag leaks, 0.6 u u^dag and an empty bin do not
     rank_one = opset({0: {1: 1}, 1: {}}, 1.05)
-    validate_subpovm(rank_one, fake_codebook({}))
+    validate_subpovm(rank_one, fake_codebook({}), 0)
     assert rank_one.is_valid_subpovm == {0: False, 1: True}
     rank_one = opset({0: {1: 1}, 1: {}}, 0.6)
-    validate_subpovm(rank_one, fake_codebook({}))
+    validate_subpovm(rank_one, fake_codebook({}), 0)
     assert rank_one.is_valid_subpovm == {0: True, 1: True}
 
 
 def _stub_opset(factors, bin_counts, scale):
     """A BobOperatorSet over a stub block that holds only what the
     sub-POVM pass reads: the factors in member order and their norms,
-    recomputed column by column. bin_counts maps each bin, in order, to
-    its {member index: count} in first-draw order."""
+    recomputed column by column, and the members (x,) with their codes x.
+    bin_counts maps each bin, in order, to its {member index: count} in
+    first-draw order."""
     block = SimpleNamespace(
-        cond_seq=(0,),
         gamma_factors=list(factors),
-        typical=SimpleNamespace(members=tuple((x,) for x in range(len(factors)))),
+        typical=SimpleNamespace(
+            members=tuple((x,) for x in range(len(factors))),
+            codes=np.arange(len(factors)),
+        ),
         norms=np.array([oracles.member_norms(w) for w in factors]),
     )
     draws = [(m, x) for m, counts in bin_counts.items() for x, k in counts.items() for _ in range(k)]
@@ -1130,7 +1140,10 @@ def test_blocks_carry_their_member_norms(name, n):
     block = build_block_scenario(single, replace(cfg.params, n=n))
     _assert_blocks_carry_their_member_norms(block)
     if n > 1 and name in ("bell-computational", "three-outcome-split"):
-        assert any(c != tuple(sorted(c)) for c in block.bob_blocks)
+        assert any(
+            b.cond_seq != tuple(sorted(b.cond_seq))
+            for b in block.bob_blocks.values()
+        )
 
 
 def test_permuted_blocks_carry_norms_in_their_member_order():
@@ -1151,8 +1164,10 @@ def test_permuted_blocks_carry_norms_in_their_member_order():
     params = ProtocolParams(n=3, delta=1.0, delta2=0.25, eps=0.05, s_b=1, m_b=1)
     block = build_block_scenario(single, params)
     _assert_blocks_carry_their_member_norms(block)
-    rep = block.bob_blocks[(0, 0, 1)]
-    assert not np.allclose(block.bob_blocks[(1, 0, 0)].norms, rep.norms)
+    rep = block.bob_blocks[oracles.code((0, 0, 1), 2)]
+    assert not np.allclose(
+        block.bob_blocks[oracles.code((1, 0, 0), 2)].norms, rep.norms
+    )
 
 
 def test_scaled_average_stays_below_block_state():
@@ -1183,8 +1198,9 @@ def test_alice_trivial_when_single_letter():
     assert alice.trivial
     only = (0, 0)
     # the summed operator I is held as its factor I sandwiched by
-    # sqrt(rho^n), here I / 2
-    assert np.allclose(alice.lambda_tilde[only], sqrt_psd(np.eye(4) / 4))
+    # sqrt(rho^n), here I / 2, keyed by the only sequence's code
+    assert set(alice.lambda_tilde) == {oracles.code(only, 1)}
+    assert np.allclose(alice.lambda_tilde[0], sqrt_psd(np.eye(4) / 4))
     # every codeword is the only sequence, member 0, whose operator is
     # I / 6
     assert np.array_equal(alice.opset.gamma, np.zeros(6))
@@ -1198,15 +1214,16 @@ def test_alice_trivial_when_single_letter():
     assert alice.opset.block.typical.members == (only,)
     assert np.array_equal(alice.opset.block.norms, [oracles.member_norms(w)])
     flags = dict(alice.opset.is_valid_subpovm)
-    validate_subpovm(alice.opset, alice.codebook)
+    (cond,) = alice.codebook.cells
+    validate_subpovm(alice.opset, alice.codebook, cond)
     assert alice.opset.is_valid_subpovm == flags
     assert alice.opset.fallback_applied == {0: False, 1: False}
 
 
 def test_assemble_keeps_members_without_columns():
     # a member whose cut factor has no column still received an operator,
-    # the zero one: its key stays, with a D x 0 factor; every factor is
-    # sandwiched by sqrt(rho^n)
+    # the zero one: its key, the code 0 of its sequence (0,), stays, with
+    # a D x 0 factor; every factor is sandwiched by sqrt(rho^n)
     unit = np.array([[0.6], [0.8]])
     sqrt_rho = np.diag(np.sqrt([0.7, 0.3]))
     opset = _stub_opset([np.zeros((2, 0)), unit], {0: {0: 1, 1: 1}}, 0.5)
@@ -1214,18 +1231,18 @@ def test_assemble_keeps_members_without_columns():
     opset.fallback_applied[0] = False
     scenario = type(
         "Scn", (), {
-            "sqrt_lambda_a_n": {(0,): _kron_halves([np.eye(2)], (0,), {})},
+            "sqrt_lambda_a_n": {0: _kron_halves([np.eye(2)], (0,), {})},
             "sqrt_rho_n": _kron_halves([sqrt_rho], (0,), {}),
         }
     )()
     alice = type(
-        "Alice", (), {"sqrt_lambda_tilde": {(0,): (np.eye(2), np.ones(2))}}
+        "Alice", (), {"sqrt_lambda_tilde": {0: (np.eye(2), np.ones(2))}}
     )()
-    tilde, prime = assemble_bob_povm(scenario, alice, {(0,): opset})
+    tilde, prime = assemble_bob_povm(scenario, alice, {0: opset})
     for table in (tilde, prime):
-        assert set(table) == {(0,), (1,)}
-        assert table[(0,)].shape == (2, 0)
-        assert np.allclose(table[(1,)], sqrt_rho @ (np.sqrt(0.5) * unit))
+        assert set(table) == {0, 1}
+        assert table[0].shape == (2, 0)
+        assert np.allclose(table[1], sqrt_rho @ (np.sqrt(0.5) * unit))
 
 
 def test_assemble_matches_naive_accumulation():
@@ -1233,12 +1250,12 @@ def test_assemble_matches_naive_accumulation():
     block = build_block_scenario(single, TRINE_PARAMS)
     instance = build_protocol_instance(block, TRINE_PARAMS, mode="with_alice_randomness")
     naive = {}
-    for cond_seq, opset in instance.bob_sets.items():
-        sqrt_true = oracles.dense_kron(block.sqrt_lambda_a_n[cond_seq])
+    for cond, opset in instance.bob_sets.items():
+        sqrt_true = oracles.dense_kron(block.sqrt_lambda_a_n[cond])
         for m in range(instance.bob_codebook.m_count):
             if opset.fallback_applied[m]:
                 continue
-            words = instance.bob_codebook.codewords(cond_seq, m)
+            words = instance.bob_codebook.codewords(cond, m)
             for j, x in enumerate(words):
                 assert opset.gamma[m * TRINE_PARAMS.s_b + j] == x
                 seq = opset.block.typical.members[x]
@@ -1246,16 +1263,17 @@ def test_assemble_matches_naive_accumulation():
                 op = opset.scale * (w @ w.conj().T)
                 term = sqrt_true @ op @ sqrt_true
                 naive[seq] = naive.get(seq, 0.0) + 0.5 * (term + term.conj().T)
-    # keys are exactly the sequences with a contribution; a missing key
-    # is the zero operator. The table holds factors S G, S = sqrt(rho^n),
-    # so it densifies to S G G^dag S
+    # keys are the codes of exactly the sequences with a contribution; a
+    # missing key is the zero operator. The table holds factors S G,
+    # S = sqrt(rho^n), so it densifies to S G G^dag S
     assert naive
-    assert set(instance.lambda_prime_b) == set(naive)
-    prime = oracles.densify(instance.lambda_prime_b)
+    n, k = TRINE_PARAMS.n, single.n_bob
+    assert set(oracles.by_sequence(instance.lambda_prime_b, k, n)) == set(naive)
+    prime = oracles.by_sequence(oracles.densify(instance.lambda_prime_b), k, n)
     root = sqrt_psd(kron_all([single.rho.mat] * TRINE_PARAMS.n))
     for seq, mat in naive.items():
         assert np.allclose(prime[seq], root @ mat @ root, atol=1e-12)
-    assert set(instance.lambda_tilde_b) <= set(naive)
+    assert set(oracles.by_sequence(instance.lambda_tilde_b, k, n)) <= set(naive)
 
 
 SCORE_KEYS = ("d_bob", "d_alice", "atypical", "d2", "d3")
@@ -1311,6 +1329,7 @@ def _assert_trial_matches_dense_oracle(
         block, params, np.random.SeedSequence(seed)
     )
     alice = instance.alice
+    n, k_a, k_b = params.n, block.single.n_alice, block.single.n_bob
 
     def close(got, ref, tol=1e-10):
         assert set(got) == set(ref)
@@ -1319,15 +1338,18 @@ def _assert_trial_matches_dense_oracle(
 
     assert alice.opset.fallback_applied == want["alice_fallback"]
     assert {
-        (cond_seq, m): flag
-        for cond_seq, opset in instance.bob_sets.items()
+        (oracles.sequence(cond, k_a, n), m): flag
+        for cond, opset in instance.bob_sets.items()
         for m, flag in opset.fallback_applied.items()
     } == want["bob_fallback"]
     # the summed tables hold factors S G, S = sqrt(rho^n), so they
-    # densify to S G G^dag S, which the oracle also sandwiches
-    lambda_tilde = oracles.densify(alice.lambda_tilde)
+    # densify to S G G^dag S, which the oracle also sandwiches; they are
+    # keyed by the codes of the sequences the oracle keys them by
+    lambda_tilde = oracles.by_sequence(oracles.densify(alice.lambda_tilde), k_a, n)
     close(lambda_tilde, want["lambda_tilde"])
-    sqrt_lambda_tilde = oracles.dense_roots(alice.sqrt_lambda_tilde)
+    sqrt_lambda_tilde = oracles.by_sequence(
+        oracles.dense_roots(alice.sqrt_lambda_tilde), k_a, n
+    )
     sqrt_rho_n = oracles.dense_kron(block.sqrt_rho_n)
     close(
         {
@@ -1338,11 +1360,16 @@ def _assert_trial_matches_dense_oracle(
     )
     close(sqrt_lambda_tilde, want["sqrt_lambda_tilde"], root_tol)
     close(
-        oracles.densify(instance.lambda_tilde_b), want["lambda_tilde_b"], root_tol
+        oracles.by_sequence(oracles.densify(instance.lambda_tilde_b), k_b, n),
+        want["lambda_tilde_b"],
+        root_tol,
     )
-    close(oracles.densify(instance.lambda_prime_b), want["lambda_prime_b"])
+    close(
+        oracles.by_sequence(oracles.densify(instance.lambda_prime_b), k_b, n),
+        want["lambda_prime_b"],
+    )
 
-    cond_a = block.alice_block.cond_seq
+    (cond_a,) = alice.codebook.cells
     for m_a, ref in want["alice_weights"].items():
         words = alice.codebook.codewords(cond_a, m_a)
         got = _codeword_weights(
@@ -1351,11 +1378,11 @@ def _assert_trial_matches_dense_oracle(
         assert np.allclose(got, ref, rtol=0.0, atol=1e-10)
     for (m_a, j_a, m_b), ref in want["bob_weights"].items():
         x_a = alice.codebook.codewords(cond_a, m_a)[j_a]
-        cond_seq = block.alice_block.typical.members[x_a]
-        post = _collapsed_state(alice, cond_seq, block.rho_n)
-        words = instance.bob_codebook.codewords(cond_seq, m_b)
+        cond = oracles.code(block.alice_block.typical.members[x_a], k_a)
+        post = _collapsed_state(alice, cond, block.rho_n)
+        words = instance.bob_codebook.codewords(cond, m_b)
         got = _codeword_weights(
-            instance.bob_sets[cond_seq], words, params.m_b, post.conj().T
+            instance.bob_sets[cond], words, params.m_b, post.conj().T
         )
         assert np.allclose(got, ref, rtol=0.0, atol=root_tol)
     return instance, want
@@ -1449,7 +1476,8 @@ def test_instance_invariants_on_presets(name, n):
             block, params, np.random.SeedSequence(seed)
         )
         for (cond_seq, m), total in want["bob_bin_sums"].items():
-            if instance.bob_sets[cond_seq].fallback_applied[m]:
+            cond = oracles.code(cond_seq, single.n_alice)
+            if instance.bob_sets[cond].fallback_applied[m]:
                 continue
             assert np.linalg.eigvalsh(total)[-1] <= 1.0 + TAU_PSD
         alice = instance.alice.opset
@@ -1460,8 +1488,8 @@ def test_instance_invariants_on_presets(name, n):
             ("fallback_applied", "bob_fallback"),
         ):
             got = {
-                (cond_seq, m): flag
-                for cond_seq, opset in instance.bob_sets.items()
+                (oracles.sequence(cond, single.n_alice, n), m): flag
+                for cond, opset in instance.bob_sets.items()
                 for m, flag in getattr(opset, flags).items()
             }
             assert got == want[key]
@@ -1674,6 +1702,60 @@ def test_trial_fields_and_reasons():
         "alice_fallback", "alice_garbage", "bob_fallback", "bob_garbage",
         "empty_conditional",
     }
+
+
+@pytest.mark.parametrize(
+    "mode,case", [("with_alice_randomness", 2), ("without_alice_randomness", 1)]
+)
+def test_transcripts_read_the_cells_of_the_produced_conditioning(mode, case):
+    # Alice's law (0.8, 0.2) at n = 3 and delta = 0.3 keeps only the
+    # sequences with one 1, codes 1, 2 and 4 at member indices 0, 1 and
+    # 2, so a member index taken for a code names another conditioning.
+    # Every transcript with outputs reads Alice's codeword j_a of bin m_a
+    # and Bob's codeword of bin m_b in the cell of her output's code: j_b
+    # itself in case 2, its pool position in case 1
+    rho = DensityOperator(np.diag([0.4, 0.4, 0.1, 0.1]))
+    povm = Povm(
+        elements=tuple(np.diag(e) for e in np.eye(4)), labels=(0, 1, 2, 3)
+    )
+    single = prepare_scenario(
+        rho, povm,
+        OutcomeFunction(domain_size=4, image_size=2, table=(0, 0, 1, 1)),
+        OutcomeFunction(domain_size=4, image_size=2, table=(0, 1, 0, 1)),
+    )
+    params = ProtocolParams(
+        n=3, delta=0.3, delta2=0.25, eps=0.1, s_b=4, m_b=2, s_a=4, m_a=2,
+        s_b_prime=24, case=case,
+    )
+    block = build_block_scenario(single, params)
+    alice_set = block.alice_block.typical
+    assert alice_set.members == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    assert sorted(block.bob_blocks) == alice_set.codes.tolist() == [1, 2, 4]
+    served = 0
+    for seed in range(8):
+        instance = build_protocol_instance(
+            block, params, mode=mode, seed_seq=np.random.SeedSequence(seed)
+        )
+        alice, bob = instance.alice.codebook, instance.bob_codebook
+        (free,) = alice.cells
+        for k in range(8):
+            t = run_protocol_trial(instance, np.random.default_rng(k))
+            assert t.reason != "empty_conditional"
+            if t.degenerate:
+                continue
+            served += 1
+            x_a = alice.codewords(free, t.m_a)[t.j_a]
+            assert alice_set.members[x_a] == t.alice_output
+            cond = oracles.code(t.alice_output, 2)
+            if case == 2:
+                x_b = bob.codewords(cond, t.m_b)[t.j_b]
+                members = instance.bob_sets[cond].block.typical.members
+            else:
+                x_b = bob.entries[t.m_b][t.j_b]
+                members = block.bob_marg_pruned.support()
+                assert t.j_b in bob.selection[(cond, t.m_b)]
+            assert members[x_b] == t.bob_output
+    assert served
 
 
 def test_simulate_trials_worker_invariance():

@@ -99,6 +99,12 @@ def test_prune_renormalizes():
     assert np.isclose(vec.sum(), 1.0)
     assert np.isclose(pd.prob((0, 0)), (9 / 16) / (15 / 16))
     assert pd.prob((1, 1)) == 0.0
+    # every member is found by its code; a sequence of the wrong length or
+    # with a letter outside the alphabet has probability 0
+    assert [pd.prob(seq) for seq in ts.members] == vec.tolist()
+    assert pd.prob([0, 1]) == vec[ts.members.index((0, 1))]
+    for seq in ((0,), (0, 0, 0), (), (0, 2), (2, 0), (-1, 1), (0, -2)):
+        assert pd.prob(seq) == 0.0
     assert pd.support() == ts.members
     # member codes: product-order positions, ascending with the members
     assert ts.codes.tolist() == [2 * a + b for a, b in ts.members]
@@ -152,6 +158,10 @@ def test_prune_conditional_weights():
     assert np.isclose(pd.prob((1, 1)), 0.2 * 0.5)
     with pytest.raises(SizeMismatch):
         prune_conditional(p_cond, (0,), ts)
+    # members are read by their codes, which only name sequences over
+    # the set's own alphabet
+    with pytest.raises(SizeMismatch):
+        prune_conditional(np.array([[0.8, 0.1, 0.1], [0.5, 0.25, 0.25]]), cond_seq, ts)
 
 
 def test_quantum_projector_matches_classical_spectrum():
