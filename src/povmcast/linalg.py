@@ -1,8 +1,12 @@
 """Operator primitives for finite-dimensional quantum systems.
 
-Everything works on square complex numpy arrays. Hermitian structure is
-enforced through explicit tolerance checks instead of being assumed, and
-all square roots and inverses act only on numerically resolved supports.
+Everything works on square numpy arrays of one of two dtypes: float64
+for real operators and complex128 for complex ones. Each function keeps
+the dtype it is given, read from the array's type and never from its
+values, so a real operator stays real through every eigensystem, root
+and product. Hermitian structure is enforced through explicit tolerance
+checks instead of being assumed, and all square roots and inverses act
+only on numerically resolved supports.
 """
 
 from __future__ import annotations
@@ -64,11 +68,19 @@ def power_exceeds(base: int, n: int, cap: int) -> bool:
     return False
 
 
+def working_dtype(*arrays) -> type:
+    """complex128 when any of the arrays has a complex dtype, else
+    float64; decided from the dtypes alone, without reading a value."""
+    return np.complex128 if any(map(np.iscomplexobj, arrays)) else np.float64
+
+
 def as_matrix(a) -> np.ndarray:
-    """Coerce to a square complex matrix, unwrapping a DensityOperator."""
+    """Coerce to a square float64 or complex128 matrix, as its dtype is
+    real or complex (working_dtype), unwrapping a DensityOperator."""
     if isinstance(a, DensityOperator):
         return a.mat
-    m = np.asarray(a, dtype=np.complex128)
+    m = np.asarray(a)
+    m = m.astype(working_dtype(m), copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     return m
@@ -252,7 +264,7 @@ class DensityOperator:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityOperator":
-        return cls(np.eye(dim, dtype=np.complex128) / dim)
+        return cls(np.eye(dim) / dim)
 
     def __repr__(self):
         return f"DensityOperator(dim={self.dim})"

@@ -39,6 +39,7 @@ from .linalg import (
     sqrt_psd,
     support_projector,
     trace_distance,
+    working_dtype,
 )
 
 # relative eigenvalue cutoff when taking supports of coarse POVM elements
@@ -51,6 +52,8 @@ class Povm:
 
     complete=True asserts the elements sum to the identity (checked);
     complete=False only requires the sum to stay below the identity.
+    The elements share one dtype, float64 unless one of them is complex
+    (working_dtype).
     """
 
     elements: tuple
@@ -58,7 +61,9 @@ class Povm:
     complete: bool = True
 
     def __post_init__(self):
-        elements = tuple(np.asarray(e, dtype=np.complex128) for e in self.elements)
+        elements = [np.asarray(e) for e in self.elements]
+        dtype = working_dtype(*elements)
+        elements = tuple(e.astype(dtype, copy=False) for e in elements)
         if not elements:
             raise SizeMismatch("POVM needs at least one element")
         dim = elements[0].shape[0]
@@ -173,8 +178,8 @@ def coarse_grain(povm: Povm, g: OutcomeFunction) -> Povm:
         raise SizeMismatch(
             f"outcome function domain {g.domain_size} != POVM outcomes {povm.n_outcomes}"
         )
-    dim = povm.dim
-    sums = [np.zeros((dim, dim), dtype=np.complex128) for _ in range(g.image_size)]
+    dim, dtype = povm.dim, povm.elements[0].dtype
+    sums = [np.zeros((dim, dim), dtype) for _ in range(g.image_size)]
     for x, e in enumerate(povm.elements):
         sums[g(x)] = sums[g(x)] + e
     return Povm(
@@ -215,8 +220,8 @@ def conditional_povm(
         raise SizeMismatch("outcome function domains must match POVM outcome count")
     if not 0 <= x_a < g_a.image_size:
         raise LabelMismatch(f"conditioning outcome {x_a} outside g_A image")
-    dim = povm.dim
-    branch = np.zeros((dim, dim), dtype=np.complex128)
+    dim, dtype = povm.dim, povm.elements[0].dtype
+    branch = np.zeros((dim, dim), dtype)
     for x in g_a.preimage(x_a):
         branch = branch + povm.elements[x]
     scale = float(np.linalg.norm(branch, 2))
@@ -227,7 +232,7 @@ def conditional_povm(
     proj = support_projector(branch, cutoff)
     elements = []
     for x_b in range(g_b.image_size):
-        joint = np.zeros((dim, dim), dtype=np.complex128)
+        joint = np.zeros((dim, dim), dtype)
         for x in g_a.preimage(x_a):
             if g_b(x) == x_b:
                 joint = joint + povm.elements[x]
@@ -246,8 +251,8 @@ def sequential_composition(povm: Povm, g_a: OutcomeFunction, g_b: OutcomeFunctio
     identically so the result is indexed by x_b alone.
     """
     coarse = coarse_grain(povm, g_a)
-    dim = povm.dim
-    out = [np.zeros((dim, dim), dtype=np.complex128) for _ in range(g_b.image_size)]
+    dim, dtype = povm.dim, povm.elements[0].dtype
+    out = [np.zeros((dim, dim), dtype) for _ in range(g_b.image_size)]
     for x_a in range(g_a.image_size):
         branch = coarse.elements[x_a]
         if float(np.linalg.norm(branch, 2)) <= TAU_PSD:
@@ -271,7 +276,8 @@ def reference_blocks(rho, operators) -> np.ndarray:
     result has the stack's shape; its traces are the Born probabilities.
     """
     r = DensityOperator.coerce(rho)
-    ops = np.asarray(operators, dtype=np.complex128)
+    ops = np.asarray(operators)
+    ops = ops.astype(working_dtype(ops), copy=False)
     if ops.ndim < 2 or ops.shape[-2:] != (r.dim, r.dim):
         raise DimensionMismatch(
             f"state dim {r.dim} does not match operators of shape {ops.shape}"

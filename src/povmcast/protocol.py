@@ -190,9 +190,33 @@ class SingleLetterScenario:
         return self.g_b.image_size
 
 
+def _in_working_dtype(rho: DensityOperator, povm: Povm) -> tuple:
+    """rho and povm cast to the scenario's working dtype: float64 when
+    both have imaginary parts exactly 0 (-0.0 counting as 0), else
+    complex128. This is the one place a dtype is decided from values;
+    every table built from the scenario keeps it."""
+    mats = (rho.mat, *povm.elements)
+    real = not any(m.imag.any() for m in mats)
+    dtype = np.dtype(np.float64 if real else np.complex128)
+
+    def cast(m):
+        return m.real if real else m.astype(dtype)
+
+    if rho.mat.dtype != dtype:
+        rho = DensityOperator(cast(rho.mat))
+    if povm.elements[0].dtype != dtype:
+        povm = Povm(
+            elements=tuple(cast(e) for e in povm.elements),
+            labels=povm.labels,
+            complete=povm.complete,
+        )
+    return rho, povm
+
+
 def prepare_scenario(rho, povm, g_a, g_b) -> SingleLetterScenario:
-    """Precompute the single-copy objects the block construction needs."""
-    rho = DensityOperator.coerce(rho)
+    """Precompute the single-copy objects the block construction needs,
+    in the working dtype of rho and povm (_in_working_dtype)."""
+    rho, povm = _in_working_dtype(DensityOperator.coerce(rho), povm)
     alice_povm = coarse_grain(povm, g_a)
     bob_reference = sequential_composition(povm, g_a, g_b)
     p_a = born_probabilities(rho, alice_povm)
@@ -341,7 +365,7 @@ def build_xi_prime(pair_eigs, delta) -> np.ndarray:
     _, keep = _typical_mask(values, delta)
     idx = np.unravel_index(np.flatnonzero(keep), [w.size for w in values])
     lam = np.ones(idx[0].size)
-    cols = np.ones((1, idx[0].size), dtype=np.complex128)
+    cols = np.ones((1, idx[0].size), dtype=pair_eigs[0][1].dtype)
     for (w, v), k in zip(pair_eigs, idx):
         lam = lam * w[k]
         rows = cols.shape[0] * v.shape[0]
@@ -941,7 +965,10 @@ class BobOperatorSet:
     every codeword, bin by bin in draw order, and bins the bin of each.
     Bins whose operator sum leaks above the identity, or whose case-1
     selection failed, fall back to the trivial single-outcome
-    measurement and are flagged here.
+    measurement and are flagged here. pooled, set with the flags and
+    None before, holds (members, counts) over the bins that did not
+    fall back: each member drawn there, at its first draw, with how
+    often it was drawn there.
     """
 
     block: ConditioningBlock
@@ -950,6 +977,7 @@ class BobOperatorSet:
     scale: float
     is_valid_subpovm: dict
     fallback_applied: dict
+    pooled: tuple | None = None
 
     def columns(self, members, counts) -> list:
         """Column blocks sqrt(scale * n_x) w_x of members drawn n_x times;
@@ -1053,18 +1081,13 @@ def _apply_root(root, g) -> np.ndarray:
     return u @ (s[:, None] * (u.conj().T @ g))
 
 
-def _first_draws(opsets, m_count, fell=None) -> tuple:
+def _first_draws(opsets, m_count) -> tuple:
     """Each bin's distinct codewords over all opsets, one pass: (owner,
     members, counts), owner i * m_count + m for bin m of opset i, ordered
-    by owner and then by first draw. With fell, an (opsets, m_count)
-    array of flags, flagged bins are left out and the others of each
-    opset pooled, owner being the opset's index."""
+    by owner and then by first draw."""
     empty = [np.zeros(0, np.intp)]
     owner = np.concatenate(empty + [i * m_count + o.bins for i, o in enumerate(opsets)])
     words = np.concatenate(empty + [o.gamma for o in opsets])
-    if fell is not None:
-        keep = ~fell.ravel()[owner]
-        owner, words = owner[keep] // m_count, words[keep]
     span = int(words.max(initial=0)) + 1
     keys, first, counts = np.unique(
         owner * span + words, return_index=True, return_counts=True
@@ -1073,16 +1096,27 @@ def _first_draws(opsets, m_count, fell=None) -> tuple:
     return (*np.divmod(keys[order], span), counts[order])
 
 
-def _pooled(opsets) -> list:
-    """Per opset, (members, counts) over its bins that did not fall back:
-    each member drawn there, listed at its first draw, with how often it
-    was drawn there."""
-    m_count = max((len(o.fallback_applied) for o in opsets), default=1)
-    fell = [[o.fallback_applied[m] for m in range(m_count)] for o in opsets]
-    fell = np.array(fell, dtype=bool).reshape(len(opsets), m_count)
-    owner, members, counts = _first_draws(opsets, m_count, fell)
-    sizes = np.bincount(owner, minlength=len(opsets)).tolist()
-    return list(zip(_pieces(members, sizes), _pieces(counts, sizes)))
+def _pooled(tally, fell) -> list:
+    """Per opset, (members, counts) over its bins that did not fall back,
+    from the per-bin tally of _first_draws and fell, an (opsets,
+    m_count) array of fallback flags: each member drawn there, listed at
+    its first draw, with how often it was drawn there. The tally lists
+    each opset's bins in draw order, and within a bin its members at
+    their first draws, so a member's first kept entry is its first
+    kept draw."""
+    owner, members, counts = tally
+    keep = ~fell.ravel()[owner]
+    owner, members = owner[keep] // fell.shape[1], members[keep]
+    span = int(members.max(initial=0)) + 1
+    keys, first, inverse = np.unique(
+        owner * span + members, return_index=True, return_inverse=True
+    )
+    totals = np.bincount(inverse, weights=counts[keep], minlength=keys.size)
+    order = np.argsort(first)
+    owner, members = np.divmod(keys[order], span)
+    sizes = np.bincount(owner, minlength=fell.shape[0]).tolist()
+    totals = totals[order].astype(np.intp)
+    return list(zip(_pieces(members, sizes), _pieces(totals, sizes)))
 
 
 def build_gamma(
@@ -1124,7 +1158,8 @@ STAGE_TRACE, STAGE_COLUMN, STAGE_NORMS, STAGE_EXACT = range(1, 5)
 def _settle_bins(opsets, m_count) -> tuple:
     """Whether the operator sum G G^dag of each bin m < m_count of each
     opset stays at or below thr = 1 + TAU_PSD, and the stage that decided
-    it; two (len(opsets), m_count) arrays.
+    it, two (len(opsets), m_count) arrays; and the per-bin tally of
+    _first_draws that the pass reads them from.
 
     Every flag equals the exact route's (top eigenvalue <= thr). With
     lo, hi = thr (1 -+ SETTLE_MARGIN), the stages run cheapest first,
@@ -1179,24 +1214,30 @@ def _settle_bins(opsets, m_count) -> tuple:
     tops = _top_eigenvalues(columns)
     for b, top in zip(exact, tops):
         valid[b], stage[b] = top <= thr, STAGE_EXACT
-    return valid.reshape(shape), stage.reshape(shape)
+    return valid.reshape(shape), stage.reshape(shape), (owner, members, counts)
 
 
 def _flag_bins(opsets: dict, codebook) -> None:
-    """Set the is_valid_subpovm and fallback_applied of each opset, keyed
-    by its conditioning in codebook, for every bin of codebook, deciding
-    all bins in one _settle_bins pass."""
-    valid, _ = _settle_bins(list(opsets.values()), codebook.m_count)
-    for (cond, opset), row in zip(opsets.items(), valid.tolist()):
-        for m, ok in enumerate(row):
-            failed = bool(codebook.failure_flags.get((cond, m), False))
-            opset.is_valid_subpovm[m] = ok
-            opset.fallback_applied[m] = (not ok) or failed
+    """Set the is_valid_subpovm, fallback_applied and pooled of each
+    opset, keyed by its conditioning in codebook, for every bin of
+    codebook: one _settle_bins pass decides all bins, and its tally is
+    pooled."""
+    m_count = codebook.m_count
+    valid, _, tally = _settle_bins(list(opsets.values()), m_count)
+    flags = codebook.failure_flags
+    failed = [[flags.get((cond, m), False) for m in range(m_count)] for cond in opsets]
+    fell = ~valid | np.array(failed, dtype=bool).reshape(valid.shape)
+    rows = zip(opsets.values(), valid.tolist(), fell.tolist(), _pooled(tally, fell))
+    for opset, ok, fallback, pooled in rows:
+        opset.is_valid_subpovm.update(enumerate(ok))
+        opset.fallback_applied.update(enumerate(fallback))
+        opset.pooled = pooled
 
 
 def validate_subpovm(opset: BobOperatorSet, codebook: Codebook, cond) -> BobOperatorSet:
-    """Check each bin sums below the identity; mark fallbacks. cond keys
-    the opset's conditioning in codebook.
+    """Check each bin sums below the identity; mark fallbacks and pool
+    the other bins' counts (opset.pooled). cond keys the opset's
+    conditioning in codebook.
 
     A bin falls back when its operators leak above identity by more than
     TAU_PSD, or when its case-1 codeword selection failed. Fallback bins are
@@ -1273,7 +1314,7 @@ def build_alice_measurement(
         opset = build_gamma(ab, codebook, _FREE, eps=params.eps)
         validate_subpovm(opset, codebook, _FREE)
         summed, sqrt_lambda_tilde = {}, {}
-        members, counts = _pooled([opset])[0]
+        members, counts = opset.pooled
         factors = [ab.gamma_factors[x] for x in members.tolist()]
         roots = _thin_roots(factors)
         codes = ab.typical.codes[members].tolist()
@@ -1300,8 +1341,9 @@ def assemble_bob_povm(
     sandwiched by the square roots of Alice's realized operators, and the
     intermediate variant sandwiched by the true sqrt(Lambda_{x_A^n}) over
     every typical conditioning, which isolates the Bob-codebook error.
-    Per conditioning the counts are pooled over the non-fallback bins
-    (fallback bins contribute nothing), and a member with count n adds
+    Per conditioning the counts pooled over the non-fallback bins by the
+    sub-POVM pass are read (opset.pooled; fallback bins contribute
+    nothing), and a member with count n adds
     the columns S sqrt(n scale) w_x, S being the sandwiching root; each
     root is applied once per conditioning, to all its pooled columns,
     and sqrt(rho^n) once to each table's columns before they are
@@ -1311,8 +1353,8 @@ def assemble_bob_povm(
     the zero operator. bob_sets is keyed by the x_A^n code.
     """
     tilde, prime = [], []
-    pooled = _pooled(list(bob_sets.values()))
-    for (cond, opset), (members, counts) in zip(bob_sets.items(), pooled):
+    for cond, opset in bob_sets.items():
+        members, counts = opset.pooled
         if not members.size:
             continue
         cols = opset.columns(members, counts)

@@ -69,7 +69,8 @@ def joint_entropies(
     if g_a.domain_size != povm.n_outcomes or g_b.domain_size != povm.n_outcomes:
         raise SizeMismatch("outcome function domains must match POVM outcome count")
     d = povm.dim
-    joint = np.zeros((g_a.image_size, g_b.image_size, d, d), dtype=np.complex128)
+    shape = (g_a.image_size, g_b.image_size, d, d)
+    joint = np.zeros(shape, povm.elements[0].dtype)
     for x, e in enumerate(povm.elements):
         joint[g_a(x), g_b(x)] += e
     blocks = reference_blocks(rho, joint)

@@ -1,8 +1,38 @@
 """Shared test helpers: seeded scenario generators and acceptance reporting."""
 
+import math
+import os
 import re
 
 import numpy as np
+
+# A checked-in scenario document with complex entries: the
+# three-outcome-split trine conjugated by phase_unitary(), the only
+# scenario of the suite that runs the complex128 route end to end.
+COMPLEX_TRINE = os.path.join(os.path.dirname(__file__), "data", "complex-trine.json")
+
+
+def phase_unitary(t=0.4, phi=0.7, psi=1.9):
+    """A non-diagonal 2 x 2 unitary with complex phases: a rotation by t
+    between diagonal phases, so it commutes with no real diagonal state."""
+    c, s = math.cos(t), math.sin(t)
+    return np.array([
+        [c, -np.exp(1j * phi) * s],
+        [np.exp(1j * psi) * s, np.exp(1j * (phi + psi)) * c],
+    ])
+
+
+def rotated_document(doc, u):
+    """A scenario document with rho and every POVM element replaced by
+    u A u^dag, Hermitian parts taken so the entries stay exactly
+    Hermitian."""
+    def rotate(op):
+        m = np.array(op["re"]) + 1j * np.array(op["im"])
+        r = u @ m @ u.conj().T
+        r = 0.5 * (r + r.conj().T)
+        return {"dim": op["dim"], "re": r.real.tolist(), "im": r.imag.tolist()}
+
+    return {**doc, "rho": rotate(doc["rho"]), "povm": [rotate(op) for op in doc["povm"]]}
 
 
 def random_density(rng, dim):

@@ -46,6 +46,8 @@ from povmcast import protocol
 from povmcast.presets import preset_document, preset_names
 from povmcast.protocol import MODES
 
+from conftest import COMPLEX_TRINE, phase_unitary, rotated_document
+
 PRESETS = ("bell-computational", "three-outcome-split", "independent-product", "pure-state")
 
 
@@ -645,22 +647,63 @@ PINNED_SEED3_TRANSCRIPTS = {
 }
 
 
-@pytest.mark.parametrize("preset", sorted(PINNED_SEED3_TRIALS))
-def test_cli_simulate_fixed_seed_answers(capsys, preset):
-    code = main(["simulate", "--config", f"preset:{preset}", "--seed", "3"])
+# The same ten trials of COMPLEX_TRINE, the trine rotated by a complex
+# unitary, recorded with every table complex128. Real scenarios run in
+# float64, so this document is what keeps the complex route pinned.
+PINNED_COMPLEX_SEED3_TRIALS = [
+    (0.6630989297686305, 0.6713804713804711, 0.08999999999999973, 0.3516426883641052, 0.5044167340792616),
+    (0.5290779671837303, 0.30094276094276184, 0.08999999999999973, 0.3025798251170153, 0.20460736657903597),
+    (0.793728366598713, 0.713670033670032, 0.08999999999999973, 0.2611146956111805, 0.5077716323232264),
+    (0.5805562539882493, 0.3094949494949503, 0.08999999999999973, 0.2993212236540425, 0.22795469534217305),
+    (0.7356941822616595, 0.5197979797979797, 0.08999999999999973, 0.4759575544571429, 0.2894307786361596),
+    (0.4861502842068336, 0.30949494949495054, 0.08999999999999973, 0.40564356903623533, 0.19318968734315708),
+    (0.4884618333564019, 0.16639730639730724, 0.08999999999999973, 0.3314883629892562, 0.10933216165968015),
+    (0.43450825319020014, 0.25063973063972955, 0.08999999999999973, 0.3116127267419445, 0.15632960426139125),
+    (0.6453846040760162, 0.6799999999999997, 0.08999999999999973, 0.2662871681622288, 0.5336244024999983),
+    (0.6556473829201078, 0.4525925925925943, 0.08999999999999973, 0.5021079171878091, 0.23746556473829156),
+]
+
+
+def _simulate_rows(capsys, source):
+    """(floats, transcripts) of each trial of `simulate --seed 3`."""
+    code = main(["simulate", "--config", source, "--seed", "3"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
-    got = [
+    floats = [
         tuple(t[k] for k in ("d", "d_alice", "atypical", "d2", "d3"))
         for t in doc["trials"]
     ]
-    np.testing.assert_allclose(got, PINNED_SEED3_TRIALS[preset], rtol=0, atol=1e-12)
     transcripts = [
         (t["m_a"], t["m_b"], t["j_a"], t["j_b"], tuple(t["alice_output"]),
          tuple(t["bob_output"]), t["reason"])
         for t in doc["trials"]
     ]
+    return floats, transcripts
+
+
+@pytest.mark.parametrize("preset", sorted(PINNED_SEED3_TRIALS))
+def test_cli_simulate_fixed_seed_answers(capsys, preset):
+    got, transcripts = _simulate_rows(capsys, f"preset:{preset}")
+    np.testing.assert_allclose(got, PINNED_SEED3_TRIALS[preset], rtol=0, atol=1e-12)
     assert transcripts == PINNED_SEED3_TRANSCRIPTS[preset]
+
+
+def test_cli_simulate_complex_document_answers(capsys):
+    # the document is the preset rotated by phase_unitary(), so it has
+    # the preset's transcripts, and its pins lie within 2e-15 of the
+    # preset's
+    with open(COMPLEX_TRINE, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    want = rotated_document(preset_document("three-outcome-split"), phase_unitary())
+    for got_op, want_op in zip([doc["rho"]] + doc["povm"], [want["rho"]] + want["povm"]):
+        for part in ("re", "im"):
+            np.testing.assert_allclose(got_op[part], want_op[part], rtol=0, atol=1e-15)
+    got, transcripts = _simulate_rows(capsys, COMPLEX_TRINE)
+    np.testing.assert_allclose(got, PINNED_COMPLEX_SEED3_TRIALS, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        got, PINNED_SEED3_TRIALS["three-outcome-split"], rtol=0, atol=2e-15
+    )
+    assert transcripts == PINNED_SEED3_TRANSCRIPTS["three-outcome-split"]
 
 
 def test_cli_sweep_csv_and_trend(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Protocol construction tests: scenario prep, codebooks, operators, trials."""
 
 import collections
+import json
 from dataclasses import fields, is_dataclass, replace
 from functools import reduce
 from types import SimpleNamespace
@@ -42,6 +43,7 @@ from povmcast.protocol import (
     _codeword_weights,
     _collapsed_state,
     _first_draws,
+    _Kron,
     _kron_halves,
     _permute_copies,
     _pooled,
@@ -69,7 +71,14 @@ from povmcast.typicality import (
 )
 
 import oracles
-from conftest import random_density, random_povm, random_surjection
+from conftest import (
+    COMPLEX_TRINE,
+    phase_unitary,
+    random_density,
+    random_povm,
+    random_surjection,
+    rotated_document,
+)
 
 
 def bell_single():
@@ -891,19 +900,21 @@ def test_index_codebook_matches_the_literal_route():
                 seq for m in range(m_count) for seq in lit["cells"][(cond_seq, m)]
             ]
             # each bin's distinct codewords, in first-draw order
-            owner, words, counts = (a.tolist() for a in _first_draws([opset], m_count))
+            tally = _first_draws([opset], m_count)
+            owner, words, counts = (a.tolist() for a in tally)
             want = [
                 (m, seq, k)
                 for m in range(m_count)
                 for seq, k in lit["bin_counts"][(cond_seq, m)].items()
             ]
             assert list(zip(owner, (members[x] for x in words), counts)) == want
-            for m in range(m_count):
-                opset.fallback_applied[m] = fell[(cond_seq, m)]
-            got = zip(*(a.tolist() for a in _pooled([opset])[0]))
+            # the same tally pooled over the bins that did not fall back
+            fallback = {m: fell[(cond_seq, m)] for m in range(m_count)}
+            row = np.array([list(fallback.values())], dtype=bool)
+            got = zip(*(a.tolist() for a in _pooled(tally, row)[0]))
             want = oracles.pooled_counts(
                 {m: lit["bin_counts"][(cond_seq, m)] for m in range(m_count)},
-                opset.fallback_applied,
+                fallback,
             )
             assert [(members[x], k) for x, k in got] == list(want.items())
         rep = empirical_e0_check(cb, conditionals, eps)
@@ -1104,8 +1115,11 @@ def test_settled_bins_match_the_exact_route():
     @example(3, [(8, 3, False, False, 4, (1, -7.0)), (6, 2, True, False, 5, None)])
     def check(m_count, specs):
         opsets = [_spec_opset(spec, m_count) for spec in specs]
-        valid, stage = _settle_bins(opsets, m_count)
+        valid, stage, tally = _settle_bins(opsets, m_count)
         assert valid.shape == stage.shape == (len(opsets), m_count)
+        # the tally handed to pooling is the per-bin one
+        for got, want in zip(tally, _first_draws(opsets, m_count)):
+            assert np.array_equal(got, want)
         with mock.patch("povmcast.protocol.STACK_BYTES", 1):
             alone = _settle_bins(opsets, m_count)
         assert np.array_equal(alone[0], valid)
@@ -1227,8 +1241,12 @@ def test_assemble_keeps_members_without_columns():
     unit = np.array([[0.6], [0.8]])
     sqrt_rho = np.diag(np.sqrt([0.7, 0.3]))
     opset = _stub_opset([np.zeros((2, 0)), unit], {0: {0: 1, 1: 1}}, 0.5)
-    opset.is_valid_subpovm[0] = True
-    opset.fallback_applied[0] = False
+    codebook = Codebook(
+        case=2, size=2, m_count=1, size_prime=0,
+        entries={}, selection={}, failure_flags={}, cells={},
+    )
+    validate_subpovm(opset, codebook, 0)
+    assert opset.fallback_applied == {0: False}
     scenario = type(
         "Scn", (), {
             "sqrt_lambda_a_n": {0: _kron_halves([np.eye(2)], (0,), {})},
@@ -1890,3 +1908,113 @@ def test_bell_conditionals_make_e0_exact():
     for rec in records:
         assert rec.report.e0_ok
         assert rec.report.e0_violation == 0.0
+
+
+def _document_run(doc, n, trials):
+    """(block, records) of a scenario document run at block length n."""
+    cfg = config_from_dict(doc, name=doc.get("name", "config"))
+    single = prepare_scenario(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b)
+    params = replace(cfg.params, n=n)
+    block = build_block_scenario(single, params)
+    records = simulate_trials(single, params, mode=cfg.mode, trials=trials, block=block)
+    return block, records
+
+
+SCORES = ("d_bob", "d_alice", "atypical", "d2", "d3", "e0_violation")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("name", preset_names())
+def test_complex_route_matches_real_route_under_rotation(name, n):
+    # rho and every element conjugated by a complex non-diagonal U: every
+    # eigenvalue, trace norm and Born weight the construction reads is
+    # invariant under U^{(x) n}, so the rotated document, which runs in
+    # complex128, has the real run's flags, reasons and transcripts and
+    # its scores within 1e-12
+    doc = preset_document(name)
+    u = phase_unitary()
+    if doc["rho"]["dim"] == 4:
+        u = np.kron(u, phase_unitary(1.1, -0.3, 0.5))
+    real_block, real = _document_run(doc, n, 4)
+    rot_block, rotated = _document_run(rotated_document(doc, u), n, 4)
+    assert real_block.sqrt_rho_n.left.dtype == np.float64
+    assert rot_block.sqrt_rho_n.left.dtype == np.complex128
+    for a, b in zip(real, rotated):
+        assert b.transcript == a.transcript
+        np.testing.assert_allclose(
+            [getattr(b.report, k) for k in SCORES],
+            [getattr(a.report, k) for k in SCORES],
+            rtol=0, atol=1e-12,
+        )
+        assert replace(b.report, **dict.fromkeys(SCORES, 0.0)) == replace(
+            a.report, **dict.fromkeys(SCORES, 0.0)
+        )
+
+
+def _table_dtypes(block, instance) -> dict:
+    """The dtypes of each table a trial builds or reads, by table."""
+    def of(values):
+        out = set()
+        for v in values:
+            if isinstance(v, _Kron):
+                v = (v.left, v.right)
+            out.update(a.dtype for a in (v if isinstance(v, tuple) else (v,)))
+        return out
+
+    blocks = [block.alice_block, *block.bob_blocks.values()]
+    alice = instance.alice
+    code = next(iter(alice.sqrt_lambda_tilde))
+    return {
+        "gamma_factors": of(f for b in blocks for f in b.gamma_factors),
+        "cutoff_basis": of(b.cutoff.basis for b in blocks),
+        "rho_n": of([block.rho_n, block.sqrt_rho_n]),
+        "lambda_a_n": of(block.lambda_a_n.values()),
+        "sqrt_lambda_a_n": of(block.sqrt_lambda_a_n.values()),
+        "lambda_ref_b": of(block.lambda_ref_b.values()),
+        "alice_roots": of(u for u, _ in alice.sqrt_lambda_tilde.values()),
+        "alice_tilde": of(alice.lambda_tilde.values()),
+        "lambda_tilde_b": of(instance.lambda_tilde_b.values()),
+        "lambda_prime_b": of(instance.lambda_prime_b.values()),
+        "collapsed": of([_collapsed_state(alice, code, block.rho_n)]),
+    }
+
+
+@pytest.mark.parametrize("name", [*preset_names(), "complex-trine"])
+def test_working_dtype_reaches_every_table(name):
+    # a real scenario runs in float64 from prepare_scenario to the last
+    # score, with no table upcast on the way; the complex document runs
+    # in complex128 throughout
+    if name == "complex-trine":
+        with open(COMPLEX_TRINE, encoding="utf-8") as fh:
+            doc, want = json.load(fh), np.complex128
+    else:
+        doc, want = preset_document(name), np.float64
+    cfg = config_from_dict(doc, name=name)
+    single = prepare_scenario(cfg.rho, cfg.povm, cfg.g_a, cfg.g_b)
+    block = build_block_scenario(single, cfg.params)
+    instance = build_protocol_instance(block, cfg.params, mode=cfg.mode)
+    dtypes = _table_dtypes(block, instance)
+    assert all(dtypes.values())
+    assert {k: v for k, v in dtypes.items() if v - {np.dtype(want)}} == {}
+
+
+def test_prepare_scenario_decides_the_working_dtype():
+    # float64 when rho and every element have imaginary parts exactly 0,
+    # -0.0 included, whatever dtype they come in; one complex entry puts
+    # both in complex128
+    trine = trine_single()
+    rho, elems = trine.rho.mat, trine.povm.elements
+    g_a, g_b = trine.g_a, trine.g_b
+    signed = [e.astype(complex) for e in elems]
+    signed[1].imag[:] = -0.0
+    assert np.signbit(signed[1].imag).any()
+    single = prepare_scenario(
+        rho.astype(complex), Povm(elements=tuple(signed), labels=(0, 1, 2)), g_a, g_b
+    )
+    assert single.rho.mat.dtype == np.float64
+    assert {e.dtype for e in single.povm.elements} == {np.dtype(np.float64)}
+    u = phase_unitary()
+    rotated = tuple(u @ e @ u.conj().T for e in elems)
+    single = prepare_scenario(rho, Povm(elements=rotated, labels=(0, 1, 2)), g_a, g_b)
+    assert single.rho.mat.dtype == np.complex128
+    assert {e.dtype for e in single.povm.elements} == {np.dtype(np.complex128)}
